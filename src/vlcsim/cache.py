@@ -25,17 +25,29 @@ CACHE_DIR_ENV = "VLCSIM_CACHE_DIR"
 
 
 def save_population(path, pop: PaprPopulation):
-    """Write a population cache file (header + float64 pair records)."""
+    """Write a population cache file (header + float64 pair records).
+
+    The file is written under a temporary name in the target directory and
+    renamed into place, so a concurrent reader sees either no file or a
+    complete one.
+    """
     const = pop.constellation.value.encode("ascii")
     if len(const) > 16:
         raise ValueError(f"constellation id too long for header: {pop.constellation}")
     header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, pop.n_subcarriers,
                           pop.oversample_factor, const, pop.seed, len(pop))
     records = np.column_stack([pop.upapr, pop.lpapr]).astype("<f8")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(records.tobytes())
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(header)
+            fh.write(records.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_population(path) -> PaprPopulation:
@@ -77,7 +89,8 @@ def load_or_build(cache_dir, n_subcarriers: int, constellation: Constellation,
     """Return (population, came_from_cache).
 
     A cache file whose header disagrees with the request is discarded and
-    rebuilt; the freshly built population is written back.
+    rebuilt; the freshly built population is written back. `workers` is
+    passed to sample_papr_population, where it has no effect.
     """
     path = population_cache_path(cache_dir, n_subcarriers, constellation, count,
                                  seed, oversample_factor)

@@ -4,7 +4,8 @@ Every subcommand writes its CSV outputs plus a manifest that echoes the
 effective configuration; re-running a subcommand from its manifest
 reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 self-test failure.
+Exit codes: 0 success, 2 configuration error, 3 self-test failure,
+4 I/O error (an output, cache or config path cannot be read or written).
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quick", action="store_true",
                         help="cap the population at 1000 symbols")
     common.add_argument("--workers", type=int, default=1, metavar="INT",
-                        help="worker threads for population sampling")
+                        help="accepted for compatibility; has no effect "
+                             "(sampling runs on one thread)")
 
     parser = argparse.ArgumentParser(
         prog="vlcsim",
@@ -227,26 +229,25 @@ def _cmd_waveform_demo(cfg: ExperimentConfig, workers: int) -> int:
 
 
 def _cmd_selftest(cfg: ExperimentConfig, workers: int) -> int:
+    del workers  # sampling runs on the calling thread whatever the count
     led = LedModel()
     checks: list[tuple[str, bool]] = []
-
-    pop_a = sample_papr_population(cfg.n_subcarriers, cfg.constellation, 200, cfg.seed,
-                                   cfg.oversample_factor)
-    pop_b = sample_papr_population(cfg.n_subcarriers, cfg.constellation, 200, cfg.seed,
-                                   cfg.oversample_factor, workers=max(workers, 3))
-    checks.append(("population determinism across worker counts",
-                   np.array_equal(pop_a.upapr, pop_b.upapr)
-                   and np.array_equal(pop_a.lpapr, pop_b.lpapr)))
 
     symbols = [to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation,
                                                    symbol_rng(cfg.seed, i)),
                               cfg.oversample_factor)
                for i in range(200)]
+    pop = sample_papr_population(cfg.n_subcarriers, cfg.constellation, 200, cfg.seed,
+                                 cfg.oversample_factor)
+    reference = [papr_of(sym) for sym in symbols]
+    checks.append(("batched population equals the per-symbol reference",
+                   np.array_equal(pop.upapr, [s.upapr for s in reference])
+                   and np.array_equal(pop.lpapr, [s.lpapr for s in reference])))
+
     worst = 0.0
     feasible = True
     maximal = True
-    for sym in symbols:
-        papr = papr_of(sym)
+    for sym, papr in zip(symbols, reference):
         hi = float(np.max(sym.samples))
         lo = float(np.min(sym.samples))
         for zeta in np.arange(0.05, 0.951, 0.05):
@@ -268,9 +269,9 @@ def _cmd_selftest(cfg: ExperimentConfig, workers: int) -> int:
     zetas = rng.uniform(0.01, 0.99, size=200)
     sym_ok = True
     for zeta in zetas:
-        f = variance_factor(zeta, pop_a.upapr, pop_a.lpapr)
-        sym_ok &= bool(np.array_equal(f, variance_factor(1.0 - zeta, pop_a.upapr, pop_a.lpapr)))
-        sym_ok &= bool(np.array_equal(f, variance_factor(zeta, pop_a.lpapr, pop_a.upapr)))
+        f = variance_factor(zeta, pop.upapr, pop.lpapr)
+        sym_ok &= bool(np.array_equal(f, variance_factor(1.0 - zeta, pop.upapr, pop.lpapr)))
+        sym_ok &= bool(np.array_equal(f, variance_factor(zeta, pop.lpapr, pop.upapr)))
     checks.append(("variance factor exactly symmetric (mirror and swap)", sym_ok))
 
     spec_b = DimmingSpec(brightness=0.25, scheme=Scheme.BIASING_ADJUSTMENT, dnr=1.0)
@@ -310,6 +311,9 @@ def main(argv=None) -> int:
     except VlcsimError as exc:
         print(f"vlcsim: error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"vlcsim: I/O error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

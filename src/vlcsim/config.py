@@ -54,8 +54,8 @@ class ExperimentConfig:
             raise ConfigError("symbol_count", f"must be >= 1, got {self.symbol_count}")
         if self.oversample_factor < 1:
             raise ConfigError("oversample_factor", f"must be >= 1, got {self.oversample_factor}")
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed", f"must be in [0, 2**64), got {self.seed}")
         if not self.i_high > self.i_low:
             raise ConfigError("i_high", f"must exceed i_low, got [{self.i_low}, {self.i_high}]")
         if not self.o_high > 0:

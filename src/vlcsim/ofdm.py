@@ -3,12 +3,12 @@
 Symbols are built in the frequency domain with null DC/Nyquist bins and
 Hermitian symmetry, transformed to a real oversampled time-domain signal,
 and reduced to per-symbol (UPAPR, LPAPR) pairs. Population sampling is
-seeded per symbol index so results never depend on scheduling.
+seeded per symbol index so results never depend on block size; it batches
+symbols into fixed-size blocks that share one inverse FFT call.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,6 +18,10 @@ from .errors import DegenerateSymbolError, HermitianSymmetryError
 
 # max tolerated |imag| after the inverse transform, relative to the signal RMS
 _IMAG_RESIDUAL_TOL = 1e-9
+
+# byte budget of one sampler block: rows = max(1, _BLOCK_BYTES // (16 * N * F))
+# complex128 rows; small so the reused block buffers stay cache-resident
+_BLOCK_BYTES = 256 * 1024
 
 _QPSK_POINTS = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
 
@@ -183,40 +187,64 @@ def papr_of(sym: TimeSymbol) -> PaprSample:
     return PaprSample(upapr=hi * hi / sym.sigma_x2, lpapr=lo * lo / sym.sigma_x2)
 
 
-def _papr_at_index(n_subcarriers: int, constellation: Constellation, seed: int,
-                   oversample_factor: int, index: int) -> PaprSample:
-    sym = generate_freq_symbol(n_subcarriers, constellation, symbol_rng(seed, index))
-    return papr_of(to_time_domain(sym, oversample_factor))
-
-
 def sample_papr_population(n_subcarriers: int, constellation: Constellation, count: int,
                            seed: int, oversample_factor: int = 4,
                            workers: int = 1) -> PaprPopulation:
     """Monte Carlo (UPAPR, LPAPR) population, bit-reproducible from the seed.
 
-    The pair at index i depends only on (seed, i), so any worker count
-    produces the same population.
+    The pair at index i depends only on (seed, i) and equals
+    papr_of(to_time_domain(generate_freq_symbol(..., symbol_rng(seed, i)), F)).
+    Symbols are processed in blocks of rows sharing one in-place 2-D inverse
+    FFT; the two block buffers are allocated once per call and bounded by
+    _BLOCK_BYTES. `workers` is accepted for compatibility and has no effect:
+    sampling runs on the calling thread and starts no threads.
     """
+    del workers
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if oversample_factor < 1:
+        raise ValueError(f"oversample_factor must be >= 1, got {oversample_factor}")
+    if n_subcarriers % 2 != 0 or n_subcarriers < 4:
+        raise ValueError(f"n_subcarriers must be even and >= 4, got {n_subcarriers}")
+    half = n_subcarriers // 2
+    m = n_subcarriers * oversample_factor
+    rows = max(1, _BLOCK_BYTES // (16 * m))
+    buf = np.empty((rows, m), dtype=np.complex128)
+    sq = np.empty((rows, m))
+    scale = m / np.sqrt(n_subcarriers)
     upapr = np.empty(count)
     lpapr = np.empty(count)
 
-    def fill(start: int, stop: int):
-        for i in range(start, stop):
-            s = _papr_at_index(n_subcarriers, constellation, seed, oversample_factor, i)
-            upapr[i] = s.upapr
-            lpapr[i] = s.lpapr
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        blk = buf[:stop - start]
+        blk.fill(0)
+        for r, i in enumerate(range(start, stop)):
+            blk[r, 1:half] = _draw_constellation(constellation, half - 1, symbol_rng(seed, i))
+        np.conjugate(blk[:, half - 1:0:-1], out=blk[:, m - half + 1:])
+        if (blk[:, 0].any() or blk[:, half].any()
+                or not np.array_equal(blk[:, m - half + 1:], np.conj(blk[:, half - 1:0:-1]))):
+            raise HermitianSymmetryError("bins are not Hermitian symmetric with null DC/Nyquist")
 
-    if workers <= 1:
-        fill(0, count)
-    else:
-        bounds = np.linspace(0, count, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill, bounds[k], bounds[k + 1]) for k in range(workers)]
-            for fut in futures:
-                fut.result()
+        np.fft.ifft(blk, axis=1, out=blk)
+        blk *= scale
+        blk_sq = sq[:stop - start]
+        np.square(blk.real, out=blk_sq)
+        var = blk_sq.mean(axis=1)
+        imag = blk.imag
+        max_imag = np.maximum(imag.max(axis=1), -imag.min(axis=1))
+        if np.any(max_imag > np.sqrt(var) * _IMAG_RESIDUAL_TOL):
+            raise HermitianSymmetryError(
+                f"imaginary residual exceeds {_IMAG_RESIDUAL_TOL:.0e} x RMS")
+        if not var.all():
+            raise DegenerateSymbolError("all-zero symbol has no PAPR")
+        hi = blk.real.max(axis=1)
+        lo = blk.real.min(axis=1)
+        upapr[start:stop] = hi * hi / var
+        lpapr[start:stop] = lo * lo / var
 
+    if not (np.all(upapr >= 0.0) and np.all(lpapr >= 0.0)):
+        raise ValueError("UPAPR and LPAPR must be non-negative")
     return PaprPopulation(upapr=upapr, lpapr=lpapr, n_subcarriers=n_subcarriers,
                           constellation=constellation, seed=seed,
                           oversample_factor=oversample_factor)

@@ -48,6 +48,28 @@ class TestBinaryRoundTrip:
             v.load_population(path)
 
 
+class TestAtomicSave:
+    def test_leaves_no_temporary_file(self, tmp_path, small_pop):
+        v.save_population(tmp_path / "pop.bin", small_pop)
+        assert [p.name for p in tmp_path.iterdir()] == ["pop.bin"]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, small_pop, monkeypatch):
+        path = tmp_path / "pop.bin"
+        v.save_population(path, small_pop)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(v.cache.os, "replace", fail)
+        other = v.sample_papr_population(16, v.Constellation.QAM16, 40, seed=78,
+                                         oversample_factor=2)
+        with pytest.raises(OSError):
+            v.save_population(path, other)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pop.bin"]
+
+
 class TestLoadOrBuild:
     def test_builds_then_reuses(self, tmp_path):
         pop, cached = v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,

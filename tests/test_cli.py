@@ -50,6 +50,19 @@ class TestExitCodes:
                    "--lambda", "0.25", "--gamma", "auto", "--out", tmp_path / "out") == 2
         assert "gammas" in capsys.readouterr().err
 
+    def test_seed_beyond_u64_is_a_config_error(self, tmp_path, capsys):
+        assert run("papr-sample", "--n", 16, "--symbols", 5, "--seed", 2 ** 64,
+                   "--out", tmp_path / "out") == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_under_regular_file_is_an_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert run("papr-sample", "--n", 16, "--symbols", 5,
+                   "--out", blocker / "out") == 4
+        assert "I/O error" in capsys.readouterr().err
+
 
 class TestPaprSample:
     def test_writes_csv_cache_and_manifest(self, tmp_path, capsys):

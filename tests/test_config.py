@@ -72,6 +72,7 @@ class TestValidation:
         ("symbol_count = 0", "symbol_count"),
         ("oversample_factor = 0", "oversample_factor"),
         ("seed = -1", "seed"),
+        ("seed = 18446744073709551616", "seed"),
         ("i_low = 2.0", "i_high"),
         ("o_high = 0.0", "o_high"),
         ("lambdas = 1.5", "lambdas"),
@@ -89,6 +90,9 @@ class TestValidation:
 
     def test_defaults_are_valid(self):
         v.ExperimentConfig().validate()
+
+    def test_largest_u64_seed_is_valid(self):
+        v.ExperimentConfig(seed=2 ** 64 - 1).validate()
 
 
 class TestDerivedValues:

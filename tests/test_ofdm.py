@@ -1,5 +1,7 @@
 """Tests for frequency-domain construction, time-domain synthesis, and PAPR stats."""
 
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -186,3 +188,49 @@ class TestSamplePaprPopulation:
         """QPSK and 16-QAM populations agree in distribution (KS <= 0.05)."""
         stat = ks_2samp(pop64.upapr, pop64_qam16.upapr).statistic
         assert stat <= 0.05
+
+
+def _reference_population(n, constellation, count, seed, factor):
+    samples = [v.papr_of(v.to_time_domain(
+                   v.generate_freq_symbol(n, constellation, v.symbol_rng(seed, i)), factor))
+               for i in range(count)]
+    return np.array([s.upapr for s in samples]), np.array([s.lpapr for s in samples])
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("n,factor", [(4, 1), (6, 3), (64, 4), (1024, 1)])
+    @pytest.mark.parametrize("constellation", list(v.Constellation))
+    def test_matches_per_symbol_reference_around_block_edges(self, n, factor, constellation):
+        """Counts block-1, block and block+1 equal the per-symbol path bit for bit."""
+        block = max(1, v.ofdm._BLOCK_BYTES // (16 * n * factor))
+        ref_u, ref_l = _reference_population(n, constellation, block + 1, 31, factor)
+        for count in (block - 1, block, block + 1):
+            if count < 1:
+                continue
+            pop = v.sample_papr_population(n, constellation, count, seed=31,
+                                           oversample_factor=factor)
+            assert_array_equal(pop.upapr, ref_u[:count])
+            assert_array_equal(pop.lpapr, ref_l[:count])
+
+    def test_zero_symbol_raises_degenerate(self, monkeypatch):
+        monkeypatch.setattr(v.ofdm, "_draw_constellation",
+                            lambda constellation, size, rng: np.zeros(size, dtype=np.complex128))
+        with pytest.raises(DegenerateSymbolError):
+            v.sample_papr_population(64, v.Constellation.QPSK, 3, seed=1)
+
+    def test_workers_start_no_threads(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("sampler started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        pop = v.sample_papr_population(64, v.Constellation.QPSK, 20, seed=13, workers=8)
+        assert len(pop) == 20
+
+    @pytest.mark.parametrize("kwargs", [dict(n_subcarriers=5), dict(n_subcarriers=2),
+                                        dict(oversample_factor=0)])
+    def test_rejects_bad_geometry(self, kwargs):
+        args = dict(n_subcarriers=64, constellation=v.Constellation.QPSK, count=3, seed=1,
+                    oversample_factor=4)
+        args.update(kwargs)
+        with pytest.raises(ValueError):
+            v.sample_papr_population(**args)
