@@ -21,9 +21,9 @@ from .dimming import (DimmingSpec, PwmFrame, Scheme, assemble_waveform,
                       duty_cycle, effective_brightness, pwm_frame, snr_sample,
                       write_waveform_csv)
 from .rates import (AUTO, GammaSearchResult, RateEstimate, VarianceProfile,
-                    estimate_rate, gamma_grid, optimize_gamma, sweep_rates,
-                    variance_profile, write_gamma_search_csv, write_rates_csv,
-                    zeta_grid)
+                    estimate_rate, gamma_grid, optimize_gamma, sweep_gamma_search,
+                    sweep_rates, variance_profile, write_gamma_search_csv,
+                    write_rates_csv, zeta_grid)
 from .cache import (CACHE_DIR_ENV, load_or_build, load_population,
                     population_cache_path, resolve_cache_dir, save_population,
                     write_population_csv)
@@ -47,7 +47,8 @@ __all__ = [
     # rates
     "AUTO", "RateEstimate", "GammaSearchResult", "VarianceProfile",
     "estimate_rate", "optimize_gamma", "variance_profile", "sweep_rates",
-    "gamma_grid", "zeta_grid", "write_rates_csv", "write_gamma_search_csv",
+    "sweep_gamma_search", "gamma_grid", "zeta_grid", "write_rates_csv",
+    "write_gamma_search_csv",
     # cache
     "CACHE_DIR_ENV", "save_population", "load_population", "load_or_build",
     "population_cache_path", "resolve_cache_dir", "write_population_csv",

@@ -7,13 +7,13 @@ count, oversample factor, constellation id, seed, count) followed by
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_csv
 from .ofdm import Constellation, PaprPopulation, sample_papr_population
 
 _MAGIC = b"VLCPAPR1"
@@ -84,13 +84,12 @@ def resolve_cache_dir(output_dir) -> Path:
 
 
 def load_or_build(cache_dir, n_subcarriers: int, constellation: Constellation,
-                  count: int, seed: int, oversample_factor: int = 4,
-                  workers: int = 1) -> tuple[PaprPopulation, bool]:
+                  count: int, seed: int,
+                  oversample_factor: int = 4) -> tuple[PaprPopulation, bool]:
     """Return (population, came_from_cache).
 
     A cache file whose header disagrees with the request is discarded and
-    rebuilt; the freshly built population is written back. `workers` is
-    passed to sample_papr_population, where it has no effect.
+    rebuilt; the freshly built population is written back.
     """
     path = population_cache_path(cache_dir, n_subcarriers, constellation, count,
                                  seed, oversample_factor)
@@ -107,15 +106,11 @@ def load_or_build(cache_dir, n_subcarriers: int, constellation: Constellation,
                 and len(pop) == count):
             return pop, True
     pop = sample_papr_population(n_subcarriers, constellation, count, seed,
-                                 oversample_factor, workers=workers)
+                                 oversample_factor)
     save_population(path, pop)
     return pop, False
 
 
 def write_population_csv(path, pop: PaprPopulation):
     """Export a population as index,upapr,lpapr rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "upapr", "lpapr"])
-        for idx in range(len(pop)):
-            writer.writerow([idx, repr(float(pop.upapr[idx])), repr(float(pop.lpapr[idx]))])
+    write_csv(path, ["index", "upapr", "lpapr"], [range(len(pop)), pop.upapr, pop.lpapr])

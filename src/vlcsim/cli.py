@@ -21,17 +21,18 @@ from . import __version__
 from .cache import (load_or_build, population_cache_path, resolve_cache_dir,
                     write_population_csv)
 from .config import ExperimentConfig, load_config, parse_config
-from .dimming import (DimmingSpec, Scheme, assemble_waveform, effective_brightness,
-                      write_waveform_csv)
+from .csvio import write_csv
+from .dimming import DimmingSpec, Scheme, assemble_waveform, write_waveform_csv
 from .errors import ConfigError, VlcsimError
 from .led import LedModel, compute_alpha, variance_closed_form, variance_factor
 from .ofdm import (Constellation, generate_freq_symbol, papr_of,
                    sample_papr_population, symbol_rng, to_time_domain)
-from .rates import (AUTO, optimize_gamma, sweep_rates, variance_profile,
+from .rates import (sweep_gamma_search, sweep_rates, variance_profile,
                     write_gamma_search_csv, write_rates_csv)
 
-_SUBCOMMANDS = ("papr-sample", "variance-sweep", "rate-sweep", "optimize-gamma",
-                "waveform-demo", "selftest")
+# flags whose argparse dest is the config key they set, in the order they are parsed
+_FLAG_KEYS = ("seed", "n_subcarriers", "n_list", "symbol_count", "oversample_factor",
+              "constellation", "lambdas", "gammas", "output_dir")
 
 
 def _notice(message: str):
@@ -68,16 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "dynamic-range-limited LEDs")
     parser.add_argument("--version", action="version", version=f"vlcsim {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    helps = {
-        "papr-sample": "build (and cache) a PAPR population, export it as CSV",
-        "variance-sweep": "mean scaled-signal variance vs. biasing ratio",
-        "rate-sweep": "ergodic rates over brightness x DNR cells",
-        "optimize-gamma": "search the best PWM forward ratio per cell",
-        "waveform-demo": "assemble example drive waveforms for both schemes",
-        "selftest": "run the built-in invariant checks",
-    }
-    for name in _SUBCOMMANDS:
-        sub.add_parser(name, parents=[common], help=helps[name])
+    for name, (_, text) in _SUBCOMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
@@ -85,32 +78,13 @@ def _effective_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
         cfg = load_config(args.config, cfg)
-    lines = []
-    if args.seed is not None:
-        lines.append(f"seed = {args.seed}")
-    if args.n_subcarriers is not None:
-        lines.append(f"n_subcarriers = {args.n_subcarriers}")
-    if args.n_list is not None:
-        lines.append(f"n_list = {args.n_list}")
-    if args.symbol_count is not None:
-        lines.append(f"symbol_count = {args.symbol_count}")
-    if args.oversample_factor is not None:
-        lines.append(f"oversample_factor = {args.oversample_factor}")
-    if args.constellation is not None:
-        lines.append(f"constellation = {args.constellation}")
-    if args.lambdas is not None:
-        lines.append(f"lambdas = {args.lambdas}")
-    if args.gammas is not None:
-        lines.append(f"gammas = {args.gammas}")
-    if args.output_dir is not None:
-        lines.append(f"output_dir = {args.output_dir}")
+    lines = [f"{key} = {getattr(args, key)}" for key in _FLAG_KEYS
+             if getattr(args, key) is not None]
     if args.dnr_db is not None:
         parts = args.dnr_db.split(":")
         if len(parts) != 3:
             raise ConfigError("dnr-db", f"expected START:STOP:STEP, got {args.dnr_db!r}")
-        lines.append(f"dnr_db_start = {parts[0]}")
-        lines.append(f"dnr_db_stop = {parts[1]}")
-        lines.append(f"dnr_db_step = {parts[2]}")
+        lines += [f"dnr_db_{end} = {part}" for end, part in zip(("start", "stop", "step"), parts)]
     if lines:
         cfg = parse_config("\n".join(lines), cfg)
     if args.quick and cfg.symbol_count > 1000:
@@ -118,22 +92,20 @@ def _effective_config(args) -> ExperimentConfig:
     return cfg.validate()
 
 
-def _write_manifest(cfg: ExperimentConfig, subcommand: str) -> Path:
+def _write_manifest(cfg: ExperimentConfig, subcommand: str):
     path = Path(cfg.output_dir) / f"{subcommand}.manifest.txt"
     header = (f"# vlcsim {__version__} run manifest\n"
               f"# subcommand: {subcommand}\n"
               f"# rerun with: vlcsim {subcommand} --config {path.name}\n")
     path.write_text(header + cfg.to_text())
-    return path
 
 
-def _population(cfg: ExperimentConfig, n_subcarriers: int, workers: int):
+def _population(cfg: ExperimentConfig, n_subcarriers: int):
     cache_dir = resolve_cache_dir(cfg.output_dir)
     path = population_cache_path(cache_dir, n_subcarriers, cfg.constellation,
                                  cfg.symbol_count, cfg.seed, cfg.oversample_factor)
     pop, cached = load_or_build(cache_dir, n_subcarriers, cfg.constellation,
-                                cfg.symbol_count, cfg.seed, cfg.oversample_factor,
-                                workers=workers)
+                                cfg.symbol_count, cfg.seed, cfg.oversample_factor)
     if cached:
         _notice(f"using cached population {path}")
     else:
@@ -142,101 +114,79 @@ def _population(cfg: ExperimentConfig, n_subcarriers: int, workers: int):
     return pop
 
 
-def _cmd_papr_sample(cfg: ExperimentConfig, workers: int) -> int:
-    out = Path(cfg.output_dir)
-    pop = _population(cfg, cfg.n_subcarriers, workers)
-    csv_path = out / "papr_population.csv"
+def _time_symbols(cfg: ExperimentConfig, count: int):
+    """The seeded time-domain symbols 0..count-1 of the configuration."""
+    return [to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation,
+                                                symbol_rng(cfg.seed, i)),
+                           cfg.oversample_factor)
+            for i in range(count)]
+
+
+def _cmd_papr_sample(cfg: ExperimentConfig) -> int:
+    pop = _population(cfg, cfg.n_subcarriers)
+    csv_path = Path(cfg.output_dir) / "papr_population.csv"
     write_population_csv(csv_path, pop)
     _notice(f"wrote {csv_path}")
     return 0
 
 
-def _cmd_variance_sweep(cfg: ExperimentConfig, workers: int) -> int:
+def _cmd_variance_sweep(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     profile_path = out / "variance_profile.csv"
     peaks_path = out / "variance_peaks.csv"
     profile_rows = []
     peak_rows = []
     for n in cfg.subcarrier_counts():
-        pop = _population(cfg, n, workers)
-        profile = variance_profile(pop, cfg.zeta_step)
-        for zeta, mean in profile.grid:
-            profile_rows.append((n, float(zeta), float(mean)))
-        peak = float(profile.grid[profile.grid[:, 0] == profile.zeta_dagger][0, 1])
+        profile = variance_profile(_population(cfg, n), cfg.zeta_step)
+        profile_rows.extend((n, zeta, mean) for zeta, mean in profile.grid)
+        peak = profile.grid[profile.grid[:, 0] == profile.zeta_dagger][0, 1]
         peak_rows.append((n, profile.zeta_dagger, peak))
-    with open(profile_path, "w", newline="") as fh:
-        fh.write("n_subcarriers,zeta,mean_sigma_y2\n")
-        for n, zeta, mean in profile_rows:
-            fh.write(f"{n},{zeta!r},{mean!r}\n")
-    with open(peaks_path, "w", newline="") as fh:
-        fh.write("n_subcarriers,zeta_dagger,peak_mean_sigma_y2\n")
-        for n, zeta, peak in peak_rows:
-            fh.write(f"{n},{zeta!r},{peak!r}\n")
+    write_csv(profile_path, ["n_subcarriers", "zeta", "mean_sigma_y2"], zip(*profile_rows))
+    write_csv(peaks_path, ["n_subcarriers", "zeta_dagger", "peak_mean_sigma_y2"],
+              zip(*peak_rows))
     _notice(f"wrote {profile_path} and {peaks_path}")
     return 0
 
 
-def _cmd_rate_sweep(cfg: ExperimentConfig, workers: int) -> int:
-    out = Path(cfg.output_dir)
-    pop = _population(cfg, cfg.n_subcarriers, workers)
+def _cmd_rate_sweep(cfg: ExperimentConfig) -> int:
+    pop = _population(cfg, cfg.n_subcarriers)
     rows = sweep_rates(cfg.lambdas, cfg.dnr_db_grid(), cfg.gammas, pop, cfg.gamma_step)
-    csv_path = out / "rates.csv"
+    csv_path = Path(cfg.output_dir) / "rates.csv"
     write_rates_csv(csv_path, rows, cfg.seed)
     _notice(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 
 
-def _cmd_optimize_gamma(cfg: ExperimentConfig, workers: int) -> int:
-    out = Path(cfg.output_dir)
-    pop = _population(cfg, cfg.n_subcarriers, workers)
-    cells = []
-    for lam in cfg.lambdas:
-        lam_eff, _ = effective_brightness(lam)
-        for dnr_db in cfg.dnr_db_grid():
-            dnr = float(10.0 ** (dnr_db / 10.0))
-            cells.append((lam, float(dnr_db),
-                          optimize_gamma(lam_eff, dnr, pop, cfg.gamma_step)))
-    csv_path = out / "gamma_search.csv"
+def _cmd_optimize_gamma(cfg: ExperimentConfig) -> int:
+    pop = _population(cfg, cfg.n_subcarriers)
+    cells = sweep_gamma_search(cfg.lambdas, cfg.dnr_db_grid(), pop, cfg.gamma_step)
+    csv_path = Path(cfg.output_dir) / "gamma_search.csv"
     write_gamma_search_csv(csv_path, cells)
     _notice(f"wrote {csv_path} ({len(cells)} cells)")
     return 0
 
 
-def _cmd_waveform_demo(cfg: ExperimentConfig, workers: int) -> int:
-    del workers  # assembly is sequential; order defines the waveform
+def _cmd_waveform_demo(cfg: ExperimentConfig) -> int:
     if isinstance(cfg.gammas, str):
         raise ConfigError("gammas", "waveform-demo needs an explicit forward ratio, not 'auto'")
     lam = cfg.lambdas[0]
-    gamma = cfg.gammas[0]
     led = cfg.led()
-    symbols = [to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation,
-                                                   symbol_rng(cfg.seed, i)),
-                              cfg.oversample_factor)
-               for i in range(cfg.symbol_count)]
-    out = Path(cfg.output_dir)
-    dnr = 1.0  # waveforms are noise-free; any valid budget works
-    biasing = assemble_waveform(
-        symbols, DimmingSpec(brightness=lam, scheme=Scheme.BIASING_ADJUSTMENT, dnr=dnr), led)
-    pwm = assemble_waveform(
-        symbols, DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=dnr, forward_ratio=gamma),
-        led)
-    biasing_path = out / "waveform_biasing.csv"
-    pwm_path = out / "waveform_pwm.csv"
-    write_waveform_csv(biasing_path, biasing, led)
-    write_waveform_csv(pwm_path, pwm, led)
-    _notice(f"wrote {biasing_path} and {pwm_path}")
+    # waveforms are noise-free; any valid DNR budget works
+    specs = [DimmingSpec(brightness=lam, scheme=Scheme.BIASING_ADJUSTMENT, dnr=1.0),
+             DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=1.0, forward_ratio=cfg.gammas[0])]
+    symbols = _time_symbols(cfg, cfg.symbol_count)
+    paths = [Path(cfg.output_dir) / f"waveform_{spec.scheme.value}.csv" for spec in specs]
+    for spec, path in zip(specs, paths):
+        write_waveform_csv(path, assemble_waveform(symbols, spec, led), led)
+    _notice(f"wrote {paths[0]} and {paths[1]}")
     return 0
 
 
-def _cmd_selftest(cfg: ExperimentConfig, workers: int) -> int:
-    del workers  # sampling runs on the calling thread whatever the count
+def _cmd_selftest(cfg: ExperimentConfig) -> int:
     led = LedModel()
     checks: list[tuple[str, bool]] = []
 
-    symbols = [to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation,
-                                                   symbol_rng(cfg.seed, i)),
-                              cfg.oversample_factor)
-               for i in range(200)]
+    symbols = _time_symbols(cfg, 200)
     pop = sample_papr_population(cfg.n_subcarriers, cfg.constellation, 200, cfg.seed,
                                  cfg.oversample_factor)
     reference = [papr_of(sym) for sym in symbols]
@@ -287,13 +237,14 @@ def _cmd_selftest(cfg: ExperimentConfig, workers: int) -> int:
     return 3 if failed else 0
 
 
-_HANDLERS = {
-    "papr-sample": _cmd_papr_sample,
-    "variance-sweep": _cmd_variance_sweep,
-    "rate-sweep": _cmd_rate_sweep,
-    "optimize-gamma": _cmd_optimize_gamma,
-    "waveform-demo": _cmd_waveform_demo,
-    "selftest": _cmd_selftest,
+# subcommand -> (handler, help text)
+_SUBCOMMANDS = {
+    "papr-sample": (_cmd_papr_sample, "build (and cache) a PAPR population, export it as CSV"),
+    "variance-sweep": (_cmd_variance_sweep, "mean scaled-signal variance vs. biasing ratio"),
+    "rate-sweep": (_cmd_rate_sweep, "ergodic rates over brightness x DNR cells"),
+    "optimize-gamma": (_cmd_optimize_gamma, "search the best PWM forward ratio per cell"),
+    "waveform-demo": (_cmd_waveform_demo, "assemble example drive waveforms for both schemes"),
+    "selftest": (_cmd_selftest, "run the built-in invariant checks"),
 }
 
 
@@ -304,7 +255,7 @@ def main(argv=None) -> int:
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         if args.subcommand != "selftest":
             _write_manifest(cfg, args.subcommand)
-        return _HANDLERS[args.subcommand](cfg, max(args.workers, 1))
+        return _SUBCOMMANDS[args.subcommand][0](cfg)
     except ConfigError as exc:
         print(f"vlcsim: config error: {exc}", file=sys.stderr)
         return 2

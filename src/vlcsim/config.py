@@ -48,6 +48,11 @@ class ExperimentConfig:
     n_list: tuple[int, ...] | None = None
 
     def validate(self) -> "ExperimentConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(x, float) and not np.isfinite(x)
+                   for x in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f.name, f"must be finite, got {value!r}")
         if self.n_subcarriers % 2 != 0 or self.n_subcarriers < 4:
             raise ConfigError("n_subcarriers", f"must be even and >= 4, got {self.n_subcarriers}")
         if self.symbol_count < 1:
@@ -112,8 +117,6 @@ class ExperimentConfig:
 def _format_value(value) -> str:
     if isinstance(value, Constellation):
         return value.value
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

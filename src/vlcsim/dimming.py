@@ -9,12 +9,12 @@ mirroring the complementary waveform across the dynamic range.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import CurrentRangeError, DutyCycleError
 from .led import LedModel, compute_alpha, optical_output, variance_factor
 from .ofdm import PaprSample, TimeSymbol
@@ -151,9 +151,5 @@ def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
 
 def write_waveform_csv(path, currents: np.ndarray, led: LedModel):
     """Dump a drive waveform as sample_index,current,optical rows."""
-    optical = optical_output(currents, led)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_index", "current", "optical"])
-        for idx, (cur, opt) in enumerate(zip(currents, optical)):
-            writer.writerow([idx, repr(float(cur)), repr(float(opt))])
+    write_csv(path, ["sample_index", "current", "optical"],
+              [range(len(currents)), currents, optical_output(currents, led)])

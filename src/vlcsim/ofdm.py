@@ -188,18 +188,15 @@ def papr_of(sym: TimeSymbol) -> PaprSample:
 
 
 def sample_papr_population(n_subcarriers: int, constellation: Constellation, count: int,
-                           seed: int, oversample_factor: int = 4,
-                           workers: int = 1) -> PaprPopulation:
+                           seed: int, oversample_factor: int = 4) -> PaprPopulation:
     """Monte Carlo (UPAPR, LPAPR) population, bit-reproducible from the seed.
 
     The pair at index i depends only on (seed, i) and equals
     papr_of(to_time_domain(generate_freq_symbol(..., symbol_rng(seed, i)), F)).
     Symbols are processed in blocks of rows sharing one in-place 2-D inverse
     FFT; the two block buffers are allocated once per call and bounded by
-    _BLOCK_BYTES. `workers` is accepted for compatibility and has no effect:
-    sampling runs on the calling thread and starts no threads.
+    _BLOCK_BYTES. Sampling runs on the calling thread and starts no threads.
     """
-    del workers
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if oversample_factor < 1:

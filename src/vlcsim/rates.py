@@ -7,12 +7,12 @@ noisy estimates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dimming import DimmingSpec, Scheme, effective_brightness
+from .csvio import write_csv
+from .dimming import DimmingSpec, Scheme, duty_cycle, effective_brightness
 from .led import variance_factor
 from .ofdm import PaprPopulation
 
@@ -55,6 +55,34 @@ def _db(linear: float) -> float:
         return float(10.0 * np.log10(linear))
 
 
+def _rate_grid(lambda_effective: float, gammas, dnrs, pop: PaprPopulation,
+               with_snr: bool = False):
+    """Rates (ratios x DNRs) at one effective brightness, plus mean SNRs if with_snr.
+
+    gammas None is biasing adjustment: one row at ratio lambda_effective,
+    duty 1. Otherwise row k is PWM at ratio gammas[k], duty lambda/gammas[k].
+    Each variance-factor row is computed once and reused for every DNR.
+    """
+    if len(pop) == 0:
+        raise ValueError("population is empty")
+    ratios = [lambda_effective] if gammas is None else [float(g) for g in gammas]
+    rates, snrs = np.empty((2, len(ratios), len(dnrs)))
+    for k, ratio in enumerate(ratios):
+        duty = 1.0 if gammas is None else duty_cycle(lambda_effective, ratio)
+        factor = variance_factor(ratio, pop.upapr, pop.lpapr)
+        for j, dnr in enumerate(dnrs):
+            snr = dnr * factor
+            rates[k, j] = 0.5 * duty * float(np.mean(np.log2(1.0 + snr)))
+            if with_snr:
+                snrs[k, j] = np.mean(snr)
+    return (rates, snrs) if with_snr else rates
+
+
+def _linear(dnrs_db) -> list[float]:
+    # scalar powers: the vectorized 10 ** (grid / 10) differs in the last bit
+    return [float(10.0 ** (dnr_db / 10.0)) for dnr_db in dnrs_db]
+
+
 def estimate_rate(spec: DimmingSpec, pop: PaprPopulation) -> RateEstimate:
     """Monte Carlo ergodic rate in bits per channel use.
 
@@ -63,19 +91,11 @@ def estimate_rate(spec: DimmingSpec, pop: PaprPopulation) -> RateEstimate:
     brightness/gamma for the silent intervals. The factor 1/2 accounts for
     the Hermitian-symmetry overhead of real-valued OFDM.
     """
-    if len(pop) == 0:
-        raise ValueError("population is empty")
     lam_eff, _ = effective_brightness(spec.brightness)
-    if spec.scheme is Scheme.BIASING_ADJUSTMENT:
-        ratio = lam_eff
-        duty = 1.0
-    else:
-        ratio = spec.forward_ratio
-        duty = lam_eff / spec.forward_ratio
-    snr = spec.dnr * variance_factor(ratio, pop.upapr, pop.lpapr)
-    rate = 0.5 * duty * float(np.mean(np.log2(1.0 + snr)))
-    return RateEstimate(rate=rate,
-                        avg_snr_db=_db(float(np.mean(snr))),
+    gammas = None if spec.scheme is Scheme.BIASING_ADJUSTMENT else [spec.forward_ratio]
+    rates, snrs = _rate_grid(lam_eff, gammas, [spec.dnr], pop, with_snr=True)
+    return RateEstimate(rate=float(rates[0, 0]),
+                        avg_snr_db=_db(float(snrs[0, 0])),
                         n_samples=len(pop),
                         scheme=spec.scheme,
                         brightness=spec.brightness,
@@ -97,6 +117,20 @@ def gamma_grid(lambda_effective: float, grid_step: float) -> np.ndarray:
     return np.minimum(grid, 0.5)
 
 
+def _search(lambda_effective: float, dnrs, pop: PaprPopulation,
+            grid_step: float) -> list[GammaSearchResult]:
+    """One forward-ratio search per DNR, all read from one shared rate grid."""
+    if not 0.0 < lambda_effective <= 0.5:
+        raise ValueError(
+            f"effective brightness must be in (0, 0.5]; mirror first (got {lambda_effective})")
+    gammas = gamma_grid(lambda_effective, grid_step)
+    rates = _rate_grid(lambda_effective, gammas, dnrs, pop)
+    return [GammaSearchResult(gamma_star=float(gammas[best]),
+                              rate_at_star=float(rates[best, j]),
+                              grid=np.column_stack([gammas, rates[:, j]]))
+            for j, best in enumerate(np.argmax(rates, axis=0))]
+
+
 def optimize_gamma(lambda_effective: float, dnr: float, pop: PaprPopulation,
                    grid_step: float = 0.005) -> GammaSearchResult:
     """Exhaustive forward-ratio search on a shared population.
@@ -104,19 +138,20 @@ def optimize_gamma(lambda_effective: float, dnr: float, pop: PaprPopulation,
     Ties resolve to the smallest gamma. Because the grid contains
     gamma = brightness, the winner never loses to biasing adjustment.
     """
-    if not 0.0 < lambda_effective <= 0.5:
-        raise ValueError(
-            f"effective brightness must be in (0, 0.5]; mirror first (got {lambda_effective})")
-    gammas = gamma_grid(lambda_effective, grid_step)
-    rates = np.empty(len(gammas))
-    for k, gamma in enumerate(gammas):
-        spec = DimmingSpec(brightness=lambda_effective, scheme=Scheme.PWM,
-                           dnr=dnr, forward_ratio=float(gamma))
-        rates[k] = estimate_rate(spec, pop).rate
-    best = int(np.argmax(rates))
-    return GammaSearchResult(gamma_star=float(gammas[best]),
-                             rate_at_star=float(rates[best]),
-                             grid=np.column_stack([gammas, rates]))
+    if not dnr >= 0.0:
+        raise ValueError(f"dnr must be >= 0, got {dnr}")
+    return _search(lambda_effective, [dnr], pop, grid_step)[0]
+
+
+def sweep_gamma_search(lambdas, dnrs_db, pop: PaprPopulation, gamma_step: float = 0.005
+                       ) -> list[tuple[float, float, GammaSearchResult]]:
+    """(brightness, dnr_db, result) per cell, brightness outermost; one grid per brightness."""
+    dnrs = _linear(dnrs_db)
+    cells = []
+    for lam in lambdas:
+        results = _search(effective_brightness(lam)[0], dnrs, pop, gamma_step)
+        cells.extend((lam, float(dnr_db), result) for dnr_db, result in zip(dnrs_db, results))
+    return cells
 
 
 def zeta_grid(grid_step: float) -> np.ndarray:
@@ -153,48 +188,36 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
     """Cross-product rate table: biasing adjustment plus PWM per cell.
 
     gammas is a sequence of forward ratios or AUTO, in which case each
-    (brightness, DNR) cell gets its own optimized ratio. Row order follows
-    the input order: brightness outermost, then DNR, then scheme columns.
+    (brightness, DNR) cell gets its own optimized ratio, searched once per
+    brightness. Row order: brightness outermost, then DNR, then schemes.
     """
     if not len(lambdas) or not len(dnrs_db):
         raise ValueError("lambdas and dnrs_db must be non-empty")
+    if isinstance(gammas, str) and gammas != AUTO:
+        raise ValueError(f"gammas must be a sequence of ratios or {AUTO!r}")
+    dnrs = _linear(dnrs_db)
     rows: list[RateEstimate] = []
     for lam in lambdas:
-        lam_eff, _ = effective_brightness(lam)
-        for dnr_db in dnrs_db:
-            dnr = float(10.0 ** (dnr_db / 10.0))
+        if isinstance(gammas, str):
+            searches = _search(effective_brightness(lam)[0], dnrs, pop, gamma_step)
+            cell_gammas = [[search.gamma_star] for search in searches]
+        else:
+            cell_gammas = [gammas] * len(dnrs)
+        for dnr, ratios in zip(dnrs, cell_gammas):
             rows.append(estimate_rate(
                 DimmingSpec(brightness=lam, scheme=Scheme.BIASING_ADJUSTMENT, dnr=dnr), pop))
-            if isinstance(gammas, str):
-                if gammas != AUTO:
-                    raise ValueError(f"gammas must be a sequence of ratios or {AUTO!r}")
-                search = optimize_gamma(lam_eff, dnr, pop, gamma_step)
-                rows.append(estimate_rate(
-                    DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=dnr,
-                                forward_ratio=search.gamma_star), pop))
-            else:
-                for gamma in gammas:
-                    rows.append(estimate_rate(
-                        DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=dnr,
-                                    forward_ratio=float(gamma)), pop))
+            rows.extend(estimate_rate(
+                DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=dnr,
+                            forward_ratio=float(gamma)), pop) for gamma in ratios)
     return rows
 
 
 def write_rates_csv(path, estimates, seed: int):
     """Rate table rows: scheme,lambda,gamma,dnr_db,rate_bits,avg_snr_db,n_samples,seed."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scheme", "lambda", "gamma", "dnr_db", "rate_bits",
-                         "avg_snr_db", "n_samples", "seed"])
-        for est in estimates:
-            writer.writerow([est.scheme.value,
-                             repr(float(est.brightness)),
-                             "" if est.gamma is None else repr(float(est.gamma)),
-                             repr(float(est.dnr_db)),
-                             repr(float(est.rate)),
-                             repr(float(est.avg_snr_db)),
-                             est.n_samples,
-                             seed])
+    rows = [(est.scheme.value, est.brightness, est.gamma, est.dnr_db, est.rate,
+             est.avg_snr_db, est.n_samples, seed) for est in estimates]
+    write_csv(path, ["scheme", "lambda", "gamma", "dnr_db", "rate_bits", "avg_snr_db",
+                     "n_samples", "seed"], zip(*rows))
 
 
 def write_gamma_search_csv(path, cells):
@@ -203,13 +226,9 @@ def write_gamma_search_csv(path, cells):
     cells is a sequence of (brightness, dnr_db, GammaSearchResult); each
     cell's grid rows are followed by one starred row for the optimum.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "dnr_db", "gamma", "rate_bits", "star"])
-        for lam, dnr_db, result in cells:
-            for gamma, rate in result.grid:
-                writer.writerow([repr(float(lam)), repr(float(dnr_db)),
-                                 repr(float(gamma)), repr(float(rate)), ""])
-            writer.writerow([repr(float(lam)), repr(float(dnr_db)),
-                             repr(float(result.gamma_star)),
-                             repr(float(result.rate_at_star)), "*"])
+    rows = []
+    for lam, dnr_db, result in cells:
+        lam, dnr_db = float(lam), float(dnr_db)  # integer inputs print as floats too
+        rows.extend((lam, dnr_db, gamma, rate, "") for gamma, rate in result.grid)
+        rows.append((lam, dnr_db, result.gamma_star, result.rate_at_star, "*"))
+    write_csv(path, ["lambda", "dnr_db", "gamma", "rate_bits", "star"], zip(*rows))

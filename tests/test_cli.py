@@ -45,6 +45,13 @@ class TestExitCodes:
     def test_malformed_dnr_range(self, tmp_path):
         assert run("rate-sweep", "--dnr-db", "0:60", "--out", tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("dnr_db", ["0:inf:2", "nan:10:2"])
+    def test_non_finite_dnr_range_is_a_config_error(self, tmp_path, capsys, dnr_db):
+        assert run("rate-sweep", "--dnr-db", dnr_db, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "config error: dnr_db_st" in err
+        assert "Traceback" not in err
+
     def test_waveform_demo_rejects_auto_gamma(self, tmp_path, capsys):
         assert run("waveform-demo", "--n", 16, "--symbols", 3, "--oversample", 2,
                    "--lambda", "0.25", "--gamma", "auto", "--out", tmp_path / "out") == 2

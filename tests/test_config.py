@@ -82,6 +82,16 @@ class TestValidation:
         ("zeta_step = 0.7", "zeta_step"),
         ("gamma_step = 0", "gamma_step"),
         ("n_list = 63", "n_list"),
+        ("dnr_db_start = nan", "dnr_db_start"),
+        ("dnr_db_stop = inf", "dnr_db_stop"),
+        ("dnr_db_step = inf", "dnr_db_step"),
+        ("i_low = -inf", "i_low"),
+        ("i_high = nan", "i_high"),
+        ("o_high = inf", "o_high"),
+        ("zeta_step = nan", "zeta_step"),
+        ("gamma_step = inf", "gamma_step"),
+        ("lambdas = 0.2, nan", "lambdas"),
+        ("gammas = inf", "gammas"),
     ])
     def test_each_violation_names_its_key(self, text, key):
         with pytest.raises(ConfigError) as err:

@@ -1,12 +1,15 @@
-"""Golden pins for PAPR populations: exact bits of seeded sampler output.
+"""Golden pins: exact bits of seeded sampler output and of every CLI CSV.
 
-Each case pins float.hex of the first, middle and last (UPAPR, LPAPR) entry
-plus a SHA-256 over the little-endian float64 bytes of the whole upapr array
-followed by the whole lpapr array. The count, 301, is not a multiple of any
-sampler block size used by these (N, F) pairs, so a short final block is
-covered. NumPy does not promise stable Generator streams across versions
-(NEP 19), so the pins only run under the NumPy version they were recorded
-with.
+Each population case pins float.hex of the first, middle and last (UPAPR,
+LPAPR) entry plus a SHA-256 over the little-endian float64 bytes of the
+whole upapr array followed by the whole lpapr array. The count, 301, is not
+a multiple of any sampler block size used by these (N, F) pairs, so a short
+final block is covered. The CSV cases pin the SHA-256 of every file the
+five CSV-writing subcommands produce from the small configuration of
+acceptance criterion 9, plus one rate-sweep with a searched forward ratio
+(gammas = auto) that includes a mirrored brightness. NumPy does not promise
+stable Generator streams across versions (NEP 19), so the pins only run
+under the NumPy version they were recorded with.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 import vlcsim as v
+from vlcsim.cli import main as cli_main
 
 RECORDED_NUMPY = "2.4.6"
 SEED = 20240601
@@ -81,3 +85,41 @@ def test_population_matches_golden(constellation, n, factor, upapr_hex, lpapr_he
     assert tuple(float(pop.upapr[i]).hex() for i in picks) == upapr_hex
     assert tuple(float(pop.lpapr[i]).hex() for i in picks) == lpapr_hex
     assert _digest(pop) == digest
+
+
+# the configuration of acceptance criterion 9
+CSV_CONFIG = ("n_subcarriers = 16\nn_list = 16, 32\nsymbol_count = 80\n"
+              "oversample_factor = 2\nseed = 11\nlambdas = 0.2\ngammas = 0.3\n"
+              "dnr_db_start = 0\ndnr_db_stop = 20\ndnr_db_step = 10\n"
+              "zeta_step = 0.05\ngamma_step = 0.05\n")
+
+# (subcommand, extra flags, {csv name: sha256})
+GOLDEN_CSV = [
+    ("papr-sample", (), {
+        "papr_population.csv": "d70b58c570170b83bd83f85974126a31268e8a25140db18e6593dcc91f372135"}),
+    ("variance-sweep", (), {
+        "variance_profile.csv": "d42bcb16c0cfde2a4f79e2be4da373c34bc671b905c0cf173f63dfd59969a61d",
+        "variance_peaks.csv": "5328b7ecefd31d4811d3a33b4f78f8ee93da3981ffefbd4b795f1ac375781d3f"}),
+    ("rate-sweep", (), {
+        "rates.csv": "01f7dd42bee18379f3265f5a5a4067ec9357ca07d51487b551171de422b89588"}),
+    ("rate-sweep", ("--gamma", "auto", "--lambda", "0.2,0.7"), {
+        "rates.csv": "7c43a61037afbcf5a32cda20eb22ac63f88e269bc766fe038e8e5c7383f57912"}),
+    ("optimize-gamma", (), {
+        "gamma_search.csv": "4aec8e362b7cb98031bf5a15799966f34eea476bdedf8ee2e0720ba617ef882b"}),
+    ("waveform-demo", (), {
+        "waveform_biasing.csv": "554c26819f5966fc3984c373033beb422e5a7e36977764a7ca35df2f80c06cdd",
+        "waveform_pwm.csv": "ef01a66645762cb42d3b1dab5ad6cf0784024834ff39154a6a6ac87b74b79f78"}),
+]
+
+
+@pytest.mark.parametrize("subcommand,extra,digests", GOLDEN_CSV,
+                         ids=[f"{s}{'-' if e else ''}{'-'.join(e[1::2])}"
+                              for s, e, _ in GOLDEN_CSV])
+def test_cli_csv_matches_golden(tmp_path, monkeypatch, subcommand, extra, digests):
+    monkeypatch.setenv(v.CACHE_DIR_ENV, str(tmp_path / "cache"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CSV_CONFIG)
+    out = tmp_path / "out"
+    assert cli_main([subcommand, "--config", str(cfg), *extra, "--out", str(out)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

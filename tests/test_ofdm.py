@@ -168,12 +168,6 @@ class TestSamplePaprPopulation:
         assert_array_equal(a.upapr, b.upapr)
         assert_array_equal(a.lpapr, b.lpapr)
 
-    def test_worker_count_does_not_change_results(self):
-        serial = v.sample_papr_population(64, v.Constellation.QPSK, 201, seed=13, workers=1)
-        threaded = v.sample_papr_population(64, v.Constellation.QPSK, 201, seed=13, workers=5)
-        assert_array_equal(serial.upapr, threaded.upapr)
-        assert_array_equal(serial.lpapr, threaded.lpapr)
-
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             v.sample_papr_population(64, v.Constellation.QPSK, 0, seed=1)
@@ -223,7 +217,7 @@ class TestBatchedSampler:
             raise AssertionError("sampler started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        pop = v.sample_papr_population(64, v.Constellation.QPSK, 20, seed=13, workers=8)
+        pop = v.sample_papr_population(64, v.Constellation.QPSK, 20, seed=13)
         assert len(pop) == 20
 
     @pytest.mark.parametrize("kwargs", [dict(n_subcarriers=5), dict(n_subcarriers=2),

@@ -116,6 +116,17 @@ class TestOptimizeGamma:
         with pytest.raises(ValueError):
             v.optimize_gamma(0.7, 100.0, pop64)
 
+    def test_sweep_matches_one_search_per_cell(self, pop64):
+        cells = v.sweep_gamma_search([0.2, 0.7], [0.0, 14.0, 30.0], pop64, 0.01)
+        assert [(lam, db) for lam, db, _ in cells] == [
+            (lam, db) for lam in (0.2, 0.7) for db in (0.0, 14.0, 30.0)]
+        for lam, db, result in cells:
+            alone = v.optimize_gamma(v.effective_brightness(lam)[0], 10.0 ** (db / 10.0),
+                                     pop64, 0.01)
+            assert result.gamma_star == alone.gamma_star
+            assert result.rate_at_star == alone.rate_at_star
+            np.testing.assert_array_equal(result.grid, alone.grid)
+
     def test_grid_matches_rate_estimates(self, pop64):
         search = v.optimize_gamma(0.35, 50.0, pop64, 0.01)
         for gamma, rate in search.grid[:5]:
