@@ -11,10 +11,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .dimming import effective_brightness
 from .errors import ConfigError
 from .led import LedModel
 from .ofdm import Constellation
 from .rates import AUTO
+
+#: most points a run's grids may have: the DNR grid, the biasing-ratio grid,
+#: and the (brightness, forward ratio, DNR) cells of the forward-ratio search;
+#: checked before any of them is built
+GRID_POINTS_MAX = 1_000_000
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -89,14 +95,43 @@ class ExperimentConfig:
             for n in self.n_list:
                 if n % 2 != 0 or n < 4:
                     raise ConfigError("n_list", f"entries must be even and >= 4, got {n}")
+        self._check_grid_sizes()
         return self
+
+    def _dnr_points(self) -> float:
+        return np.floor((self.dnr_db_stop - self.dnr_db_start) / self.dnr_db_step + 1e-9) + 1
+
+    def _check_grid_sizes(self):
+        # sizes as floats, so a span that overflows reads as inf, not an error;
+        # the ratio counts bound those of rates.gamma_grid and rates.zeta_grid
+        dnr_points = self._dnr_points()
+        if not dnr_points <= GRID_POINTS_MAX:
+            raise ConfigError("dnr_db_step", f"the DNR grid would have {dnr_points:.4g} points, "
+                                             f"over the budget of {GRID_POINTS_MAX}")
+        last_db = float(self.dnr_db_start + self.dnr_db_step * (dnr_points - 1))
+        with np.errstate(over="ignore"):
+            if not np.isfinite(10.0 ** (np.float64(last_db) / 10.0)):
+                raise ConfigError("dnr_db_stop", f"the DNR grid reaches {last_db!r} dB, "
+                                                 "whose linear DNR overflows a double")
+        search_cells = dnr_points * sum(
+            np.floor((0.5 - effective_brightness(lam)[0]) / self.gamma_step + 1e-9) + 1
+            for lam in self.lambdas)
+        if not search_cells <= GRID_POINTS_MAX:
+            raise ConfigError("gamma_step", f"the forward-ratio search would have "
+                                            f"{search_cells:.4g} (brightness, ratio, DNR) cells, "
+                                            f"over the budget of {GRID_POINTS_MAX}; "
+                                            f"raise gamma_step or dnr_db_step")
+        zeta_points = 2 * np.floor(0.5 / self.zeta_step + 1e-9)
+        if not zeta_points <= GRID_POINTS_MAX:
+            raise ConfigError("zeta_step", f"the biasing-ratio grid would have "
+                                           f"{zeta_points:.4g} points, "
+                                           f"over the budget of {GRID_POINTS_MAX}")
 
     def led(self) -> LedModel:
         return LedModel(i_low=self.i_low, i_high=self.i_high, o_high=self.o_high)
 
     def dnr_db_grid(self) -> np.ndarray:
-        count = int(np.floor((self.dnr_db_stop - self.dnr_db_start) / self.dnr_db_step + 1e-9)) + 1
-        return self.dnr_db_start + self.dnr_db_step * np.arange(count)
+        return self.dnr_db_start + self.dnr_db_step * np.arange(int(self._dnr_points()))
 
     def subcarrier_counts(self) -> tuple[int, ...]:
         return self.n_list if self.n_list else (self.n_subcarriers,)

@@ -9,6 +9,7 @@ mirroring the complementary waveform across the dynamic range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,8 +62,8 @@ class DimmingSpec:
 
     def __post_init__(self):
         lam_eff, _ = effective_brightness(self.brightness)
-        if not self.dnr >= 0.0:
-            raise ValueError(f"dnr must be >= 0, got {self.dnr}")
+        if not (self.dnr >= 0.0 and math.isfinite(self.dnr)):
+            raise ValueError(f"dnr must be finite and >= 0, got {self.dnr}")
         if self.scheme is Scheme.PWM:
             if self.forward_ratio is None:
                 raise ValueError("PWM requires a forward_ratio")
@@ -92,8 +93,8 @@ def snr_sample(effective_ratio: float, papr: PaprSample, dnr: float) -> float:
     """Per-symbol SNR at the given biasing ratio: DNR times the variance factor."""
     if not 0.0 < effective_ratio < 1.0:
         raise ValueError(f"effective ratio must be in (0, 1), got {effective_ratio}")
-    if not dnr >= 0.0:
-        raise ValueError(f"dnr must be >= 0, got {dnr}")
+    if not (dnr >= 0.0 and math.isfinite(dnr)):
+        raise ValueError(f"dnr must be finite and >= 0, got {dnr}")
     return float(dnr * variance_factor(effective_ratio, papr.upapr, papr.lpapr))
 
 

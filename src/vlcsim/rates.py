@@ -7,7 +7,10 @@ noisy estimates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, repeat, starmap
+from operator import attrgetter
 
 import numpy as np
 
@@ -80,7 +83,11 @@ def _rate_grid(lambda_effective: float, gammas, dnrs, pop: PaprPopulation,
 
 def _linear(dnrs_db) -> list[float]:
     # scalar powers: the vectorized 10 ** (grid / 10) differs in the last bit
-    return [float(10.0 ** (dnr_db / 10.0)) for dnr_db in dnrs_db]
+    dnrs = [float(10.0 ** (dnr_db / 10.0)) for dnr_db in dnrs_db]
+    for dnr_db, dnr in zip(dnrs_db, dnrs):
+        if not math.isfinite(dnr):
+            raise ValueError(f"dnr_db {float(dnr_db)!r} gives a non-finite linear DNR")
+    return dnrs
 
 
 def estimate_rate(spec: DimmingSpec, pop: PaprPopulation) -> RateEstimate:
@@ -138,8 +145,8 @@ def optimize_gamma(lambda_effective: float, dnr: float, pop: PaprPopulation,
     Ties resolve to the smallest gamma. Because the grid contains
     gamma = brightness, the winner never loses to biasing adjustment.
     """
-    if not dnr >= 0.0:
-        raise ValueError(f"dnr must be >= 0, got {dnr}")
+    if not (dnr >= 0.0 and math.isfinite(dnr)):
+        raise ValueError(f"dnr must be finite and >= 0, got {dnr}")
     return _search(lambda_effective, [dnr], pop, grid_step)[0]
 
 
@@ -213,11 +220,14 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
 
 
 def write_rates_csv(path, estimates, seed: int):
-    """Rate table rows: scheme,lambda,gamma,dnr_db,rate_bits,avg_snr_db,n_samples,seed."""
-    rows = [(est.scheme.value, est.brightness, est.gamma, est.dnr_db, est.rate,
-             est.avg_snr_db, est.n_samples, seed) for est in estimates]
+    """Rate table rows: scheme,lambda,gamma,dnr_db,rate_bits,avg_snr_db,n_samples,seed.
+
+    estimates is a sequence of RateEstimate; each column streams from it.
+    """
+    fields = ("scheme.value", "brightness", "gamma", "dnr_db", "rate", "avg_snr_db", "n_samples")
     write_csv(path, ["scheme", "lambda", "gamma", "dnr_db", "rate_bits", "avg_snr_db",
-                     "n_samples", "seed"], zip(*rows))
+                     "n_samples", "seed"],
+              [*(map(attrgetter(field), estimates) for field in fields), repeat(seed)])
 
 
 def write_gamma_search_csv(path, cells):
@@ -225,10 +235,19 @@ def write_gamma_search_csv(path, cells):
 
     cells is a sequence of (brightness, dnr_db, GammaSearchResult); each
     cell's grid rows are followed by one starred row for the optimum.
+    Each column streams from cells.
     """
-    rows = []
-    for lam, dnr_db, result in cells:
-        lam, dnr_db = float(lam), float(dnr_db)  # integer inputs print as floats too
-        rows.extend((lam, dnr_db, gamma, rate, "") for gamma, rate in result.grid)
-        rows.append((lam, dnr_db, result.gamma_star, result.rate_at_star, "*"))
-    write_csv(path, ["lambda", "dnr_db", "gamma", "rate_bits", "star"], zip(*rows))
+    def column(cell_values):
+        return chain.from_iterable(starmap(cell_values, cells))
+
+    def repeated(value, result):
+        # integer inputs print as floats too
+        return repeat(float(value), len(result.grid) + 1)
+
+    write_csv(path, ["lambda", "dnr_db", "gamma", "rate_bits", "star"], [
+        column(lambda lam, dnr_db, result: repeated(lam, result)),
+        column(lambda lam, dnr_db, result: repeated(dnr_db, result)),
+        column(lambda lam, dnr_db, result: chain(result.grid[:, 0], [result.gamma_star])),
+        column(lambda lam, dnr_db, result: chain(result.grid[:, 1], [result.rate_at_star])),
+        column(lambda lam, dnr_db, result: chain(repeat("", len(result.grid)), ["*"])),
+    ])

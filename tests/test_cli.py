@@ -52,6 +52,22 @@ class TestExitCodes:
         assert "config error: dnr_db_st" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("subcommand,flags,config,key", [
+        ("rate-sweep", ["--dnr-db", "0:60:1e-9"], "", "dnr_db_step"),
+        ("rate-sweep", ["--dnr-db", "0:4000:1000"], "", "dnr_db_stop"),
+        ("optimize-gamma", [], "gamma_step = 1e-12", "gamma_step"),
+        ("variance-sweep", [], "zeta_step = 1e-12", "zeta_step"),
+    ])
+    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys, subcommand, flags,
+                                              config, key):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(config + "\n")
+        assert run(subcommand, "--config", cfg, *flags, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_waveform_demo_rejects_auto_gamma(self, tmp_path, capsys):
         assert run("waveform-demo", "--n", 16, "--symbols", 3, "--oversample", 2,
                    "--lambda", "0.25", "--gamma", "auto", "--out", tmp_path / "out") == 2

@@ -104,6 +104,29 @@ class TestValidation:
     def test_largest_u64_seed_is_valid(self):
         v.ExperimentConfig(seed=2 ** 64 - 1).validate()
 
+    @pytest.mark.parametrize("text,key", [
+        ("dnr_db_step = 1e-9", "dnr_db_step"),
+        ("dnr_db_start = -1e308\ndnr_db_stop = 1e308\ndnr_db_step = 1", "dnr_db_step"),
+        ("dnr_db_stop = 4000\ndnr_db_step = 1000", "dnr_db_stop"),
+        ("gamma_step = 1e-12", "gamma_step"),
+        ("gamma_step = 5e-324", "gamma_step"),
+        ("dnr_db_step = 0.001\ngamma_step = 0.001", "gamma_step"),
+        ("zeta_step = 1e-12", "zeta_step"),
+        ("zeta_step = 5e-324", "zeta_step"),
+    ])
+    def test_oversized_grid_names_its_key(self, text, key):
+        with pytest.raises(ConfigError) as err:
+            v.parse_config(text).validate()
+        assert err.value.key == key
+        assert "budget" in str(err.value) or "overflows" in str(err.value)
+
+    def test_grids_at_the_budget_are_valid(self):
+        budget = v.config.GRID_POINTS_MAX
+        cfg = v.ExperimentConfig(dnr_db_stop=(budget - 1) / 1000, dnr_db_step=1e-3,
+                                 gammas=(0.3,), gamma_step=0.5, lambdas=(0.5,)).validate()
+        assert len(cfg.dnr_db_grid()) == budget
+        v.ExperimentConfig(zeta_step=1.0 / budget).validate()
+
 
 class TestDerivedValues:
     def test_dnr_grid_includes_both_ends(self):

@@ -76,6 +76,11 @@ class TestDimmingSpec:
         with pytest.raises(ValueError):
             v.DimmingSpec(brightness=0.2, scheme=v.Scheme.BIASING_ADJUSTMENT, dnr=-1.0)
 
+    @pytest.mark.parametrize("dnr", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_dnr(self, dnr):
+        with pytest.raises(ValueError, match="dnr"):
+            v.DimmingSpec(brightness=0.2, scheme=v.Scheme.PWM, dnr=dnr, forward_ratio=0.3)
+
 
 class TestPwmFrame:
     def test_frame_timing_and_level(self):
@@ -93,6 +98,11 @@ class TestPwmFrame:
 
 
 class TestSnrSample:
+    @pytest.mark.parametrize("dnr", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_dnr(self, dnr):
+        with pytest.raises(ValueError, match="dnr"):
+            v.snr_sample(0.3, v.PaprSample(9.0, 2.0), dnr)
+
     def test_symmetric_papr(self):
         assert v.snr_sample(0.5, v.PaprSample(4.0, 4.0), 16.0) == pytest.approx(1.0)
 

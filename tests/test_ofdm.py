@@ -228,3 +228,70 @@ class TestBatchedSampler:
         args.update(kwargs)
         with pytest.raises(ValueError):
             v.sample_papr_population(**args)
+
+
+def _numpy_seed_states(seed, start, stop):
+    return np.array([np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+                     for i in range(start, stop)])
+
+
+class TestBatchedSeeding:
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 70])
+    @pytest.mark.parametrize("start,stop", [(0, 5), (2 ** 32 - 3, 2 ** 32 + 3),
+                                            (2 ** 64 - 3, 2 ** 64)])
+    def test_states_equal_seed_sequence(self, seed, start, stop):
+        """One row per index, bit-equal to SeedSequence([seed, i]), across word-count edges."""
+        states = v.ofdm._seed_states(seed, start, stop)
+        assert states.dtype == np.uint64
+        assert_array_equal(states, _numpy_seed_states(seed, start, stop))
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            v.ofdm._seed_states(-1, 0, 3)
+        with pytest.raises(ValueError):
+            v.sample_papr_population(16, v.Constellation.QPSK, 3, seed=-1)
+
+    @pytest.mark.parametrize("n,factor", [(6, 3), (64, 4)])
+    @pytest.mark.parametrize("constellation", list(v.Constellation))
+    def test_matches_per_symbol_reference_around_chunk_edges(self, n, factor, constellation):
+        """Counts chunk-1, chunk and chunk+1 equal the per-symbol path bit for bit."""
+        chunk = v.ofdm._SEED_CHUNK
+        ref_u, ref_l = _reference_population(n, constellation, chunk + 1, 2 ** 40 + 7, factor)
+        for count in (chunk - 1, chunk, chunk + 1):
+            pop = v.sample_papr_population(n, constellation, count, seed=2 ** 40 + 7,
+                                           oversample_factor=factor)
+            assert_array_equal(pop.upapr, ref_u[:count])
+            assert_array_equal(pop.lpapr, ref_l[:count])
+
+    def test_sampler_builds_no_per_symbol_seed_sequence(self, monkeypatch):
+        count = v.ofdm._SEED_CHUNK + 3
+        ref_u, ref_l = _reference_population(16, v.Constellation.QAM16, count, 5, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampler seeded a symbol one at a time")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(v.ofdm, "symbol_rng", refuse)
+        pop = v.sample_papr_population(16, v.Constellation.QAM16, count, seed=5,
+                                       oversample_factor=2)
+        assert_array_equal(pop.upapr, ref_u)
+        assert_array_equal(pop.lpapr, ref_l)
+
+    def test_canary_rejects_a_corrupted_state_row(self, monkeypatch):
+        seed_states = v.ofdm._seed_states
+
+        def corrupted(seed, start, stop):
+            states = seed_states(seed, start, stop)
+            states[0, 2] ^= np.uint64(1)
+            return states
+
+        monkeypatch.setattr(v.ofdm, "_seed_states", corrupted)
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            v.sample_papr_population(16, v.Constellation.QPSK, 3, seed=1)
+
+    def test_precomputed_seed_serves_only_pcg64(self):
+        state = v.ofdm._seed_states(3, 0, 1)[0]
+        seed_seq = v.ofdm._seed_state_type()(state)
+        assert seed_seq.generate_state(4, np.uint64) is state
+        with pytest.raises(ValueError):
+            seed_seq.generate_state(8, np.uint32)

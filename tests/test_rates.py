@@ -116,6 +116,15 @@ class TestOptimizeGamma:
         with pytest.raises(ValueError):
             v.optimize_gamma(0.7, 100.0, pop64)
 
+    @pytest.mark.parametrize("dnr", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_dnr(self, pop64, dnr):
+        with pytest.raises(ValueError, match="dnr"):
+            v.optimize_gamma(0.2, dnr, pop64)
+
+    def test_sweep_rejects_a_dnr_db_that_overflows(self, pop64):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="dnr_db"):
+            v.sweep_gamma_search([0.2], np.array([0.0, 4000.0]), pop64)
+
     def test_sweep_matches_one_search_per_cell(self, pop64):
         cells = v.sweep_gamma_search([0.2, 0.7], [0.0, 14.0, 30.0], pop64, 0.01)
         assert [(lam, db) for lam, db, _ in cells] == [
