@@ -21,13 +21,13 @@ from . import __version__
 from .cache import (load_or_build, population_cache_path, resolve_cache_dir,
                     write_population_csv)
 from .config import ExperimentConfig, load_config, parse_config
-from .csvio import write_csv
+from .csvio import write_rows
 from .dimming import DimmingSpec, Scheme, assemble_waveform, write_waveform_csv
 from .errors import ConfigError, VlcsimError
 from .led import LedModel, compute_alpha, variance_closed_form, variance_factor
 from .ofdm import (Constellation, generate_freq_symbol, papr_of,
                    sample_papr_population, symbol_rng, to_time_domain)
-from .rates import (sweep_gamma_search, sweep_rates, variance_profile,
+from .rates import (AUTO, sweep_gamma_search, sweep_rates, variance_profile,
                     write_gamma_search_csv, write_rates_csv)
 
 # flags whose argparse dest is the config key they set, in the order they are parsed
@@ -141,14 +141,16 @@ def _cmd_variance_sweep(cfg: ExperimentConfig) -> int:
         profile_rows.extend((n, zeta, mean) for zeta, mean in profile.grid)
         peak = profile.grid[profile.grid[:, 0] == profile.zeta_dagger][0, 1]
         peak_rows.append((n, profile.zeta_dagger, peak))
-    write_csv(profile_path, ["n_subcarriers", "zeta", "mean_sigma_y2"], zip(*profile_rows))
-    write_csv(peaks_path, ["n_subcarriers", "zeta_dagger", "peak_mean_sigma_y2"],
-              zip(*peak_rows))
+    write_rows(profile_path, ["n_subcarriers", "zeta", "mean_sigma_y2"], profile_rows)
+    write_rows(peaks_path, ["n_subcarriers", "zeta_dagger", "peak_mean_sigma_y2"], peak_rows)
     _notice(f"wrote {profile_path} and {peaks_path}")
     return 0
 
 
 def _cmd_rate_sweep(cfg: ExperimentConfig) -> int:
+    cfg.check_rate_table_budget()
+    if cfg.gammas == AUTO:
+        cfg.check_search_budget()
     pop = _population(cfg, cfg.n_subcarriers)
     rows = sweep_rates(cfg.lambdas, cfg.dnr_db_grid(), cfg.gammas, pop, cfg.gamma_step)
     csv_path = Path(cfg.output_dir) / "rates.csv"
@@ -158,6 +160,7 @@ def _cmd_rate_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_optimize_gamma(cfg: ExperimentConfig) -> int:
+    cfg.check_search_budget()
     pop = _population(cfg, cfg.n_subcarriers)
     cells = sweep_gamma_search(cfg.lambdas, cfg.dnr_db_grid(), pop, cfg.gamma_step)
     csv_path = Path(cfg.output_dir) / "gamma_search.csv"

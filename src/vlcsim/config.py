@@ -17,10 +17,25 @@ from .led import LedModel
 from .ofdm import Constellation
 from .rates import AUTO
 
-#: most points a run's grids may have: the DNR grid, the biasing-ratio grid,
-#: and the (brightness, forward ratio, DNR) cells of the forward-ratio search;
-#: checked before any of them is built
+#: most points a run's grids may have, checked before any of them is built:
+#: the DNR grid and the variance profile's (subcarrier count, biasing ratio)
+#: rows in validate(), and in the runs that build them the rate table's rows
+#: and the forward-ratio search's (brightness, ratio, DNR) cells. Runs at the
+#: budget with --quick (1000 symbols, N = 64) and one brightness, measured on
+#: 2 cores with Python 3.11 and NumPy 2.4 (a bare run peaks at 36 MB RSS):
+#:   rate-sweep, 1e6 rows (500k DNR points)    63 s, 336 MB peak RSS
+#:   optimize-gamma, 1e6 search cells           23 s,  64 MB
+#:   rate-sweep --gamma auto, 1e6 search cells  14 s,  64 MB
+#:   variance-sweep, 1e6 profile rows           27 s, 182 MB
+#: Time grows with symbol_count. The paper's grids are far smaller: 0-60 dB in
+#: 0.1 dB steps at the default brightness factors is 110k search cells.
 GRID_POINTS_MAX = 1_000_000
+
+
+def _check_budget(key: str, count: float, what: str, hint: str = ""):
+    if not count <= GRID_POINTS_MAX:
+        raise ConfigError(key, f"{count:,.0f} {what}, over the budget of {GRID_POINTS_MAX:,}"
+                               + (f"; {hint}" if hint else ""))
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -102,30 +117,41 @@ class ExperimentConfig:
         return np.floor((self.dnr_db_stop - self.dnr_db_start) / self.dnr_db_step + 1e-9) + 1
 
     def _check_grid_sizes(self):
-        # sizes as floats, so a span that overflows reads as inf, not an error;
-        # the ratio counts bound those of rates.gamma_grid and rates.zeta_grid
+        # sizes as floats, so a span that overflows reads as inf, not an error
         dnr_points = self._dnr_points()
-        if not dnr_points <= GRID_POINTS_MAX:
-            raise ConfigError("dnr_db_step", f"the DNR grid would have {dnr_points:.4g} points, "
-                                             f"over the budget of {GRID_POINTS_MAX}")
+        _check_budget("dnr_db_step", dnr_points, "points in the DNR grid")
         last_db = float(self.dnr_db_start + self.dnr_db_step * (dnr_points - 1))
         with np.errstate(over="ignore"):
             if not np.isfinite(10.0 ** (np.float64(last_db) / 10.0)):
                 raise ConfigError("dnr_db_stop", f"the DNR grid reaches {last_db!r} dB, "
                                                  "whose linear DNR overflows a double")
-        search_cells = dnr_points * sum(
+        # rates.zeta_grid's points, once per subcarrier count
+        zeta_points = 2 * np.floor(0.5 / self.zeta_step + 1e-9)
+        _check_budget("zeta_step", zeta_points * len(self.subcarrier_counts()),
+                      "(subcarrier count, biasing ratio) rows in the variance profile")
+
+    def check_rate_table_budget(self):
+        """Raise ConfigError unless rate-sweep's table fits the grid budget.
+
+        Each (brightness, DNR) cell has a biasing row plus a PWM row per
+        forward ratio, or one PWM row under gammas auto.
+        """
+        ratios = 1 if self.gammas == AUTO else len(self.gammas)
+        _check_budget("dnr_db_step", len(self.lambdas) * self._dnr_points() * (1 + ratios),
+                      "rows in the rate table",
+                      "raise dnr_db_step or list fewer brightness factors or forward ratios")
+
+    def check_search_budget(self):
+        """Raise ConfigError unless the forward-ratio search fits the grid budget.
+
+        For the runs that search (optimize-gamma, rate-sweep with gammas auto):
+        the (brightness, ratio, DNR) cells, counted as rates.gamma_grid does.
+        """
+        cells = self._dnr_points() * sum(
             np.floor((0.5 - effective_brightness(lam)[0]) / self.gamma_step + 1e-9) + 1
             for lam in self.lambdas)
-        if not search_cells <= GRID_POINTS_MAX:
-            raise ConfigError("gamma_step", f"the forward-ratio search would have "
-                                            f"{search_cells:.4g} (brightness, ratio, DNR) cells, "
-                                            f"over the budget of {GRID_POINTS_MAX}; "
-                                            f"raise gamma_step or dnr_db_step")
-        zeta_points = 2 * np.floor(0.5 / self.zeta_step + 1e-9)
-        if not zeta_points <= GRID_POINTS_MAX:
-            raise ConfigError("zeta_step", f"the biasing-ratio grid would have "
-                                           f"{zeta_points:.4g} points, "
-                                           f"over the budget of {GRID_POINTS_MAX}")
+        _check_budget("gamma_step", cells, "(brightness, ratio, DNR) cells in the forward-ratio "
+                                           "search", "raise gamma_step or dnr_db_step")
 
     def led(self) -> LedModel:
         return LedModel(i_low=self.i_low, i_high=self.i_high, o_high=self.o_high)

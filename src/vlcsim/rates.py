@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
-from operator import attrgetter
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import write_rows
 from .dimming import DimmingSpec, Scheme, duty_cycle, effective_brightness
 from .led import variance_factor
 from .ofdm import PaprPopulation
@@ -83,10 +81,15 @@ def _rate_grid(lambda_effective: float, gammas, dnrs, pop: PaprPopulation,
 
 def _linear(dnrs_db) -> list[float]:
     # scalar powers: the vectorized 10 ** (grid / 10) differs in the last bit
-    dnrs = [float(10.0 ** (dnr_db / 10.0)) for dnr_db in dnrs_db]
-    for dnr_db, dnr in zip(dnrs_db, dnrs):
+    dnrs = []
+    for dnr_db in dnrs_db:
+        try:
+            dnr = float(10.0 ** (dnr_db / 10.0))
+        except OverflowError:  # plain floats raise where NumPy floats give inf
+            dnr = math.inf
         if not math.isfinite(dnr):
             raise ValueError(f"dnr_db {float(dnr_db)!r} gives a non-finite linear DNR")
+        dnrs.append(dnr)
     return dnrs
 
 
@@ -220,34 +223,24 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
 
 
 def write_rates_csv(path, estimates, seed: int):
-    """Rate table rows: scheme,lambda,gamma,dnr_db,rate_bits,avg_snr_db,n_samples,seed.
-
-    estimates is a sequence of RateEstimate; each column streams from it.
-    """
-    fields = ("scheme.value", "brightness", "gamma", "dnr_db", "rate", "avg_snr_db", "n_samples")
-    write_csv(path, ["scheme", "lambda", "gamma", "dnr_db", "rate_bits", "avg_snr_db",
-                     "n_samples", "seed"],
-              [*(map(attrgetter(field), estimates) for field in fields), repeat(seed)])
+    """Rate table rows: scheme,lambda,gamma,dnr_db,rate_bits,avg_snr_db,n_samples,seed."""
+    write_rows(path, ["scheme", "lambda", "gamma", "dnr_db", "rate_bits", "avg_snr_db",
+                      "n_samples", "seed"],
+               ((est.scheme.value, est.brightness, est.gamma, est.dnr_db, est.rate,
+                 est.avg_snr_db, est.n_samples, seed) for est in estimates))
 
 
 def write_gamma_search_csv(path, cells):
     """Search grids as lambda,dnr_db,gamma,rate_bits,star rows.
 
-    cells is a sequence of (brightness, dnr_db, GammaSearchResult); each
+    cells is an iterable of (brightness, dnr_db, GammaSearchResult); each
     cell's grid rows are followed by one starred row for the optimum.
-    Each column streams from cells.
     """
-    def column(cell_values):
-        return chain.from_iterable(starmap(cell_values, cells))
+    def rows():
+        for lam, dnr_db, result in cells:
+            lam, dnr_db = float(lam), float(dnr_db)  # integer inputs print as floats too
+            for gamma, rate in result.grid:
+                yield lam, dnr_db, gamma, rate, ""
+            yield lam, dnr_db, result.gamma_star, result.rate_at_star, "*"
 
-    def repeated(value, result):
-        # integer inputs print as floats too
-        return repeat(float(value), len(result.grid) + 1)
-
-    write_csv(path, ["lambda", "dnr_db", "gamma", "rate_bits", "star"], [
-        column(lambda lam, dnr_db, result: repeated(lam, result)),
-        column(lambda lam, dnr_db, result: repeated(dnr_db, result)),
-        column(lambda lam, dnr_db, result: chain(result.grid[:, 0], [result.gamma_star])),
-        column(lambda lam, dnr_db, result: chain(result.grid[:, 1], [result.rate_at_star])),
-        column(lambda lam, dnr_db, result: chain(repeat("", len(result.grid)), ["*"])),
-    ])
+    write_rows(path, ["lambda", "dnr_db", "gamma", "rate_bits", "star"], rows())

@@ -56,6 +56,9 @@ class TestExitCodes:
         ("rate-sweep", ["--dnr-db", "0:60:1e-9"], "", "dnr_db_step"),
         ("rate-sweep", ["--dnr-db", "0:4000:1000"], "", "dnr_db_stop"),
         ("optimize-gamma", [], "gamma_step = 1e-12", "gamma_step"),
+        ("rate-sweep", ["--gamma", "auto"], "gamma_step = 1e-12", "gamma_step"),
+        ("rate-sweep", ["--lambda", "0.1,0.2", "--gamma", "0.3,0.4"], "dnr_db_step = 0.0002",
+         "dnr_db_step"),
         ("variance-sweep", [], "zeta_step = 1e-12", "zeta_step"),
     ])
     def test_oversized_grid_is_a_config_error(self, tmp_path, capsys, subcommand, flags,
@@ -66,7 +69,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config error: {key}" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        # rejected before a population is sampled or a table written
+        assert not (tmp_path / "shared_cache").exists()
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("subcommand", ["rate-sweep", "papr-sample"])
+    def test_search_budget_spares_runs_without_a_search(self, tmp_path, subcommand):
+        cfg = write_cfg(tmp_path, gamma_step=1e-12)
+        assert run(subcommand, "--config", cfg, "--out", tmp_path / "out") == 0
 
     def test_waveform_demo_rejects_auto_gamma(self, tmp_path, capsys):
         assert run("waveform-demo", "--n", 16, "--symbols", 3, "--oversample", 2,

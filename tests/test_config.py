@@ -1,5 +1,7 @@
 """Tests for the flat key = value experiment configuration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -108,10 +110,8 @@ class TestValidation:
         ("dnr_db_step = 1e-9", "dnr_db_step"),
         ("dnr_db_start = -1e308\ndnr_db_stop = 1e308\ndnr_db_step = 1", "dnr_db_step"),
         ("dnr_db_stop = 4000\ndnr_db_step = 1000", "dnr_db_stop"),
-        ("gamma_step = 1e-12", "gamma_step"),
-        ("gamma_step = 5e-324", "gamma_step"),
-        ("dnr_db_step = 0.001\ngamma_step = 0.001", "gamma_step"),
         ("zeta_step = 1e-12", "zeta_step"),
+        ("zeta_step = 2e-6\nn_list = 64, 256, 1024", "zeta_step"),
         ("zeta_step = 5e-324", "zeta_step"),
     ])
     def test_oversized_grid_names_its_key(self, text, key):
@@ -119,6 +119,52 @@ class TestValidation:
             v.parse_config(text).validate()
         assert err.value.key == key
         assert "budget" in str(err.value) or "overflows" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        "gamma_step = 1e-12",
+        "gamma_step = 5e-324",
+        "dnr_db_step = 0.001\ngamma_step = 0.001",
+        "lambdas = 0.05, 0.2\ndnr_db_step = 0.002",
+    ])
+    def test_oversized_search_names_gamma_step(self, text):
+        cfg = v.parse_config(text).validate()
+        with pytest.raises(ConfigError) as err:
+            cfg.check_search_budget()
+        assert err.value.key == "gamma_step"
+        assert "budget" in str(err.value)
+
+    def test_search_budget_does_not_bound_runs_without_a_search(self):
+        # 30001 DNR points x 152 ratio points would exceed the search budget,
+        # but a rate sweep over explicit ratios runs no search
+        cfg = v.ExperimentConfig(lambdas=(0.05, 0.2), gammas=(0.3,), dnr_db_step=0.002,
+                                 gamma_step=0.005).validate()
+        cfg.check_rate_table_budget()
+        assert len(cfg.dnr_db_grid()) == 30001
+
+    def test_oversized_rate_table_names_dnr_db_step(self):
+        # 300001 DNR points, under the budget, times 2 brightness factors x 3 rows
+        cfg = v.parse_config("lambdas = 0.1, 0.2\ngammas = 0.3, 0.4\n"
+                             "dnr_db_step = 0.0002").validate()
+        with pytest.raises(ConfigError) as err:
+            cfg.check_rate_table_budget()
+        assert err.value.key == "dnr_db_step"
+        assert "1,800,006 rows in the rate table" in str(err.value)
+
+    def test_rate_table_at_the_budget_is_valid(self):
+        half = v.config.GRID_POINTS_MAX // 2
+        cfg = v.ExperimentConfig(lambdas=(0.2,), gammas=(0.3,), dnr_db_stop=(half - 1) / 1000,
+                                 dnr_db_step=1e-3).validate()
+        cfg.check_rate_table_budget()
+        assert len(cfg.dnr_db_grid()) == half
+        with pytest.raises(ConfigError):
+            replace(cfg, dnr_db_stop=half / 1000).check_rate_table_budget()
+
+    def test_search_at_the_budget_is_valid(self):
+        budget = v.config.GRID_POINTS_MAX
+        cfg = v.ExperimentConfig(lambdas=(0.5,), dnr_db_stop=(budget - 1) / 1000,
+                                 dnr_db_step=1e-3, gamma_step=0.5).validate()
+        cfg.check_search_budget()
+        assert len(cfg.dnr_db_grid()) == budget
 
     def test_grids_at_the_budget_are_valid(self):
         budget = v.config.GRID_POINTS_MAX

@@ -124,6 +124,11 @@ class TestOptimizeGamma:
     def test_sweep_rejects_a_dnr_db_that_overflows(self, pop64):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="dnr_db"):
             v.sweep_gamma_search([0.2], np.array([0.0, 4000.0]), pop64)
+        # plain floats overflow with OverflowError rather than to inf
+        with pytest.raises(ValueError, match="dnr_db"):
+            v.sweep_gamma_search([0.2], [4000.0], pop64)
+        with pytest.raises(ValueError, match="dnr_db"):
+            v.sweep_rates([0.2], [0.0, 4000.0], [0.3], pop64)
 
     def test_sweep_matches_one_search_per_cell(self, pop64):
         cells = v.sweep_gamma_search([0.2, 0.7], [0.0, 14.0, 30.0], pop64, 0.01)
@@ -233,3 +238,12 @@ class TestCsvWriters:
         assert len(parsed) == len(search.grid) + 2
         assert parsed[-1][4] == "*"
         assert float(parsed[-1][2]) == search.gamma_star
+
+    def test_writers_read_a_one_shot_iterable_once(self, tmp_path, pop64):
+        rows = v.sweep_rates([0.2, 0.3], [0.0, 10.0, 20.0], [0.4, 0.45], pop64)
+        cells = v.sweep_gamma_search([0.2, 0.3], [0.0, 20.0], pop64, 0.05)
+        for write, table, extra in [(v.write_rates_csv, rows, (7,)),
+                                    (v.write_gamma_search_csv, cells, ())]:
+            write(tmp_path / "list.csv", table, *extra)
+            write(tmp_path / "gen.csv", (item for item in table), *extra)
+            assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
