@@ -1,8 +1,11 @@
 """Binary caching and CSV export of PAPR populations.
 
-Cache layout: a fixed 52-byte header (magic, format version, subcarrier
-count, oversample factor, constellation id, seed, count) followed by
-`count` little-endian float64 (upapr, lpapr) records.
+Cache layout (format 2): a fixed 84-byte header (magic, format version,
+subcarrier count, oversample factor, constellation id, seed, count, the
+NumPy version that sampled the population) followed by `count`
+little-endian float64 (upapr, lpapr) records. NumPy does not promise the
+same Generator streams across versions (NEP 19), so load_or_build rebuilds
+a population that another NumPy version sampled.
 """
 
 from __future__ import annotations
@@ -17,8 +20,12 @@ from .csvio import write_csv
 from .ofdm import Constellation, PaprPopulation, sample_papr_population
 
 _MAGIC = b"VLCPAPR1"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<8sIII16sQQ")  # magic, version, n, F, constellation, seed, count
+_FORMAT_VERSION = 2
+# magic, version, n, F, constellation, seed, count, NumPy version
+_HEADER = struct.Struct("<8sIII16sQQ32s")
+_PREFIX = struct.Struct("<8sI")  # magic, version: the part every format shares
+# the NumPy version as the header stores it, cut to its 32-byte field
+_NUMPY_VERSION = np.__version__.encode("ascii")[:32]
 
 #: environment variable overriding the population cache directory
 CACHE_DIR_ENV = "VLCSIM_CACHE_DIR"
@@ -35,7 +42,7 @@ def save_population(path, pop: PaprPopulation):
     if len(const) > 16:
         raise ValueError(f"constellation id too long for header: {pop.constellation}")
     header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, pop.n_subcarriers,
-                          pop.oversample_factor, const, pop.seed, len(pop))
+                          pop.oversample_factor, const, pop.seed, len(pop), _NUMPY_VERSION)
     records = np.column_stack([pop.upapr, pop.lpapr]).astype("<f8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -51,16 +58,28 @@ def save_population(path, pop: PaprPopulation):
 
 
 def load_population(path) -> PaprPopulation:
-    """Read a population cache file; raises ValueError on a foreign format."""
+    """Read a population cache file.
+
+    Raises ValueError on a foreign format and on a population that another
+    NumPy version sampled.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _HEADER.size:
+    if len(raw) < _PREFIX.size:
         raise ValueError(f"{path}: truncated population cache")
-    magic, version, n, factor, const, seed, count = _HEADER.unpack_from(raw)
+    magic, version = _PREFIX.unpack_from(raw)
     if magic != _MAGIC:
         raise ValueError(f"{path}: not a population cache")
     if version != _FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported cache format version {version}")
+        raise ValueError(f"{path}: cache format version {version}, "
+                         f"this vlcsim reads version {_FORMAT_VERSION}")
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: truncated population cache")
+    _, _, n, factor, const, seed, count, numpy_version = _HEADER.unpack_from(raw)
+    numpy_version = numpy_version.rstrip(b"\x00")
+    if numpy_version != _NUMPY_VERSION:
+        raise ValueError(f"{path}: sampled under NumPy {numpy_version.decode('ascii', 'replace')}, "
+                         f"running NumPy {np.__version__}")
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     if body.size != 2 * count:
         raise ValueError(f"{path}: expected {count} records, found {body.size // 2}")
@@ -84,27 +103,32 @@ def resolve_cache_dir(output_dir) -> Path:
 
 
 def load_or_build(cache_dir, n_subcarriers: int, constellation: Constellation,
-                  count: int, seed: int,
-                  oversample_factor: int = 4) -> tuple[PaprPopulation, bool]:
+                  count: int, seed: int, oversample_factor: int = 4,
+                  notice=None) -> tuple[PaprPopulation, bool]:
     """Return (population, came_from_cache).
 
-    A cache file whose header disagrees with the request is discarded and
-    rebuilt; the freshly built population is written back.
+    A cache file that cannot be read, was written in another cache format or
+    under another NumPy version, or whose header disagrees with the request
+    is discarded and rebuilt; notice, if given, is called with one line
+    saying why. The freshly built population is written back.
     """
     path = population_cache_path(cache_dir, n_subcarriers, constellation, count,
                                  seed, oversample_factor)
     if path.exists():
         try:
             pop = load_population(path)
-        except ValueError:
-            pop = None
-        if (pop is not None
-                and pop.n_subcarriers == n_subcarriers
-                and pop.constellation is constellation
-                and pop.seed == seed
-                and pop.oversample_factor == oversample_factor
-                and len(pop) == count):
-            return pop, True
+        except ValueError as exc:
+            reason = str(exc)
+        else:
+            if (pop.n_subcarriers == n_subcarriers
+                    and pop.constellation is constellation
+                    and pop.seed == seed
+                    and pop.oversample_factor == oversample_factor
+                    and len(pop) == count):
+                return pop, True
+            reason = f"{path}: header does not match the requested population"
+        if notice is not None:
+            notice(f"discarding {reason}; rebuilding")
     pop = sample_papr_population(n_subcarriers, constellation, count, seed,
                                  oversample_factor)
     save_population(path, pop)

@@ -5,7 +5,8 @@ effective configuration; re-running a subcommand from its manifest
 reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 self-test failure,
-4 I/O error (an output, cache or config path cannot be read or written).
+4 I/O error (an output, cache or config path cannot be read or written),
+5 out of memory (usually symbol_count or a grid size is too large).
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def _population(cfg: ExperimentConfig, n_subcarriers: int):
     path = population_cache_path(cache_dir, n_subcarriers, cfg.constellation,
                                  cfg.symbol_count, cfg.seed, cfg.oversample_factor)
     pop, cached = load_or_build(cache_dir, n_subcarriers, cfg.constellation,
-                                cfg.symbol_count, cfg.seed, cfg.oversample_factor)
+                                cfg.symbol_count, cfg.seed, cfg.oversample_factor,
+                                notice=_notice)
     if cached:
         _notice(f"using cached population {path}")
     else:
@@ -268,6 +270,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"vlcsim: I/O error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("vlcsim: out of memory; reduce symbol_count or the grid sizes "
+              "(dnr_db_step, zeta_step, gamma_step, lambdas, gammas)", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -98,18 +98,17 @@ def snr_sample(effective_ratio: float, papr: PaprSample, dnr: float) -> float:
     return float(dnr * variance_factor(effective_ratio, papr.upapr, papr.lpapr))
 
 
-def _scaled_block(sym: TimeSymbol, bias: float, led: LedModel) -> np.ndarray:
-    decision = compute_alpha(float(np.max(sym.samples)), float(np.min(sym.samples)),
-                             bias, led, sym.sigma_x2)
-    return decision.alpha * sym.samples + bias
+def _alpha(sym: TimeSymbol, bias: float, led: LedModel) -> float:
+    return compute_alpha(float(np.max(sym.samples)), float(np.min(sym.samples)),
+                         bias, led, sym.sigma_x2).alpha
 
 
-def _snap_to_range(wave: np.ndarray, led: LedModel) -> np.ndarray:
+def _snap_to_range(wave: np.ndarray, led: LedModel):
     # scaling and mirroring leave at most 1e-9 * range of rounding dust
     # outside the rails; snap it back without touching exact off-state zeros
     slack = 1e-9 * led.dynamic_range
-    wave = np.where((wave > led.i_low - slack) & (wave < led.i_low), led.i_low, wave)
-    return np.where((wave < led.i_high + slack) & (wave > led.i_high), led.i_high, wave)
+    np.copyto(wave, led.i_low, where=(wave > led.i_low - slack) & (wave < led.i_low))
+    np.copyto(wave, led.i_high, where=(wave < led.i_high + slack) & (wave > led.i_high))
 
 
 def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
@@ -124,11 +123,9 @@ def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
     if not symbols:
         raise ValueError("no symbols to assemble")
     lam_eff, mirrored = effective_brightness(spec.brightness)
-    blocks: list[np.ndarray] = []
     if spec.scheme is Scheme.BIASING_ADJUSTMENT:
         bias = led.i_low + lam_eff * led.dynamic_range
-        for sym in symbols:
-            blocks.append(_scaled_block(sym, bias, led))
+        gaps = [0] * len(symbols)
     else:
         gamma = spec.forward_ratio
         if mirrored and led.i_low != 0.0:
@@ -138,16 +135,19 @@ def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
                 f"into [{led.i_low}, {led.i_high}]")
         d = duty_cycle(lam_eff, gamma)
         bias = led.i_low + gamma * led.dynamic_range
-        for sym in symbols:
-            on = _scaled_block(sym, bias, led)
-            blocks.append(on)
-            off_count = int(round(len(on) * (1.0 - d) / d))
-            if off_count:
-                blocks.append(np.zeros(off_count))
-    wave = np.concatenate(blocks)
+        gaps = [int(round(len(sym.samples) * (1.0 - d) / d)) for sym in symbols]
+    # the zeros left between the symbols are the PWM off intervals
+    wave = np.zeros(sum(len(sym.samples) for sym in symbols) + sum(gaps))
+    start = 0
+    for sym, gap in zip(symbols, gaps):
+        on = wave[start:start + len(sym.samples)]
+        np.multiply(_alpha(sym, bias, led), sym.samples, out=on)
+        on += bias
+        start += len(on) + gap
     if mirrored:
-        wave = (led.i_high + led.i_low) - wave
-    return _snap_to_range(wave, led)
+        np.subtract(led.i_high + led.i_low, wave, out=wave)
+    _snap_to_range(wave, led)
+    return wave
 
 
 def write_waveform_csv(path, currents: np.ndarray, led: LedModel):

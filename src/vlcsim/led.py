@@ -124,5 +124,11 @@ def optical_output(current, led: LedModel):
         bad = i[~(off | in_range)].flat[0]
         raise CurrentRangeError(
             f"current {bad} outside [{led.i_low}, {led.i_high}] and not the off state")
-    out = np.where(off, 0.0, led.o_high * (i - led.i_low) / led.dynamic_range)
-    return float(out) if out.ndim == 0 else out
+    if i.ndim == 0:
+        return float(np.where(off, 0.0, led.o_high * (i - led.i_low) / led.dynamic_range))
+    # one output array; o_high * x equals x * o_high in IEEE arithmetic
+    out = i - led.i_low
+    out *= led.o_high
+    out /= led.dynamic_range
+    out[off] = 0.0
+    return out

@@ -93,6 +93,22 @@ def _linear(dnrs_db) -> list[float]:
     return dnrs
 
 
+def _estimates(brightness: float, gammas, dnrs, pop: PaprPopulation) -> list[list[RateEstimate]]:
+    """Estimates per (ratio, DNR) from one rate grid: biasing if gammas is None, else PWM."""
+    lam_eff, _ = effective_brightness(brightness)
+    rates, snrs = _rate_grid(lam_eff, gammas, dnrs, pop, with_snr=True)
+    scheme = Scheme.BIASING_ADJUSTMENT if gammas is None else Scheme.PWM
+    return [[RateEstimate(rate=float(rates[k, j]),
+                          avg_snr_db=_db(float(snrs[k, j])),
+                          n_samples=len(pop),
+                          scheme=scheme,
+                          brightness=brightness,
+                          gamma=None if gammas is None else gammas[k],
+                          dnr_db=_db(dnr))
+             for j, dnr in enumerate(dnrs)]
+            for k in range(len(rates))]
+
+
 def estimate_rate(spec: DimmingSpec, pop: PaprPopulation) -> RateEstimate:
     """Monte Carlo ergodic rate in bits per channel use.
 
@@ -101,16 +117,8 @@ def estimate_rate(spec: DimmingSpec, pop: PaprPopulation) -> RateEstimate:
     brightness/gamma for the silent intervals. The factor 1/2 accounts for
     the Hermitian-symmetry overhead of real-valued OFDM.
     """
-    lam_eff, _ = effective_brightness(spec.brightness)
     gammas = None if spec.scheme is Scheme.BIASING_ADJUSTMENT else [spec.forward_ratio]
-    rates, snrs = _rate_grid(lam_eff, gammas, [spec.dnr], pop, with_snr=True)
-    return RateEstimate(rate=float(rates[0, 0]),
-                        avg_snr_db=_db(float(snrs[0, 0])),
-                        n_samples=len(pop),
-                        scheme=spec.scheme,
-                        brightness=spec.brightness,
-                        gamma=spec.forward_ratio,
-                        dnr_db=_db(spec.dnr))
+    return _estimates(spec.brightness, gammas, [spec.dnr], pop)[0][0]
 
 
 def gamma_grid(lambda_effective: float, grid_step: float) -> np.ndarray:
@@ -199,7 +207,9 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
 
     gammas is a sequence of forward ratios or AUTO, in which case each
     (brightness, DNR) cell gets its own optimized ratio, searched once per
-    brightness. Row order: brightness outermost, then DNR, then schemes.
+    brightness. The biasing rows and the explicit-ratio PWM rows of one
+    brightness each come from one rate grid over all DNRs. Row order:
+    brightness outermost, then DNR, then schemes.
     """
     if not len(lambdas) or not len(dnrs_db):
         raise ValueError("lambdas and dnrs_db must be non-empty")
@@ -208,17 +218,18 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
     dnrs = _linear(dnrs_db)
     rows: list[RateEstimate] = []
     for lam in lambdas:
+        biasing = _estimates(lam, None, dnrs, pop)[0]
+        # pwm[k][j]: the PWM row of ratio k in DNR column j
         if isinstance(gammas, str):
             searches = _search(effective_brightness(lam)[0], dnrs, pop, gamma_step)
-            cell_gammas = [[search.gamma_star] for search in searches]
+            pwm = [[estimate_rate(DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=dnr,
+                                              forward_ratio=search.gamma_star), pop)
+                    for dnr, search in zip(dnrs, searches)]]
         else:
-            cell_gammas = [gammas] * len(dnrs)
-        for dnr, ratios in zip(dnrs, cell_gammas):
-            rows.append(estimate_rate(
-                DimmingSpec(brightness=lam, scheme=Scheme.BIASING_ADJUSTMENT, dnr=dnr), pop))
-            rows.extend(estimate_rate(
-                DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=dnr,
-                            forward_ratio=float(gamma)), pop) for gamma in ratios)
+            pwm = _estimates(lam, [float(gamma) for gamma in gammas], dnrs, pop)
+        for j, row in enumerate(biasing):
+            rows.append(row)
+            rows.extend(ratio_rows[j] for ratio_rows in pwm)
     return rows
 
 

@@ -1,6 +1,7 @@
 """Tests for the binary population cache and its CSV export."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ class TestBinaryRoundTrip:
         path = tmp_path / "pop.bin"
         v.save_population(path, small_pop)
         raw = path.read_bytes()
-        body = np.frombuffer(raw[52:], dtype="<f8").reshape(-1, 2)
+        body = np.frombuffer(raw[84:], dtype="<f8").reshape(-1, 2)
         assert_array_equal(body[:, 0], small_pop.upapr)
         assert_array_equal(body[:, 1], small_pop.lpapr)
 
@@ -121,3 +122,55 @@ class TestPopulationCsv:
         assert len(rows) == len(small_pop) + 1
         assert float(rows[1][1]) == small_pop.upapr[0]
         assert float(rows[-1][2]) == small_pop.lpapr[-1]
+
+
+class TestFormatVersion2:
+    V1_HEADER = struct.Struct("<8sIII16sQQ")
+
+    def build(self, tmp_path, notes):
+        return v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
+                               oversample_factor=2, notice=notes.append)
+
+    def test_header_records_the_numpy_version(self, tmp_path, small_pop):
+        path = tmp_path / "pop.bin"
+        v.save_population(path, small_pop)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, 8)[0] == 2
+        assert raw[52:84].rstrip(b"\x00").decode("ascii") == np.__version__
+
+    def test_version_1_file_is_rebuilt_with_a_notice(self, tmp_path):
+        pop = v.sample_papr_population(16, v.Constellation.QPSK, 20, seed=5,
+                                       oversample_factor=2)
+        path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        records = np.column_stack([pop.upapr, pop.lpapr]).astype("<f8").tobytes()
+        path.write_bytes(self.V1_HEADER.pack(b"VLCPAPR1", 1, 16, 2, b"qpsk", 5, 20) + records)
+        notes = []
+        rebuilt, cached = self.build(tmp_path, notes)
+        assert not cached
+        assert len(notes) == 1 and "version 1" in notes[0] and str(path) in notes[0]
+        assert_array_equal(rebuilt.upapr, pop.upapr)
+        assert struct.unpack_from("<I", path.read_bytes(), 8)[0] == 2
+
+    def test_other_numpy_version_is_rebuilt_with_a_notice(self, tmp_path):
+        notes = []
+        pop, _ = self.build(tmp_path, notes)
+        path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
+        raw = bytearray(path.read_bytes())
+        raw[52:84] = b"1.26.4".ljust(32, b"\x00")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="NumPy 1.26.4"):
+            v.load_population(path)
+        rebuilt, cached = self.build(tmp_path, notes)
+        assert not cached
+        assert len(notes) == 1
+        assert "1.26.4" in notes[0] and np.__version__ in notes[0]
+        assert_array_equal(rebuilt.lpapr, pop.lpapr)
+        assert path.read_bytes()[52:84].rstrip(b"\x00").decode("ascii") == np.__version__
+        assert self.build(tmp_path, notes)[1] and len(notes) == 1  # a hit says nothing
+
+    def test_load_population_rejects_version_1(self, tmp_path):
+        path = tmp_path / "old.bin"
+        path.write_bytes(self.V1_HEADER.pack(b"VLCPAPR1", 1, 16, 2, b"qpsk", 5, 0))
+        with pytest.raises(ValueError, match="version 1"):
+            v.load_population(path)

@@ -96,8 +96,34 @@ class TestExitCodes:
                    "--out", blocker / "out") == 4
         assert "I/O error" in capsys.readouterr().err
 
+    def test_out_of_memory_is_exit_5(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 TiB")
+
+        monkeypatch.setattr(v.cache, "sample_papr_population", exhausted)
+        assert run("papr-sample", "--n", 16, "--symbols", 5, "--out", tmp_path / "out") == 5
+        err = capsys.readouterr().err
+        assert "out of memory" in err and "symbol_count" in err and "gamma_step" in err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if line.startswith("vlcsim:")]) == 1
+
 
 class TestPaprSample:
+    def test_cache_from_another_numpy_is_rebuilt_with_a_notice(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert run("papr-sample", "--config", cfg, "--out", out) == 0
+        first = (out / "papr_population.csv").read_bytes()
+        [cache_file] = (tmp_path / "shared_cache").iterdir()
+        raw = bytearray(cache_file.read_bytes())
+        raw[52:84] = b"1.26.4".ljust(32, b"\x00")
+        cache_file.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run("papr-sample", "--config", cfg, "--out", out) == 0
+        err = capsys.readouterr().err
+        assert "[vlcsim] discarding" in err and "NumPy 1.26.4" in err and "cache miss" in err
+        assert (out / "papr_population.csv").read_bytes() == first
+
     def test_writes_csv_cache_and_manifest(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"

@@ -213,3 +213,54 @@ class TestWaveformCsv:
         assert len(rows) == len(wave) + 1
         assert float(rows[1][1]) == wave[0]
         assert float(rows[1][2]) == v.optical_output(wave[0], LED)
+
+
+def concatenated_waveform(symbols, spec, led):
+    """Reference assembly: scale each symbol into its own block, then concatenate."""
+    lam_eff, mirrored = v.effective_brightness(spec.brightness)
+    ratio = lam_eff if spec.scheme is v.Scheme.BIASING_ADJUSTMENT else spec.forward_ratio
+    d = v.duty_cycle(lam_eff, ratio)
+    bias = led.i_low + ratio * led.dynamic_range
+    blocks = []
+    for sym in symbols:
+        alpha = v.compute_alpha(float(np.max(sym.samples)), float(np.min(sym.samples)),
+                                bias, led, sym.sigma_x2).alpha
+        on = alpha * sym.samples + bias
+        blocks.append(on)
+        off_count = int(round(len(on) * (1.0 - d) / d))
+        if off_count:
+            blocks.append(np.zeros(off_count))
+    wave = np.concatenate(blocks)
+    if mirrored:
+        wave = (led.i_high + led.i_low) - wave
+    slack = 1e-9 * led.dynamic_range
+    wave = np.where((wave > led.i_low - slack) & (wave < led.i_low), led.i_low, wave)
+    return np.where((wave < led.i_high + slack) & (wave > led.i_high), led.i_high, wave)
+
+
+class TestInPlaceAssembly:
+    @pytest.mark.parametrize("led", [LED, v.LedModel(0.2, 1.5, 2.0)], ids=["unit", "i_low"])
+    @pytest.mark.parametrize("brightness, gamma", [(0.25, None), (0.25, 0.4), (0.1, 0.1),
+                                                   (0.7, None), (0.5, None), (0.3, 0.45)])
+    def test_matches_concatenated_blocks_bit_for_bit(self, led, brightness, gamma):
+        symbols = make_symbols(12, n=16, oversample=2, seed=5)
+        scheme = v.Scheme.BIASING_ADJUSTMENT if gamma is None else v.Scheme.PWM
+        spec = v.DimmingSpec(brightness=brightness, scheme=scheme, dnr=1.0, forward_ratio=gamma)
+        wave = v.assemble_waveform(symbols, spec, led)
+        expected = concatenated_waveform(symbols, spec, led)
+        assert wave.dtype == expected.dtype and wave.tobytes() == expected.tobytes()
+
+    def test_mirrored_pwm_matches_concatenated_blocks(self):
+        symbols = make_symbols(12, n=16, oversample=2, seed=6)
+        spec = v.DimmingSpec(brightness=0.7, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.4)
+        wave = v.assemble_waveform(symbols, spec, LED)
+        assert wave.tobytes() == concatenated_waveform(symbols, spec, LED).tobytes()
+        assert np.any(wave == LED.i_high)  # the mirrored off intervals
+
+    def test_leaves_symbols_unchanged(self):
+        symbols = make_symbols(3, n=16, oversample=2, seed=7)
+        before = [sym.samples.copy() for sym in symbols]
+        v.assemble_waveform(symbols, v.DimmingSpec(brightness=0.8, scheme=v.Scheme.PWM,
+                                                   dnr=1.0, forward_ratio=0.3), LED)
+        for sym, samples in zip(symbols, before):
+            assert sym.samples.tobytes() == samples.tobytes()

@@ -206,3 +206,24 @@ class TestOpticalOutput:
                 v.optical_output(current, led)
         with pytest.raises(CurrentRangeError):
             v.optical_output(np.array([0.5, 1.1]), led)
+
+
+class TestOpticalOutputArray:
+    @pytest.mark.parametrize("led", [v.LedModel(), v.LedModel(0.2, 1.5, 3.0),
+                                     v.LedModel(0.0, 0.7, 0.3)])
+    def test_matches_the_closed_form_bit_for_bit(self, led):
+        currents = np.random.default_rng(4).uniform(led.i_low, led.i_high, 500)
+        currents[::7] = 0.0
+        currents[1] = led.i_low
+        currents[2] = led.i_high
+        expected = np.where(currents == 0.0, 0.0,
+                            led.o_high * (currents - led.i_low) / led.dynamic_range)
+        assert v.optical_output(currents, led).tobytes() == expected.tobytes()
+
+    def test_leaves_its_input_unchanged(self):
+        led = v.LedModel(0.2, 1.5, 3.0)
+        currents = np.array([0.0, 0.2, 0.9, 1.5, 0.0, 1.1])
+        before = currents.copy()
+        out = v.optical_output(currents, led)
+        assert currents.tobytes() == before.tobytes()
+        assert out is not currents

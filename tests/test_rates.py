@@ -1,6 +1,7 @@
 """Tests for ergodic-rate estimation, forward-ratio search, and variance profiles."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -247,3 +248,49 @@ class TestCsvWriters:
             write(tmp_path / "list.csv", table, *extra)
             write(tmp_path / "gen.csv", (item for item in table), *extra)
             assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
+class TestSweepRatesGrid:
+    LAMBDAS = [0.1, 0.3, 0.7]
+    DNRS_DB = [0.0, 7.5, 20.0, 45.0]
+    GAMMAS = [0.35, 0.4, 0.45]
+
+    def count_variance_factor_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return v.led.variance_factor(*args)
+
+        monkeypatch.setattr(v.rates, "variance_factor", counted)
+        return calls
+
+    def test_one_variance_factor_row_per_brightness_and_ratio(self, pop64, monkeypatch):
+        calls = self.count_variance_factor_calls(monkeypatch)
+        rows = v.sweep_rates(self.LAMBDAS, self.DNRS_DB, self.GAMMAS, pop64)
+        lam, dnr, gam = len(self.LAMBDAS), len(self.DNRS_DB), len(self.GAMMAS)
+        assert len(rows) == lam * dnr * (1 + gam)
+        assert len(calls) == lam * (1 + gam)
+
+    @pytest.mark.parametrize("gammas", [GAMMAS, v.AUTO])
+    def test_rows_equal_per_row_estimates_bit_for_bit(self, pop64, gammas):
+        rows = v.sweep_rates(self.LAMBDAS, self.DNRS_DB, gammas, pop64, gamma_step=0.05)
+        expected = []
+        for lam in self.LAMBDAS:
+            for dnr_db in self.DNRS_DB:
+                dnr = float(10.0 ** (dnr_db / 10.0))
+                expected.append(v.estimate_rate(biasing_spec(lam, dnr), pop64))
+                ratios = gammas if gammas != v.AUTO else [
+                    v.optimize_gamma(v.effective_brightness(lam)[0], dnr, pop64, 0.05).gamma_star]
+                expected.extend(v.estimate_rate(pwm_spec(lam, gamma, dnr), pop64)
+                                for gamma in ratios)
+        assert [repr(dataclasses.astuple(row)) for row in rows] == \
+               [repr(dataclasses.astuple(row)) for row in expected]
+
+    def test_no_ratios_leaves_the_biasing_rows(self, pop64):
+        rows = v.sweep_rates([0.2], [0.0, 10.0], [], pop64)
+        assert [row.scheme for row in rows] == [v.Scheme.BIASING_ADJUSTMENT] * 2
+
+    def test_infeasible_ratio_is_rejected(self, pop64):
+        with pytest.raises(v.DutyCycleError):
+            v.sweep_rates([0.3], [10.0], [0.2], pop64)
