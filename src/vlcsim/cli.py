@@ -23,7 +23,8 @@ from .cache import (load_or_build, population_cache_path, resolve_cache_dir,
                     write_population_csv)
 from .config import ExperimentConfig, load_config, parse_config
 from .csvio import write_rows
-from .dimming import DimmingSpec, Scheme, assemble_waveform, write_waveform_csv
+from .dimming import (DimmingSpec, Scheme, assemble_waveform, duty_cycle, effective_brightness,
+                      write_waveform_csv)
 from .errors import ConfigError, VlcsimError
 from .led import LedModel, compute_alpha, variance_closed_form, variance_factor
 from .ofdm import (Constellation, generate_freq_symbol, papr_of,
@@ -103,11 +104,9 @@ def _write_manifest(cfg: ExperimentConfig, subcommand: str):
 
 def _population(cfg: ExperimentConfig, n_subcarriers: int):
     cache_dir = resolve_cache_dir(cfg.output_dir)
-    path = population_cache_path(cache_dir, n_subcarriers, cfg.constellation,
-                                 cfg.symbol_count, cfg.seed, cfg.oversample_factor)
-    pop, cached = load_or_build(cache_dir, n_subcarriers, cfg.constellation,
-                                cfg.symbol_count, cfg.seed, cfg.oversample_factor,
-                                notice=_notice)
+    key = (n_subcarriers, cfg.constellation, cfg.symbol_count, cfg.seed, cfg.oversample_factor)
+    path = population_cache_path(cache_dir, *key)
+    pop, cached = load_or_build(cache_dir, *key, notice=_notice)
     if cached:
         _notice(f"using cached population {path}")
     else:
@@ -153,6 +152,10 @@ def _cmd_rate_sweep(cfg: ExperimentConfig) -> int:
     cfg.check_rate_table_budget()
     if cfg.gammas == AUTO:
         cfg.check_search_budget()
+    else:  # an unreachable brightness fails before the population is built
+        for lam in cfg.lambdas:
+            for gamma in cfg.gammas:
+                duty_cycle(effective_brightness(lam)[0], gamma)
     pop = _population(cfg, cfg.n_subcarriers)
     rows = sweep_rates(cfg.lambdas, cfg.dnr_db_grid(), cfg.gammas, pop, cfg.gamma_step)
     csv_path = Path(cfg.output_dir) / "rates.csv"
@@ -172,8 +175,8 @@ def _cmd_optimize_gamma(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_waveform_demo(cfg: ExperimentConfig) -> int:
-    if isinstance(cfg.gammas, str):
-        raise ConfigError("gammas", "waveform-demo needs an explicit forward ratio, not 'auto'")
+    if isinstance(cfg.gammas, str) or not cfg.gammas:
+        raise ConfigError("gammas", f"waveform-demo needs a forward ratio, got {cfg.gammas!r}")
     lam = cfg.lambdas[0]
     led = cfg.led()
     # waveforms are noise-free; any valid DNR budget works

@@ -15,7 +15,7 @@ from .dimming import effective_brightness
 from .errors import ConfigError
 from .led import LedModel
 from .ofdm import Constellation
-from .rates import AUTO
+from .rates import AUTO, gamma_grid_points, zeta_grid_half
 
 #: most points a run's grids may have, checked before any of them is built:
 #: the DNR grid and the variance profile's (subcarrier count, biasing ratio)
@@ -126,7 +126,7 @@ class ExperimentConfig:
                 raise ConfigError("dnr_db_stop", f"the DNR grid reaches {last_db!r} dB, "
                                                  "whose linear DNR overflows a double")
         # rates.zeta_grid's points, once per subcarrier count
-        zeta_points = 2 * np.floor(0.5 / self.zeta_step + 1e-9)
+        zeta_points = 2 * zeta_grid_half(self.zeta_step)
         _check_budget("zeta_step", zeta_points * len(self.subcarrier_counts()),
                       "(subcarrier count, biasing ratio) rows in the variance profile")
 
@@ -147,11 +147,11 @@ class ExperimentConfig:
         For the runs that search (optimize-gamma, rate-sweep with gammas auto):
         the (brightness, ratio, DNR) cells, counted as rates.gamma_grid does.
         """
-        cells = self._dnr_points() * sum(
-            np.floor((0.5 - effective_brightness(lam)[0]) / self.gamma_step + 1e-9) + 1
-            for lam in self.lambdas)
-        _check_budget("gamma_step", cells, "(brightness, ratio, DNR) cells in the forward-ratio "
-                                           "search", "raise gamma_step or dnr_db_step")
+        ratios = sum(gamma_grid_points(effective_brightness(lam)[0], self.gamma_step)
+                     for lam in self.lambdas)
+        _check_budget("gamma_step", self._dnr_points() * ratios,
+                      "(brightness, ratio, DNR) cells in the forward-ratio search",
+                      "raise gamma_step or dnr_db_step")
 
     def led(self) -> LedModel:
         return LedModel(i_low=self.i_low, i_high=self.i_high, o_high=self.o_high)

@@ -114,28 +114,24 @@ def _snap_to_range(wave: np.ndarray, led: LedModel):
 def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
     """Concatenate maximally scaled symbols into the LED drive waveform.
 
-    Biasing adjustment biases every symbol at i_low + brightness * range.
-    PWM biases at the forward-ratio level and appends zero-current gaps of
-    round(n_samples * (1-d)/d) samples per symbol. Mirroring for brightness
-    above 0.5 is applied to the finished waveform.
+    PWM biases every symbol at i_low + gamma * range and appends zero-current
+    gaps of round(n_samples * (1-d)/d) samples per symbol, d = brightness/gamma.
+    Biasing adjustment is PWM at gamma = brightness, d = 1: no gaps.
+    Mirroring for brightness above 0.5 is applied to the finished waveform.
     """
     symbols = list(symbols)
     if not symbols:
         raise ValueError("no symbols to assemble")
     lam_eff, mirrored = effective_brightness(spec.brightness)
-    if spec.scheme is Scheme.BIASING_ADJUSTMENT:
-        bias = led.i_low + lam_eff * led.dynamic_range
-        gaps = [0] * len(symbols)
-    else:
-        gamma = spec.forward_ratio
-        if mirrored and led.i_low != 0.0:
-            # the mirrored off state sits at i_high + i_low, above the range
-            raise CurrentRangeError(
-                "mirrored PWM requires i_low == 0; the off interval cannot be mirrored "
-                f"into [{led.i_low}, {led.i_high}]")
-        d = duty_cycle(lam_eff, gamma)
-        bias = led.i_low + gamma * led.dynamic_range
-        gaps = [int(round(len(sym.samples) * (1.0 - d) / d)) for sym in symbols]
+    gamma = lam_eff if spec.scheme is Scheme.BIASING_ADJUSTMENT else spec.forward_ratio
+    if spec.scheme is Scheme.PWM and mirrored and led.i_low != 0.0:
+        # the mirrored off state sits at i_high + i_low, above the range
+        raise CurrentRangeError(
+            "mirrored PWM requires i_low == 0; the off interval cannot be mirrored "
+            f"into [{led.i_low}, {led.i_high}]")
+    d = duty_cycle(lam_eff, gamma)
+    bias = led.i_low + gamma * led.dynamic_range
+    gaps = [int(round(len(sym.samples) * (1.0 - d) / d)) for sym in symbols]
     # the zeros left between the symbols are the PWM off intervals
     wave = np.zeros(sum(len(sym.samples) for sym in symbols) + sum(gaps))
     start = 0

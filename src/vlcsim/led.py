@@ -58,10 +58,7 @@ class ScalingDecision:
 
 
 def _as_zeta(zeta) -> float:
-    z = zeta.zeta if isinstance(zeta, BiasingRatio) else float(zeta)
-    if not 0.0 < z < 1.0:
-        raise ValueError(f"biasing ratio must be in (0, 1), got {z}")
-    return z
+    return (zeta if isinstance(zeta, BiasingRatio) else BiasingRatio(float(zeta))).zeta
 
 
 def compute_alpha(max_x: float, min_x: float, bias: float, led: LedModel,

@@ -45,6 +45,14 @@ _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
 _QAM16_POINTS = (_QAM16_LEVELS[None, :] + 1j * _QAM16_LEVELS[:, None]).ravel() / np.sqrt(10.0)
 
 
+def _check_sizes(n_subcarriers: int | None = None, oversample_factor: int = 1):
+    """Raise ValueError unless oversample_factor >= 1 and n_subcarriers is even and >= 4."""
+    if oversample_factor < 1:
+        raise ValueError(f"oversample_factor must be >= 1, got {oversample_factor}")
+    if n_subcarriers is not None and (n_subcarriers % 2 != 0 or n_subcarriers < 4):
+        raise ValueError(f"n_subcarriers must be even and >= 4, got {n_subcarriers}")
+
+
 class Constellation(str, Enum):
     """Unit-average-power constellations for the data-carrying bins."""
 
@@ -61,8 +69,7 @@ class FreqSymbol:
     bins: np.ndarray
 
     def __post_init__(self):
-        if self.n_subcarriers % 2 != 0 or self.n_subcarriers < 4:
-            raise ValueError(f"n_subcarriers must be even and >= 4, got {self.n_subcarriers}")
+        _check_sizes(self.n_subcarriers)
         bins = np.asarray(self.bins, dtype=np.complex128)
         if bins.shape != (self.n_subcarriers,):
             raise ValueError(f"expected {self.n_subcarriers} bins, got shape {bins.shape}")
@@ -254,8 +261,7 @@ def generate_freq_symbol(n_subcarriers: int, constellation: Constellation,
     Bins 1..N/2-1 are i.i.d. unit-average-power constellation points; the
     upper half is their conjugate mirror; DC and Nyquist bins stay zero.
     """
-    if n_subcarriers % 2 != 0 or n_subcarriers < 4:
-        raise ValueError(f"n_subcarriers must be even and >= 4, got {n_subcarriers}")
+    _check_sizes(n_subcarriers)
     half = n_subcarriers // 2
     data = _draw_constellation(constellation, half - 1, rng)
     bins = np.zeros(n_subcarriers, dtype=np.complex128)
@@ -271,8 +277,7 @@ def to_time_domain(sym: FreqSymbol, oversample_factor: int = 4) -> TimeSymbol:
     points t = n T / (N F), implemented as a zero-padded inverse DFT scaled
     so the samples agree with direct evaluation of the sum.
     """
-    if oversample_factor < 1:
-        raise ValueError(f"oversample_factor must be >= 1, got {oversample_factor}")
+    _check_sizes(oversample_factor=oversample_factor)
     sym.validate()
     n = sym.n_subcarriers
     half = n // 2
@@ -313,10 +318,7 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if oversample_factor < 1:
-        raise ValueError(f"oversample_factor must be >= 1, got {oversample_factor}")
-    if n_subcarriers % 2 != 0 or n_subcarriers < 4:
-        raise ValueError(f"n_subcarriers must be even and >= 4, got {n_subcarriers}")
+    _check_sizes(n_subcarriers, oversample_factor)
     half = n_subcarriers // 2
     m = n_subcarriers * oversample_factor
     rows = max(1, _BLOCK_BYTES // (16 * m))

@@ -56,20 +56,19 @@ def _db(linear: float) -> float:
         return float(10.0 * np.log10(linear))
 
 
-def _rate_grid(lambda_effective: float, gammas, dnrs, pop: PaprPopulation,
+def _rate_grid(lambda_effective: float, ratios, dnrs, pop: PaprPopulation,
                with_snr: bool = False):
     """Rates (ratios x DNRs) at one effective brightness, plus mean SNRs if with_snr.
 
-    gammas None is biasing adjustment: one row at ratio lambda_effective,
-    duty 1. Otherwise row k is PWM at ratio gammas[k], duty lambda/gammas[k].
-    Each variance-factor row is computed once and reused for every DNR.
+    Row k is PWM at forward ratio ratios[k], duty lambda/ratios[k]; at ratio
+    lambda the duty is exactly 1, which is biasing adjustment. Each
+    variance-factor row is computed once and reused for every DNR.
     """
     if len(pop) == 0:
         raise ValueError("population is empty")
-    ratios = [lambda_effective] if gammas is None else [float(g) for g in gammas]
     rates, snrs = np.empty((2, len(ratios), len(dnrs)))
-    for k, ratio in enumerate(ratios):
-        duty = 1.0 if gammas is None else duty_cycle(lambda_effective, ratio)
+    for k, ratio in enumerate(map(float, ratios)):
+        duty = duty_cycle(lambda_effective, ratio)
         factor = variance_factor(ratio, pop.upapr, pop.lpapr)
         for j, dnr in enumerate(dnrs):
             snr = dnr * factor
@@ -94,31 +93,34 @@ def _linear(dnrs_db) -> list[float]:
 
 
 def _estimates(brightness: float, gammas, dnrs, pop: PaprPopulation) -> list[list[RateEstimate]]:
-    """Estimates per (ratio, DNR) from one rate grid: biasing if gammas is None, else PWM."""
+    """Estimates per (gamma, DNR) from one rate grid; gamma None is biasing, PWM at duty 1."""
     lam_eff, _ = effective_brightness(brightness)
-    rates, snrs = _rate_grid(lam_eff, gammas, dnrs, pop, with_snr=True)
-    scheme = Scheme.BIASING_ADJUSTMENT if gammas is None else Scheme.PWM
+    rates, snrs = _rate_grid(lam_eff, [lam_eff if g is None else g for g in gammas], dnrs, pop,
+                             with_snr=True)
     return [[RateEstimate(rate=float(rates[k, j]),
                           avg_snr_db=_db(float(snrs[k, j])),
                           n_samples=len(pop),
-                          scheme=scheme,
+                          scheme=Scheme.BIASING_ADJUSTMENT if gamma is None else Scheme.PWM,
                           brightness=brightness,
-                          gamma=None if gammas is None else gammas[k],
+                          gamma=gamma,
                           dnr_db=_db(dnr))
              for j, dnr in enumerate(dnrs)]
-            for k in range(len(rates))]
+            for k, gamma in enumerate(gammas)]
 
 
 def estimate_rate(spec: DimmingSpec, pop: PaprPopulation) -> RateEstimate:
-    """Monte Carlo ergodic rate in bits per channel use.
+    """Monte Carlo ergodic rate (1/2) d E[log2(1 + SNR)] in bits per channel use.
 
-    Biasing adjustment averages (1/2) log2(1 + SNR) at the brightness ratio.
-    PWM evaluates the SNR at the forward ratio and pays the duty-cycle factor
-    brightness/gamma for the silent intervals. The factor 1/2 accounts for
+    The SNR is taken at the forward ratio gamma and d = brightness/gamma is the
+    PWM duty cycle; biasing adjustment is gamma = brightness, d = 1. The 1/2 is
     the Hermitian-symmetry overhead of real-valued OFDM.
     """
-    gammas = None if spec.scheme is Scheme.BIASING_ADJUSTMENT else [spec.forward_ratio]
-    return _estimates(spec.brightness, gammas, [spec.dnr], pop)[0][0]
+    return _estimates(spec.brightness, [spec.forward_ratio], [spec.dnr], pop)[0][0]
+
+
+def gamma_grid_points(lambda_effective: float, grid_step: float) -> float:
+    """gamma_grid's point count as a float, so an overflowing count reads as inf."""
+    return np.floor((0.5 - lambda_effective) / grid_step + 1e-9) + 1
 
 
 def gamma_grid(lambda_effective: float, grid_step: float) -> np.ndarray:
@@ -130,9 +132,8 @@ def gamma_grid(lambda_effective: float, grid_step: float) -> np.ndarray:
     """
     if not grid_step > 0.0:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
-    count = int(np.floor((0.5 - lambda_effective) / grid_step + 1e-9)) + 1
-    grid = lambda_effective + grid_step * np.arange(count)
-    return np.minimum(grid, 0.5)
+    count = int(gamma_grid_points(lambda_effective, grid_step))
+    return np.minimum(lambda_effective + grid_step * np.arange(count), 0.5)
 
 
 def _search(lambda_effective: float, dnrs, pop: PaprPopulation,
@@ -172,16 +173,19 @@ def sweep_gamma_search(lambdas, dnrs_db, pop: PaprPopulation, gamma_step: float 
     return cells
 
 
+def zeta_grid_half(grid_step: float) -> float:
+    """zeta_grid's points up to 0.5 as a float, so an overflowing count reads as inf."""
+    return np.floor(0.5 / grid_step + 1e-9)
+
+
 def zeta_grid(grid_step: float) -> np.ndarray:
     """Biasing-ratio grid built as exact floating-point mirror pairs."""
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid_step must be in (0, 0.5], got {grid_step}")
-    half = int(np.floor(0.5 / grid_step + 1e-9))
-    lower = grid_step * np.arange(1, half + 1)
+    lower = grid_step * np.arange(1, int(zeta_grid_half(grid_step)) + 1)
     mirrored = (1.0 - lower)[::-1]
-    if lower[-1] == mirrored[0]:
-        return np.concatenate([lower, mirrored[1:]])
-    return np.concatenate([lower, mirrored])
+    # at a step dividing 0.5, 0.5 is its own mirror and appears once
+    return np.concatenate([lower, mirrored[1:] if lower[-1] == mirrored[0] else mirrored])
 
 
 def variance_profile(pop: PaprPopulation, grid_step: float = 0.01) -> VarianceProfile:
@@ -207,9 +211,9 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
 
     gammas is a sequence of forward ratios or AUTO, in which case each
     (brightness, DNR) cell gets its own optimized ratio, searched once per
-    brightness. The biasing rows and the explicit-ratio PWM rows of one
-    brightness each come from one rate grid over all DNRs. Row order:
-    brightness outermost, then DNR, then schemes.
+    brightness. With explicit ratios, a brightness's biasing and PWM rows
+    come from one rate grid over all DNRs. Row order: brightness outermost,
+    then DNR, then schemes.
     """
     if not len(lambdas) or not len(dnrs_db):
         raise ValueError("lambdas and dnrs_db must be non-empty")
@@ -218,18 +222,15 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
     dnrs = _linear(dnrs_db)
     rows: list[RateEstimate] = []
     for lam in lambdas:
-        biasing = _estimates(lam, None, dnrs, pop)[0]
-        # pwm[k][j]: the PWM row of ratio k in DNR column j
+        # cells[j]: the rows of DNR column j, biasing first
         if isinstance(gammas, str):
+            biasing = _estimates(lam, [None], dnrs, pop)[0]
             searches = _search(effective_brightness(lam)[0], dnrs, pop, gamma_step)
-            pwm = [[estimate_rate(DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=dnr,
-                                              forward_ratio=search.gamma_star), pop)
-                    for dnr, search in zip(dnrs, searches)]]
+            cells = [[row, _estimates(lam, [search.gamma_star], [dnr], pop)[0][0]]
+                     for row, dnr, search in zip(biasing, dnrs, searches)]
         else:
-            pwm = _estimates(lam, [float(gamma) for gamma in gammas], dnrs, pop)
-        for j, row in enumerate(biasing):
-            rows.append(row)
-            rows.extend(ratio_rows[j] for ratio_rows in pwm)
+            cells = zip(*_estimates(lam, [None, *map(float, gammas)], dnrs, pop))
+        rows.extend(row for cell in cells for row in cell)
     return rows
 
 

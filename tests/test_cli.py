@@ -83,6 +83,25 @@ class TestExitCodes:
                    "--lambda", "0.25", "--gamma", "auto", "--out", tmp_path / "out") == 2
         assert "gammas" in capsys.readouterr().err
 
+    def test_waveform_demo_rejects_an_empty_ratio_list(self, tmp_path, capsys):
+        assert run("waveform-demo", "--gamma", ",", "--symbols", 5,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "config error: gammas" in err
+        assert "Traceback" not in err
+
+    def test_unreachable_ratio_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the population was sampled")
+
+        monkeypatch.setattr(v.cache, "sample_papr_population", refuse)
+        assert run("rate-sweep", "--lambda", "0.1,0.3", "--gamma", "0.3,0.2",
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "forward ratio 0.2 < effective brightness 0.3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "shared_cache").exists()
+
     def test_seed_beyond_u64_is_a_config_error(self, tmp_path, capsys):
         assert run("papr-sample", "--n", 16, "--symbols", 5, "--seed", 2 ** 64,
                    "--out", tmp_path / "out") == 2

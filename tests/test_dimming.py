@@ -184,6 +184,15 @@ class TestAssembleWaveform:
             symbols, v.DimmingSpec(brightness=0.7, scheme=v.Scheme.BIASING_ADJUSTMENT, dnr=1.0),
             led)
 
+    def test_mirrored_pwm_at_duty_one_still_needs_grounded_range(self):
+        """PWM at gamma = lambda_eff equals biasing, but keeps PWM's off-state rule."""
+        symbols = make_symbols(2)
+        led = v.LedModel(0.1, 1.0, 1.0)
+        spec = v.DimmingSpec(brightness=0.7, scheme=v.Scheme.PWM, dnr=1.0,
+                             forward_ratio=v.effective_brightness(0.7)[0])
+        with pytest.raises(CurrentRangeError):
+            v.assemble_waveform(symbols, spec, led)
+
     def test_on_samples_in_range_off_samples_zero(self):
         symbols = make_symbols(10, seed=9)
         spec = v.DimmingSpec(brightness=0.1, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.3)

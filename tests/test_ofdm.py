@@ -295,3 +295,35 @@ class TestBatchedSeeding:
         assert seed_seq.generate_state(4, np.uint64) is state
         with pytest.raises(ValueError):
             seed_seq.generate_state(8, np.uint32)
+
+
+class TestSizeChecks:
+    """Every entry point rejects a bad N or F with the same type and message."""
+
+    N_MESSAGE = "n_subcarriers must be even and >= 4, got {}"
+    F_MESSAGE = "oversample_factor must be >= 1, got {}"
+
+    @pytest.mark.parametrize("n", [2, 5, -4])
+    def test_subcarrier_count(self, n):
+        rng = v.symbol_rng(1, 0)
+        calls = [lambda: v.FreqSymbol(n, np.zeros(max(n, 0), dtype=complex)),
+                 lambda: v.generate_freq_symbol(n, v.Constellation.QPSK, rng),
+                 lambda: v.sample_papr_population(n, v.Constellation.QPSK, 3, seed=1)]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == self.N_MESSAGE.format(n)
+
+    @pytest.mark.parametrize("factor", [0, -1])
+    def test_oversample_factor(self, factor):
+        sym = v.FreqSymbol(4, [0, 1 + 1j, 0, 1 - 1j])
+        for call in (lambda: v.to_time_domain(sym, factor),
+                     lambda: v.sample_papr_population(64, v.Constellation.QPSK, 3, seed=1,
+                                                      oversample_factor=factor)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == self.F_MESSAGE.format(factor)
+
+    def test_sampler_checks_the_factor_before_the_count_of_subcarriers(self):
+        with pytest.raises(ValueError, match="oversample_factor"):
+            v.sample_papr_population(5, v.Constellation.QPSK, 3, seed=1, oversample_factor=0)

@@ -294,3 +294,55 @@ class TestSweepRatesGrid:
     def test_infeasible_ratio_is_rejected(self, pop64):
         with pytest.raises(v.DutyCycleError):
             v.sweep_rates([0.3], [10.0], [0.2], pop64)
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestBiasingIsPwmAtDutyOne:
+    """Biasing adjustment is PWM at forward ratio lambda_eff, duty cycle exactly 1."""
+
+    @pytest.mark.parametrize("lam", [0.05, 0.2, 0.35, 0.5, 0.65, 0.95])
+    @pytest.mark.parametrize("dnr", [0.0, 1.0, 10.0 ** 2.35, 1e6])
+    def test_estimate_rate_bit_for_bit(self, pop64, lam, dnr):
+        biasing = v.estimate_rate(biasing_spec(lam, dnr), pop64)
+        pwm = v.estimate_rate(pwm_spec(lam, v.effective_brightness(lam)[0], dnr), pop64)
+        assert bits(biasing.rate) == bits(pwm.rate)
+        assert bits(biasing.avg_snr_db) == bits(pwm.avg_snr_db)
+        assert (biasing.scheme, biasing.gamma) == (v.Scheme.BIASING_ADJUSTMENT, None)
+        assert pwm.scheme is v.Scheme.PWM
+
+    def test_auto_sweep_counts_variance_factor_rows(self, pop64, monkeypatch):
+        """Per brightness: the search grid, one biasing row, one PWM row per DNR."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return v.led.variance_factor(*args)
+
+        monkeypatch.setattr(v.rates, "variance_factor", counted)
+        lambdas, dnrs_db, step = [0.1, 0.3, 0.7, 0.5], [0.0, 7.5, 20.0], 0.05
+        rows = v.sweep_rates(lambdas, dnrs_db, v.AUTO, pop64, gamma_step=step)
+        assert len(rows) == 2 * len(lambdas) * len(dnrs_db)
+        assert len(calls) == sum(len(v.gamma_grid(v.effective_brightness(lam)[0], step))
+                                 + 1 + len(dnrs_db) for lam in lambdas)
+
+
+class TestGridPointCounts:
+    @pytest.mark.parametrize("lam", [0.05, 0.2, 1.0 / 7.0, 0.35, 0.5])
+    @pytest.mark.parametrize("step", [0.005, 0.01, 0.05, 0.3, 0.5, 1.0])
+    def test_gamma_points_match_the_grid(self, lam, step):
+        count = v.rates.gamma_grid_points(lam, step)
+        assert isinstance(count, float)
+        assert count == len(v.gamma_grid(lam, step))
+
+    @pytest.mark.parametrize("step", [0.5, 0.3, 0.1, 0.07, 0.01, 0.005])
+    def test_zeta_half_counts_the_lower_half(self, step):
+        half = v.rates.zeta_grid_half(step)
+        assert isinstance(half, float)
+        assert half == np.count_nonzero(v.zeta_grid(step) <= 0.5)
+
+    def test_overflowing_counts_read_as_inf(self):
+        assert v.rates.gamma_grid_points(0.1, 5e-324) == np.inf
+        assert v.rates.zeta_grid_half(5e-324) == np.inf
