@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cache import (load_or_build, population_cache_path, resolve_cache_dir,
-                    write_population_csv)
+from .cache import load_or_build, resolve_cache_dir, write_population_csv
 from .config import ExperimentConfig, load_config, parse_config
 from .csvio import write_rows
 from .dimming import (DimmingSpec, Scheme, assemble_waveform, duty_cycle, effective_brightness,
@@ -28,7 +27,7 @@ from .dimming import (DimmingSpec, Scheme, assemble_waveform, duty_cycle, effect
 from .errors import ConfigError, VlcsimError
 from .led import LedModel, compute_alpha, variance_closed_form, variance_factor
 from .ofdm import (Constellation, generate_freq_symbol, papr_of,
-                   sample_papr_population, symbol_rng, to_time_domain)
+                   sample_papr_population, symbol_rngs, to_time_domain)
 from .rates import (AUTO, sweep_gamma_search, sweep_rates, variance_profile,
                     write_gamma_search_csv, write_rates_csv)
 
@@ -103,24 +102,16 @@ def _write_manifest(cfg: ExperimentConfig, subcommand: str):
 
 
 def _population(cfg: ExperimentConfig, n_subcarriers: int):
-    cache_dir = resolve_cache_dir(cfg.output_dir)
-    key = (n_subcarriers, cfg.constellation, cfg.symbol_count, cfg.seed, cfg.oversample_factor)
-    path = population_cache_path(cache_dir, *key)
-    pop, cached = load_or_build(cache_dir, *key, notice=_notice)
-    if cached:
-        _notice(f"using cached population {path}")
-    else:
-        _notice(f"cache miss, built population of {cfg.symbol_count} symbols "
-                f"(n={n_subcarriers}) at {path}")
-    return pop
+    return load_or_build(resolve_cache_dir(cfg.output_dir), n_subcarriers, cfg.constellation,
+                         cfg.symbol_count, cfg.seed, cfg.oversample_factor,
+                         notice=_notice, status=_notice)[0]
 
 
 def _time_symbols(cfg: ExperimentConfig, count: int):
     """The seeded time-domain symbols 0..count-1 of the configuration."""
-    return [to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation,
-                                                symbol_rng(cfg.seed, i)),
+    return [to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation, rng),
                            cfg.oversample_factor)
-            for i in range(count)]
+            for rng in symbol_rngs(cfg.seed, count)]
 
 
 def _cmd_papr_sample(cfg: ExperimentConfig) -> int:
@@ -178,6 +169,10 @@ def _cmd_waveform_demo(cfg: ExperimentConfig) -> int:
     if isinstance(cfg.gammas, str) or not cfg.gammas:
         raise ConfigError("gammas", f"waveform-demo needs a forward ratio, got {cfg.gammas!r}")
     lam = cfg.lambdas[0]
+    ignored = [f"{key} {', '.join(map(str, values[1:]))}"
+               for key, values in (("lambda", cfg.lambdas), ("gamma", cfg.gammas)) if values[1:]]
+    if ignored:
+        _notice(f"waveform-demo uses the first lambda and gamma; ignoring {' and '.join(ignored)}")
     led = cfg.led()
     # waveforms are noise-free; any valid DNR budget works
     specs = [DimmingSpec(brightness=lam, scheme=Scheme.BIASING_ADJUSTMENT, dnr=1.0),

@@ -2,10 +2,13 @@
 
 Symbols are built in the frequency domain with null DC/Nyquist bins and
 Hermitian symmetry, transformed to a real oversampled time-domain signal,
-and reduced to per-symbol (UPAPR, LPAPR) pairs. Population sampling is
-seeded per symbol index so results never depend on block size; it batches
-symbols into fixed-size blocks that share one inverse FFT call, and seeds
-them in chunks with one vectorized SeedSequence pass each.
+and reduced to per-symbol (UPAPR, LPAPR) pairs. One synthesis kernel does
+the Hermitian check, the inverse FFT and the residual check for a block of
+symbols: the population sampler runs it on fixed-size blocks, and
+to_time_domain on a one-row block. Symbols are seeded per index, so results
+never depend on block size; symbol_rngs seeds them in chunks with one
+vectorized SeedSequence pass each, and symbol_rng(seed, i) is its per-index
+reference.
 """
 
 from __future__ import annotations
@@ -53,6 +56,37 @@ def _check_sizes(n_subcarriers: int | None = None, oversample_factor: int = 1):
         raise ValueError(f"n_subcarriers must be even and >= 4, got {n_subcarriers}")
 
 
+def _mirror(rows: np.ndarray, half: int):
+    """Write the conjugate mirror of columns 1..half-1 into each row's last half-1 columns."""
+    np.conjugate(rows[:, half - 1:0:-1], out=rows[:, rows.shape[1] - half + 1:])
+
+
+def _check_hermitian(rows: np.ndarray, half: int):
+    """Raise unless each row is its own _mirror with null DC (column 0) and Nyquist (column half)."""
+    if rows[:, 0].any() or rows[:, half].any():
+        raise HermitianSymmetryError("DC and Nyquist bins must be zero")
+    if not np.array_equal(rows[:, rows.shape[1] - half + 1:], np.conj(rows[:, half - 1:0:-1])):
+        raise HermitianSymmetryError("bins are not Hermitian symmetric")
+
+
+def _synthesize(blk: np.ndarray, n_subcarriers: int, sq: np.ndarray | None = None) -> np.ndarray:
+    """Turn rows of N*F zero-padded bins (0..N/2 first, N/2+1..N-1 last) into time-domain
+    symbols in place: Hermitian check, inverse DFT scaled by N*F/sqrt(N).
+
+    Returns each row's mean square; sq, if given, receives the squared real parts.
+    """
+    _check_hermitian(blk, n_subcarriers // 2)
+    np.fft.ifft(blk, axis=1, out=blk)
+    blk *= blk.shape[1] / np.sqrt(n_subcarriers)
+    var = np.square(blk.real, out=sq).mean(axis=1)
+    imag = blk.imag
+    max_imag = np.maximum(imag.max(axis=1), -imag.min(axis=1))
+    if np.any(max_imag > np.sqrt(var) * _IMAG_RESIDUAL_TOL):
+        raise HermitianSymmetryError(
+            f"imaginary residual exceeds {_IMAG_RESIDUAL_TOL:.0e} x RMS")
+    return var
+
+
 class Constellation(str, Enum):
     """Unit-average-power constellations for the data-carrying bins."""
 
@@ -78,13 +112,7 @@ class FreqSymbol:
 
     def validate(self):
         """Check null DC/Nyquist bins and Hermitian symmetry (exact)."""
-        n = self.n_subcarriers
-        if self.bins[0] != 0 or self.bins[n // 2] != 0:
-            raise HermitianSymmetryError("DC and Nyquist bins must be zero")
-        upper = self.bins[n // 2 + 1:]
-        mirror = np.conj(self.bins[1:n // 2][::-1])
-        if not np.array_equal(upper, mirror):
-            raise HermitianSymmetryError("bins are not Hermitian symmetric")
+        _check_hermitian(self.bins[None, :], self.n_subcarriers // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +260,7 @@ def _seed_state_type() -> type:
     return SeedState
 
 
-def _symbol_rngs(seed: int, count: int):
+def symbol_rngs(seed: int, count: int):
     """symbol_rng(seed, i) for i = 0..count-1, seeded _SEED_CHUNK indices at a time."""
     seed_state = _seed_state_type()
     for start in range(0, count, _SEED_CHUNK):
@@ -263,10 +291,9 @@ def generate_freq_symbol(n_subcarriers: int, constellation: Constellation,
     """
     _check_sizes(n_subcarriers)
     half = n_subcarriers // 2
-    data = _draw_constellation(constellation, half - 1, rng)
     bins = np.zeros(n_subcarriers, dtype=np.complex128)
-    bins[1:half] = data
-    bins[half + 1:] = np.conj(data[::-1])
+    bins[1:half] = _draw_constellation(constellation, half - 1, rng)
+    _mirror(bins[None, :], half)
     return FreqSymbol(n_subcarriers=n_subcarriers, bins=bins)
 
 
@@ -274,27 +301,16 @@ def to_time_domain(sym: FreqSymbol, oversample_factor: int = 4) -> TimeSymbol:
     """Synthesize the real time-domain signal on an oversampled grid.
 
     Evaluates x(t) = (1/sqrt(N)) sum_k X_k exp(j 2 pi k t / T) at the N*F
-    points t = n T / (N F), implemented as a zero-padded inverse DFT scaled
-    so the samples agree with direct evaluation of the sum.
+    points t = n T / (N F): the one-row case of the sampler's kernel.
     """
     _check_sizes(oversample_factor=oversample_factor)
-    sym.validate()
-    n = sym.n_subcarriers
-    half = n // 2
-    m = n * oversample_factor
-    padded = np.zeros(m, dtype=np.complex128)
-    padded[:half] = sym.bins[:half]
-    padded[m - half + 1:] = sym.bins[half + 1:]
-    x = np.fft.ifft(padded) * (m / np.sqrt(n))
-    rms = float(np.sqrt(np.mean(x.real ** 2)))
-    max_imag = float(np.max(np.abs(x.imag)))
-    if max_imag > rms * _IMAG_RESIDUAL_TOL:
-        raise HermitianSymmetryError(
-            f"imaginary residual {max_imag:.3e} exceeds {_IMAG_RESIDUAL_TOL:.0e} x RMS")
-    samples = np.ascontiguousarray(x.real)
-    return TimeSymbol(samples=samples,
-                      oversample_factor=oversample_factor,
-                      sigma_x2=float(np.mean(samples ** 2)))
+    half = sym.n_subcarriers // 2
+    blk = np.zeros((1, sym.n_subcarriers * oversample_factor), dtype=np.complex128)
+    blk[0, :half + 1] = sym.bins[:half + 1]  # Nyquist at column N/2, where the check looks
+    blk[0, blk.shape[1] - half + 1:] = sym.bins[half + 1:]
+    var = _synthesize(blk, sym.n_subcarriers)
+    return TimeSymbol(samples=np.ascontiguousarray(blk[0].real),
+                      oversample_factor=oversample_factor, sigma_x2=float(var[0]))
 
 
 def papr_of(sym: TimeSymbol) -> PaprSample:
@@ -324,10 +340,9 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
     rows = max(1, _BLOCK_BYTES // (16 * m))
     buf = np.empty((rows, m), dtype=np.complex128)
     sq = np.empty((rows, m))
-    scale = m / np.sqrt(n_subcarriers)
     upapr = np.empty(count)
     lpapr = np.empty(count)
-    rngs = _symbol_rngs(seed, count)
+    rngs = symbol_rngs(seed, count)
 
     for start in range(0, count, rows):
         stop = min(start + rows, count)
@@ -335,27 +350,12 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
         blk.fill(0)
         for r, rng in zip(range(stop - start), rngs):
             blk[r, 1:half] = _draw_constellation(constellation, half - 1, rng)
-        np.conjugate(blk[:, half - 1:0:-1], out=blk[:, m - half + 1:])
-        if (blk[:, 0].any() or blk[:, half].any()
-                or not np.array_equal(blk[:, m - half + 1:], np.conj(blk[:, half - 1:0:-1]))):
-            raise HermitianSymmetryError("bins are not Hermitian symmetric with null DC/Nyquist")
-
-        np.fft.ifft(blk, axis=1, out=blk)
-        blk *= scale
-        blk_sq = sq[:stop - start]
-        np.square(blk.real, out=blk_sq)
-        var = blk_sq.mean(axis=1)
-        imag = blk.imag
-        max_imag = np.maximum(imag.max(axis=1), -imag.min(axis=1))
-        if np.any(max_imag > np.sqrt(var) * _IMAG_RESIDUAL_TOL):
-            raise HermitianSymmetryError(
-                f"imaginary residual exceeds {_IMAG_RESIDUAL_TOL:.0e} x RMS")
+        _mirror(blk, half)
+        var = _synthesize(blk, n_subcarriers, sq[:stop - start])
         if not var.all():
             raise DegenerateSymbolError("all-zero symbol has no PAPR")
-        hi = blk.real.max(axis=1)
-        lo = blk.real.min(axis=1)
-        upapr[start:stop] = hi * hi / var
-        lpapr[start:stop] = lo * lo / var
+        upapr[start:stop] = np.square(blk.real.max(axis=1)) / var
+        lpapr[start:stop] = np.square(blk.real.min(axis=1)) / var
 
     if not (np.all(upapr >= 0.0) and np.all(lpapr >= 0.0)):
         raise ValueError("UPAPR and LPAPR must be non-negative")

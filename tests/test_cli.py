@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes, outputs, reproducibility."""
 
+import numpy as np
 import pytest
 
 import vlcsim as v
@@ -226,6 +227,33 @@ class TestOutputs:
         assert biasing[0] == "sample_index,current,optical"
         assert len(biasing) == 1 + 4 * 32
         assert len(pwm) > len(biasing)  # off gaps make the PWM waveform longer
+
+    def test_waveform_demo_names_the_values_it_ignores(self, tmp_path, capsys):
+        argv = ["--n", 16, "--symbols", 3, "--oversample", 2, "--lambda", "0.1,0.2",
+                "--gamma", "0.3,0.4"]
+        assert run("waveform-demo", *argv, "--out", tmp_path / "two") == 0
+        notices = [line for line in capsys.readouterr().err.splitlines() if "ignoring" in line]
+        assert notices == ["[vlcsim] waveform-demo uses the first lambda and gamma; "
+                           "ignoring lambda 0.2 and gamma 0.4"]
+        assert run("waveform-demo", *argv[:6], "--lambda", "0.1", "--gamma", "0.3",
+                   "--out", tmp_path / "one") == 0
+        assert "ignoring" not in capsys.readouterr().err
+        for name in ("waveform_biasing.csv", "waveform_pwm.csv"):
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_waveform_demo_seeds_no_symbol_one_at_a_time(self, tmp_path, monkeypatch):
+        argv = ["waveform-demo", "--n", 16, "--symbols", 600, "--oversample", 2,
+                "--lambda", "0.25", "--gamma", "0.4", "--seed", 3]
+        assert run(*argv, "--out", tmp_path / "ref") == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("waveform-demo seeded a symbol one at a time")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(v.ofdm, "symbol_rng", refuse)
+        assert run(*argv, "--out", tmp_path / "out") == 0
+        for name in ("waveform_biasing.csv", "waveform_pwm.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     def test_flag_overrides_beat_config_file(self, tmp_path):
         cfg = write_cfg(tmp_path, seed=11)

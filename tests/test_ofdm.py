@@ -128,6 +128,55 @@ class TestToTimeDomain:
         assert t.sigma_x2 == pytest.approx(float(np.mean(t.samples ** 2)), rel=1e-12)
 
 
+def _per_symbol_formula(sym, factor):
+    """The stand-alone per-symbol synthesis: zero-padded 1-D IFFT, then scale."""
+    n = sym.n_subcarriers
+    half = n // 2
+    m = n * factor
+    padded = np.zeros(m, dtype=np.complex128)
+    padded[:half] = sym.bins[:half]
+    padded[m - half + 1:] = sym.bins[half + 1:]
+    samples = np.ascontiguousarray((np.fft.ifft(padded) * (m / np.sqrt(n))).real)
+    return samples, float(np.mean(samples ** 2))
+
+
+class TestOneSynthesisKernel:
+    @pytest.mark.parametrize("n,factor", [(4, 1), (6, 3), (64, 4), (1024, 1)])
+    @pytest.mark.parametrize("constellation", list(v.Constellation))
+    def test_to_time_domain_keeps_the_per_symbol_bits(self, n, factor, constellation):
+        """The one-row kernel equals the per-symbol formula bit for bit, signed zeros too."""
+        for i in range(8):
+            sym = v.generate_freq_symbol(n, constellation, v.symbol_rng(12345, i))
+            samples, sigma_x2 = _per_symbol_formula(sym, factor)
+            t = v.to_time_domain(sym, factor)
+            assert t.samples.tobytes() == samples.tobytes()
+            assert np.float64(t.sigma_x2).tobytes() == np.float64(sigma_x2).tobytes()
+            assert type(t.sigma_x2) is float and t.samples.flags.c_contiguous
+
+    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("index", [0, 8])
+    def test_to_time_domain_rejects_a_mutated_dc_or_nyquist_bin(self, factor, index):
+        sym = v.generate_freq_symbol(16, v.Constellation.QPSK, v.symbol_rng(1, 1))
+        sym.bins[index] = 1.0  # behind the constructor's back
+        with pytest.raises(HermitianSymmetryError, match="DC and Nyquist"):
+            v.to_time_domain(sym, factor)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_symbol_rngs_follow_the_per_index_reference(self, seed):
+        count = v.ofdm._SEED_CHUNK + 2
+        for i, rng in enumerate(v.ofdm.symbol_rngs(seed, count)):
+            assert rng.integers(0, 2 ** 63, size=2).tolist() == \
+                v.symbol_rng(seed, i).integers(0, 2 ** 63, size=2).tolist()
+        assert i == count - 1
+
+    def test_sampler_message_for_a_broken_block_names_the_mirror(self, monkeypatch):
+        """A NaN data bin fails the kernel's Hermitian check, as in FreqSymbol.validate."""
+        monkeypatch.setattr(v.ofdm, "_draw_constellation",
+                            lambda constellation, size, rng: np.full(size, np.nan))
+        with pytest.raises(HermitianSymmetryError, match="not Hermitian symmetric"):
+            v.sample_papr_population(16, v.Constellation.QPSK, 3, seed=1)
+
+
 class TestPaprOf:
     def test_two_level_signal(self):
         t = v.TimeSymbol(samples=np.array([1.0, -1.0, -1.0, 1.0]), oversample_factor=1,
