@@ -104,17 +104,14 @@ def resolve_cache_dir(output_dir) -> Path:
 
 def load_or_build(cache_dir, n_subcarriers: int, constellation: Constellation,
                   count: int, seed: int, oversample_factor: int = 4,
-                  notice=None, status=None) -> tuple[PaprPopulation, bool]:
+                  notice=None) -> tuple[PaprPopulation, bool]:
     """Return (population, came_from_cache).
 
     A cache file that cannot be read, was written in another cache format or
     under another NumPy version, or whose header disagrees with the request
     is discarded and rebuilt; notice, if given, is called with one line
-    saying why. The freshly built population is written back. status, if
-    given, is called with one line naming the hit or the miss and the path.
+    saying why. The freshly built population is written back.
     """
-    notice = notice or (lambda message: None)
-    status = status or (lambda message: None)
     path = population_cache_path(cache_dir, n_subcarriers, constellation, count,
                                  seed, oversample_factor)
     if path.exists():
@@ -128,14 +125,13 @@ def load_or_build(cache_dir, n_subcarriers: int, constellation: Constellation,
                     and pop.seed == seed
                     and pop.oversample_factor == oversample_factor
                     and len(pop) == count):
-                status(f"using cached population {path}")
                 return pop, True
             reason = f"{path}: header does not match the requested population"
-        notice(f"discarding {reason}; rebuilding")
+        if notice is not None:
+            notice(f"discarding {reason}; rebuilding")
     pop = sample_papr_population(n_subcarriers, constellation, count, seed,
                                  oversample_factor)
     save_population(path, pop)
-    status(f"cache miss, built population of {count} symbols (n={n_subcarriers}) at {path}")
     return pop, False
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cache import load_or_build, resolve_cache_dir, write_population_csv
+from .cache import load_or_build, population_cache_path, resolve_cache_dir, write_population_csv
 from .config import ExperimentConfig, load_config, parse_config
 from .csvio import write_rows
 from .dimming import (DimmingSpec, Scheme, assemble_waveform, duty_cycle, effective_brightness,
@@ -102,9 +102,13 @@ def _write_manifest(cfg: ExperimentConfig, subcommand: str):
 
 
 def _population(cfg: ExperimentConfig, n_subcarriers: int):
-    return load_or_build(resolve_cache_dir(cfg.output_dir), n_subcarriers, cfg.constellation,
-                         cfg.symbol_count, cfg.seed, cfg.oversample_factor,
-                         notice=_notice, status=_notice)[0]
+    cache_dir = resolve_cache_dir(cfg.output_dir)
+    key = (n_subcarriers, cfg.constellation, cfg.symbol_count, cfg.seed, cfg.oversample_factor)
+    path = population_cache_path(cache_dir, *key)
+    pop, cached = load_or_build(cache_dir, *key, notice=_notice)
+    _notice(f"using cached population {path}" if cached else
+            f"cache miss, built population of {cfg.symbol_count} symbols (n={n_subcarriers}) at {path}")
+    return pop
 
 
 def _time_symbols(cfg: ExperimentConfig, count: int):
@@ -193,7 +197,7 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
     pop = sample_papr_population(cfg.n_subcarriers, cfg.constellation, 200, cfg.seed,
                                  cfg.oversample_factor)
     reference = [papr_of(sym) for sym in symbols]
-    checks.append(("batched population equals the per-symbol reference",
+    checks.append(("block synthesis equals one-row synthesis",
                    np.array_equal(pop.upapr, [s.upapr for s in reference])
                    and np.array_equal(pop.lpapr, [s.lpapr for s in reference])))
 

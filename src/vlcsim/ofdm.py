@@ -83,7 +83,7 @@ def _synthesize(blk: np.ndarray, n_subcarriers: int, sq: np.ndarray | None = Non
     max_imag = np.maximum(imag.max(axis=1), -imag.min(axis=1))
     if np.any(max_imag > np.sqrt(var) * _IMAG_RESIDUAL_TOL):
         raise HermitianSymmetryError(
-            f"imaginary residual exceeds {_IMAG_RESIDUAL_TOL:.0e} x RMS")
+            f"imaginary residual {max_imag.max():.3e} exceeds {_IMAG_RESIDUAL_TOL:.0e} x RMS")
     return var
 
 

@@ -101,16 +101,6 @@ class TestLoadOrBuild:
         assert not cached
         assert len(pop) == 20
 
-    def test_status_names_the_miss_then_the_hit(self, tmp_path):
-        path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
-        notes, lines = [], []
-        for _ in range(2):
-            v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
-                            oversample_factor=2, notice=notes.append, status=lines.append)
-        assert lines == [f"cache miss, built population of 20 symbols (n=16) at {path}",
-                         f"using cached population {path}"]
-        assert notes == []
-
 
 class TestCacheDirResolution:
     def test_env_var_wins(self, tmp_path, monkeypatch):

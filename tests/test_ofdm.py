@@ -161,14 +161,6 @@ class TestOneSynthesisKernel:
         with pytest.raises(HermitianSymmetryError, match="DC and Nyquist"):
             v.to_time_domain(sym, factor)
 
-    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
-    def test_symbol_rngs_follow_the_per_index_reference(self, seed):
-        count = v.ofdm._SEED_CHUNK + 2
-        for i, rng in enumerate(v.ofdm.symbol_rngs(seed, count)):
-            assert rng.integers(0, 2 ** 63, size=2).tolist() == \
-                v.symbol_rng(seed, i).integers(0, 2 ** 63, size=2).tolist()
-        assert i == count - 1
-
     def test_sampler_message_for_a_broken_block_names_the_mirror(self, monkeypatch):
         """A NaN data bin fails the kernel's Hermitian check, as in FreqSymbol.validate."""
         monkeypatch.setattr(v.ofdm, "_draw_constellation",
