@@ -4,9 +4,10 @@ Every subcommand writes its CSV outputs plus a manifest that echoes the
 effective configuration; re-running a subcommand from its manifest
 reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 self-test failure,
-4 I/O error (an output, cache or config path cannot be read or written),
-5 out of memory (usually symbol_count or a grid size is too large).
+Exit codes: 0 success, 2 configuration error (an unreadable --config file
+too, under the key config), 3 self-test failure, 4 I/O error (an output or
+cache path cannot be read or written), 5 out of memory (usually
+symbol_count or a grid size is too large).
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
     pop = sample_papr_population(cfg.n_subcarriers, cfg.constellation, 200, cfg.seed,
                                  cfg.oversample_factor)
     reference = [papr_of(sym) for sym in symbols]
-    checks.append(("block synthesis equals one-row synthesis",
+    checks.append(("block sampler equals per-symbol draws and one-row synthesis",
                    np.array_equal(pop.upapr, [s.upapr for s in reference])
                    and np.array_equal(pop.lpapr, [s.lpapr for s in reference])))
 

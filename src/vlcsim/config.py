@@ -107,6 +107,8 @@ class ExperimentConfig:
         if not self.gamma_step > 0:
             raise ConfigError("gamma_step", f"must be positive, got {self.gamma_step}")
         if self.n_list is not None:
+            if not self.n_list:
+                raise ConfigError("n_list", "must list at least one subcarrier count")
             for n in self.n_list:
                 if n % 2 != 0 or n < 4:
                     raise ConfigError("n_list", f"entries must be even and >= 4, got {n}")

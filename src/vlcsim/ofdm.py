@@ -8,7 +8,9 @@ symbols: the population sampler runs it on fixed-size blocks, and
 to_time_domain on a one-row block. Symbols are seeded per index, so results
 never depend on block size; symbol_rngs seeds them in chunks with one
 vectorized SeedSequence pass each, and symbol_rng(seed, i) is its per-index
-reference.
+reference. The sampler draws a block's QPSK and 16-QAM points from
+PCG64.random_raw words, the very indices Generator.integers would draw; two
+canaries per chunk check the seeding and the draws against NumPy's own.
 """
 
 from __future__ import annotations
@@ -69,18 +71,20 @@ def _check_hermitian(rows: np.ndarray, half: int):
         raise HermitianSymmetryError("bins are not Hermitian symmetric")
 
 
-def _synthesize(blk: np.ndarray, n_subcarriers: int, sq: np.ndarray | None = None) -> np.ndarray:
+def _synthesize(blk: np.ndarray, n_subcarriers: int, re: np.ndarray,
+                sq: np.ndarray | None = None) -> np.ndarray:
     """Turn rows of N*F zero-padded bins (0..N/2 first, N/2+1..N-1 last) into time-domain
     symbols in place: Hermitian check, inverse DFT scaled by N*F/sqrt(N).
 
-    Returns each row's mean square; sq, if given, receives the squared real parts.
+    Writes the real parts into re as contiguous rows and returns each row's
+    mean square; sq, if given, is scratch of the same shape.
     """
     _check_hermitian(blk, n_subcarriers // 2)
     np.fft.ifft(blk, axis=1, out=blk)
     blk *= blk.shape[1] / np.sqrt(n_subcarriers)
-    var = np.square(blk.real, out=sq).mean(axis=1)
-    imag = blk.imag
-    max_imag = np.maximum(imag.max(axis=1), -imag.min(axis=1))
+    re[...] = blk.real
+    max_imag = np.abs(blk.imag, out=sq).max(axis=1)
+    var = np.square(re, out=sq).mean(axis=1)
     if np.any(max_imag > np.sqrt(var) * _IMAG_RESIDUAL_TOL):
         raise HermitianSymmetryError(
             f"imaginary residual {max_imag.max():.3e} exceeds {_IMAG_RESIDUAL_TOL:.0e} x RMS")
@@ -239,6 +243,14 @@ def _check_seed_states(seed: int, start: int, states: np.ndarray):
             f"(NumPy {np.__version__})")
 
 
+def _check_draws(constellation: Constellation, state: np.ndarray, start: int, row: np.ndarray):
+    """Canary: a chunk's first drawn row must equal NumPy's own Generator draw."""
+    rng = np.random.Generator(_pcg64(state))
+    if not np.array_equal(row, _draw_constellation(constellation, len(row), rng)):
+        raise RuntimeError(f"block draws differ from numpy.random.Generator at index {start} "
+                           f"(NumPy {np.__version__})")
+
+
 @functools.cache
 def _seed_state_type() -> type:
     """The ISeedSequence that hands PCG64 one precomputed state row.
@@ -260,14 +272,49 @@ def _seed_state_type() -> type:
     return SeedState
 
 
+def _pcg64(state: np.ndarray) -> np.random.PCG64:
+    """NumPy's PCG64 started from one precomputed SeedSequence state row."""
+    return np.random.PCG64(_seed_state_type()(state))
+
+
+def _state_blocks(seed: int, count: int, rows: int = _SEED_CHUNK):
+    """(start, states) for symbols start, start+1, ... in blocks of at most `rows`;
+    states are computed _SEED_CHUNK indices at a time, and no block crosses a chunk."""
+    for chunk in range(0, count, _SEED_CHUNK):
+        states = _seed_states(seed, chunk, min(chunk + _SEED_CHUNK, count))
+        _check_seed_states(seed, chunk, states)
+        for first in range(0, len(states), rows):
+            yield chunk + first, states[first:first + rows]
+
+
 def symbol_rngs(seed: int, count: int):
     """symbol_rng(seed, i) for i = 0..count-1, seeded _SEED_CHUNK indices at a time."""
-    seed_state = _seed_state_type()
-    for start in range(0, count, _SEED_CHUNK):
-        states = _seed_states(seed, start, min(start + _SEED_CHUNK, count))
-        _check_seed_states(seed, start, states)
-        for state in states:
-            yield np.random.Generator(np.random.PCG64(seed_state(state)))
+    for _, states in _state_blocks(seed, count):
+        yield from (np.random.Generator(_pcg64(state)) for state in states)
+
+
+def _draw_rows(constellation: Constellation, states: np.ndarray, start: int, out: np.ndarray):
+    """out[r] = _draw_constellation(constellation, out.shape[1], Generator(_pcg64(states[r]))).
+
+    Generator.integers(0, k) is Lemire's (u * k) >> 32 on PCG64's 32-bit halves, low
+    half first, and never rejects for k a power of two: QPSK and 16-QAM indices are
+    the top log2(k) bits of the halves of random_raw's words. A block that starts a
+    seed chunk has its first row checked by the _check_draws canary.
+    """
+    size = out.shape[1]
+    points = (_QPSK_POINTS if constellation is Constellation.QPSK else
+              _QAM16_POINTS if constellation is Constellation.QAM16 else None)
+    if points is None:
+        out[...] = [_draw_constellation(constellation, size, np.random.Generator(_pcg64(state)))
+                    for state in states]
+    else:
+        words = np.array([_pcg64(state).random_raw((size + 1) // 2) for state in states])
+        halves = words.astype("<u8", copy=False).view("<u4")[:, :size]  # low first on any host
+        log2k = (len(points) - 1).bit_length()
+        # indices are < k, so "clip" only lets take write straight into out
+        np.take(points, halves >> np.uint32(32 - log2k), out=out, mode="clip")
+    if start % _SEED_CHUNK == 0:
+        _check_draws(constellation, states[0], start, out[0])
 
 
 def _draw_constellation(constellation: Constellation, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -308,9 +355,9 @@ def to_time_domain(sym: FreqSymbol, oversample_factor: int = 4) -> TimeSymbol:
     blk = np.zeros((1, sym.n_subcarriers * oversample_factor), dtype=np.complex128)
     blk[0, :half + 1] = sym.bins[:half + 1]  # Nyquist at column N/2, where the check looks
     blk[0, blk.shape[1] - half + 1:] = sym.bins[half + 1:]
-    var = _synthesize(blk, sym.n_subcarriers)
-    return TimeSymbol(samples=np.ascontiguousarray(blk[0].real),
-                      oversample_factor=oversample_factor, sigma_x2=float(var[0]))
+    samples = np.empty(blk.shape[1])  # the kernel writes it through a one-row view
+    var = _synthesize(blk, sym.n_subcarriers, samples[None, :])
+    return TimeSymbol(samples=samples, oversample_factor=oversample_factor, sigma_x2=float(var[0]))
 
 
 def papr_of(sym: TimeSymbol) -> PaprSample:
@@ -329,8 +376,9 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
     The pair at index i depends only on (seed, i) and equals
     papr_of(to_time_domain(generate_freq_symbol(..., symbol_rng(seed, i)), F)).
     Symbols are processed in blocks of rows sharing one in-place 2-D inverse
-    FFT; the two block buffers are allocated once per call and bounded by
-    _BLOCK_BYTES. Sampling runs on the calling thread and starts no threads.
+    FFT; the block buffers are allocated once per call and bounded by
+    _BLOCK_BYTES, and no block crosses a seed chunk. Sampling runs on the
+    calling thread and starts no threads.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -339,23 +387,21 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
     m = n_subcarriers * oversample_factor
     rows = max(1, _BLOCK_BYTES // (16 * m))
     buf = np.empty((rows, m), dtype=np.complex128)
-    sq = np.empty((rows, m))
+    re, sq = np.empty((2, rows, m))
     upapr = np.empty(count)
     lpapr = np.empty(count)
-    rngs = symbol_rngs(seed, count)
 
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        blk = buf[:stop - start]
+    for start, states in _state_blocks(seed, count, rows):
+        stop = start + len(states)
+        blk, x = buf[:len(states)], re[:len(states)]
         blk.fill(0)
-        for r, rng in zip(range(stop - start), rngs):
-            blk[r, 1:half] = _draw_constellation(constellation, half - 1, rng)
+        _draw_rows(constellation, states, start, blk[:, 1:half])
         _mirror(blk, half)
-        var = _synthesize(blk, n_subcarriers, sq[:stop - start])
+        var = _synthesize(blk, n_subcarriers, x, sq[:len(states)])
         if not var.all():
             raise DegenerateSymbolError("all-zero symbol has no PAPR")
-        upapr[start:stop] = np.square(blk.real.max(axis=1)) / var
-        lpapr[start:stop] = np.square(blk.real.min(axis=1)) / var
+        upapr[start:stop] = np.square(x.max(axis=1)) / var
+        lpapr[start:stop] = np.square(x.min(axis=1)) / var
 
     if not (np.all(upapr >= 0.0) and np.all(lpapr >= 0.0)):
         raise ValueError("UPAPR and LPAPR must be non-negative")

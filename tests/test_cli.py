@@ -109,6 +109,22 @@ class TestExitCodes:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys):
+        assert run("papr-sample", "--config", tmp_path / "missing.cfg",
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "config error: config: cannot read" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n_list", ["", ",,"])
+    def test_empty_n_list_is_a_config_error(self, tmp_path, capsys, n_list):
+        assert run("variance-sweep", "--n-list", n_list, "--symbols", 5,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "config error: n_list" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_output_under_regular_file_is_an_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory\n")

@@ -84,6 +84,8 @@ class TestValidation:
         ("zeta_step = 0.7", "zeta_step"),
         ("gamma_step = 0", "gamma_step"),
         ("n_list = 63", "n_list"),
+        ("n_list = ", "n_list"),
+        ("n_list = ,,", "n_list"),
         ("dnr_db_start = nan", "dnr_db_start"),
         ("dnr_db_stop = inf", "dnr_db_stop"),
         ("dnr_db_step = inf", "dnr_db_step"),

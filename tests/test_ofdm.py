@@ -161,10 +161,18 @@ class TestOneSynthesisKernel:
         with pytest.raises(HermitianSymmetryError, match="DC and Nyquist"):
             v.to_time_domain(sym, factor)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_kernel_rejects_an_imaginary_residual_of_either_sign(self, monkeypatch, sign):
+        """A constant imaginary part of either sign, past the Hermitian check, is caught."""
+        monkeypatch.setattr(v.ofdm, "_check_hermitian", lambda rows, half: None)
+        blk = np.array([[sign * 1e-3j, 1, 0, 1]])
+        with pytest.raises(HermitianSymmetryError, match="imaginary residual 5.000e-04 "):
+            v.ofdm._synthesize(blk, 4, np.empty((1, 4)))
+
     def test_sampler_message_for_a_broken_block_names_the_mirror(self, monkeypatch):
         """A NaN data bin fails the kernel's Hermitian check, as in FreqSymbol.validate."""
-        monkeypatch.setattr(v.ofdm, "_draw_constellation",
-                            lambda constellation, size, rng: np.full(size, np.nan))
+        monkeypatch.setattr(v.ofdm, "_draw_rows",
+                            lambda constellation, states, start, out: out.fill(np.nan))
         with pytest.raises(HermitianSymmetryError, match="not Hermitian symmetric"):
             v.sample_papr_population(16, v.Constellation.QPSK, 3, seed=1)
 
@@ -248,8 +256,8 @@ class TestBatchedSampler:
             assert_array_equal(pop.lpapr, ref_l[:count])
 
     def test_zero_symbol_raises_degenerate(self, monkeypatch):
-        monkeypatch.setattr(v.ofdm, "_draw_constellation",
-                            lambda constellation, size, rng: np.zeros(size, dtype=np.complex128))
+        monkeypatch.setattr(v.ofdm, "_draw_rows",
+                            lambda constellation, states, start, out: out.fill(0))
         with pytest.raises(DegenerateSymbolError):
             v.sample_papr_population(64, v.Constellation.QPSK, 3, seed=1)
 
@@ -336,6 +344,69 @@ class TestBatchedSeeding:
         assert seed_seq.generate_state(4, np.uint64) is state
         with pytest.raises(ValueError):
             seed_seq.generate_state(8, np.uint32)
+
+
+INDEXED = [v.Constellation.QPSK, v.Constellation.QAM16]
+
+
+def _reference_draws(constellation, size, seed, count):
+    return np.array([v.ofdm._draw_constellation(constellation, size, v.symbol_rng(seed, i))
+                     for i in range(count)])
+
+
+class TestRawWordDraws:
+    """QPSK and 16-QAM points from PCG64.random_raw equal Generator.integers' draws."""
+
+    @pytest.mark.parametrize("constellation", INDEXED)
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+    @pytest.mark.parametrize("size", [1, 2, 31, 511])
+    def test_block_and_one_row_draws_equal_the_reference(self, constellation, seed, size):
+        """Whole-chunk, odd-sized and one-row blocks, counts around the chunk edge."""
+        chunk = v.ofdm._SEED_CHUNK
+        ref = _reference_draws(constellation, size, seed, chunk + 1)
+        for count in (chunk - 1, chunk, chunk + 1):
+            for rows in (chunk, 7, 1):
+                out = np.empty((count, size), dtype=np.complex128)
+                for start, states in v.ofdm._state_blocks(seed, count, rows):
+                    v.ofdm._draw_rows(constellation, states, start,
+                                      out[start:start + len(states)])
+                assert_array_equal(out, ref[:count])
+
+    @pytest.mark.parametrize("constellation", INDEXED)
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+    @pytest.mark.parametrize("n", [4, 6, 64, 1024])
+    def test_sampler_draws_equal_the_reference(self, monkeypatch, constellation, seed, n):
+        count = v.ofdm._SEED_CHUNK + 1
+        drawn = np.empty((count, n // 2 - 1), dtype=np.complex128)
+        draw_rows = v.ofdm._draw_rows
+
+        def record(constellation, states, start, out):
+            draw_rows(constellation, states, start, out)
+            drawn[start:start + len(states)] = out
+
+        monkeypatch.setattr(v.ofdm, "_draw_rows", record)
+        v.sample_papr_population(n, constellation, count, seed, oversample_factor=1)
+        assert_array_equal(drawn, _reference_draws(constellation, n // 2 - 1, seed, count))
+
+    @pytest.mark.parametrize("constellation", INDEXED)
+    @pytest.mark.parametrize("chunk_index", [0, 1])
+    def test_canary_checks_the_first_row_of_every_chunk(self, monkeypatch, constellation,
+                                                        chunk_index):
+        """A reference that differs for one chunk's first row raises, naming its index."""
+        draw_constellation = v.ofdm._draw_constellation
+        calls = []
+
+        def one_call_differs(constellation, size, rng):
+            calls.append(size)
+            points = draw_constellation(constellation, size, rng)
+            return -points if len(calls) == chunk_index + 1 else points
+
+        monkeypatch.setattr(v.ofdm, "_draw_constellation", one_call_differs)
+        chunk = v.ofdm._SEED_CHUNK
+        with pytest.raises(RuntimeError,
+                           match=f"numpy.random.Generator at index {chunk_index * chunk} "):
+            v.sample_papr_population(16, constellation, chunk + 1, seed=1)
+        assert calls == [7] * (chunk_index + 1)
 
 
 class TestSizeChecks:
