@@ -128,6 +128,7 @@ def _cmd_papr_sample(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_variance_sweep(cfg: ExperimentConfig) -> int:
+    cfg.check_profile_budget()
     out = Path(cfg.output_dir)
     profile_path = out / "variance_profile.csv"
     peaks_path = out / "variance_peaks.csv"

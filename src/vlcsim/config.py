@@ -17,10 +17,9 @@ from .led import LedModel
 from .ofdm import Constellation
 from .rates import AUTO, gamma_grid_points, zeta_grid_half
 
-#: most points a run's grids may have, checked before any of them is built:
-#: the DNR grid and the variance profile's (subcarrier count, biasing ratio)
-#: rows in validate(), and in the runs that build them the rate table's rows
-#: and the forward-ratio search's (brightness, ratio, DNR) cells. Runs at the
+#: most points a grid may have, checked by each run that builds the grid before
+#: building it: the DNR grid in _dnr_points(), the rate table, the forward-ratio
+#: search and the variance profile in the check_*_budget() methods. Runs at the
 #: budget with --quick (1000 symbols, N = 64) and one brightness, measured on
 #: 2 cores with Python 3.11 and NumPy 2.4 (a bare run peaks at 36 MB RSS):
 #:   rate-sweep, 1e6 rows (500k DNR points)    63 s, 336 MB peak RSS
@@ -112,24 +111,26 @@ class ExperimentConfig:
             for n in self.n_list:
                 if n % 2 != 0 or n < 4:
                     raise ConfigError("n_list", f"entries must be even and >= 4, got {n}")
-        self._check_grid_sizes()
+            if len(set(self.n_list)) < len(self.n_list):
+                raise ConfigError("n_list", f"entries must not repeat, got {self.n_list}")
         return self
 
     def _dnr_points(self) -> float:
-        return np.floor((self.dnr_db_stop - self.dnr_db_start) / self.dnr_db_step + 1e-9) + 1
-
-    def _check_grid_sizes(self):
-        # sizes as floats, so a span that overflows reads as inf, not an error
-        dnr_points = self._dnr_points()
-        _check_budget("dnr_db_step", dnr_points, "points in the DNR grid")
-        last_db = float(self.dnr_db_start + self.dnr_db_step * (dnr_points - 1))
+        """The DNR grid's point count, after checking the grid against the budget."""
+        # a float, so a span that overflows reads as inf, not an error
+        points = np.floor((self.dnr_db_stop - self.dnr_db_start) / self.dnr_db_step + 1e-9) + 1
+        _check_budget("dnr_db_step", points, "points in the DNR grid")
+        last_db = float(self.dnr_db_start + self.dnr_db_step * (points - 1))
         with np.errstate(over="ignore"):
             if not np.isfinite(10.0 ** (np.float64(last_db) / 10.0)):
                 raise ConfigError("dnr_db_stop", f"the DNR grid reaches {last_db!r} dB, "
                                                  "whose linear DNR overflows a double")
-        # rates.zeta_grid's points, once per subcarrier count
-        zeta_points = 2 * zeta_grid_half(self.zeta_step)
-        _check_budget("zeta_step", zeta_points * len(self.subcarrier_counts()),
+        return points
+
+    def check_profile_budget(self):
+        """Raise ConfigError unless variance-sweep's profile fits the grid budget:
+        rates.zeta_grid's points, once per subcarrier count."""
+        _check_budget("zeta_step", 2 * zeta_grid_half(self.zeta_step) * len(self.subcarrier_counts()),
                       "(subcarrier count, biasing ratio) rows in the variance profile")
 
     def check_rate_table_budget(self):

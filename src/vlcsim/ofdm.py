@@ -9,8 +9,8 @@ to_time_domain on a one-row block. Symbols are seeded per index, so results
 never depend on block size; symbol_rngs seeds them in chunks with one
 vectorized SeedSequence pass each, and symbol_rng(seed, i) is its per-index
 reference. The sampler draws a block's QPSK and 16-QAM points from
-PCG64.random_raw words, the very indices Generator.integers would draw; two
-canaries per chunk check the seeding and the draws against NumPy's own.
+PCG64.random_raw words, the very indices Generator.integers would draw;
+canaries check each chunk's seeding, and these draws, against NumPy's own.
 """
 
 from __future__ import annotations
@@ -298,8 +298,8 @@ def _draw_rows(constellation: Constellation, states: np.ndarray, start: int, out
 
     Generator.integers(0, k) is Lemire's (u * k) >> 32 on PCG64's 32-bit halves, low
     half first, and never rejects for k a power of two: QPSK and 16-QAM indices are
-    the top log2(k) bits of the halves of random_raw's words. A block that starts a
-    seed chunk has its first row checked by the _check_draws canary.
+    the top log2(k) bits of the halves of random_raw's words. Such a block that starts
+    a seed chunk has its first row checked by the _check_draws canary.
     """
     size = out.shape[1]
     points = (_QPSK_POINTS if constellation is Constellation.QPSK else
@@ -313,8 +313,8 @@ def _draw_rows(constellation: Constellation, states: np.ndarray, start: int, out
         log2k = (len(points) - 1).bit_length()
         # indices are < k, so "clip" only lets take write straight into out
         np.take(points, halves >> np.uint32(32 - log2k), out=out, mode="clip")
-    if start % _SEED_CHUNK == 0:
-        _check_draws(constellation, states[0], start, out[0])
+        if start % _SEED_CHUNK == 0:
+            _check_draws(constellation, states[0], start, out[0])
 
 
 def _draw_constellation(constellation: Constellation, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -74,6 +74,31 @@ class TestExitCodes:
         assert not (tmp_path / "shared_cache").exists()
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("subcommand,flags,overrides", [
+        ("papr-sample", ["--dnr-db=0:60:0.00001"], {}),
+        ("waveform-demo", ["--dnr-db=0:60:0.00001"], {}),
+        ("selftest", ["--dnr-db=0:60:0.00001"], {}),
+        ("papr-sample", [], {"zeta_step": 1e-12}),
+        ("waveform-demo", [], {"zeta_step": 1e-12}),
+        ("selftest", [], {"zeta_step": 1e-12}),
+        ("rate-sweep", [], {"zeta_step": 1e-12}),
+        ("optimize-gamma", [], {"zeta_step": 1e-12}),
+        ("variance-sweep", ["--dnr-db=0:4000:1000"], {}),
+    ])
+    def test_runs_bound_only_the_grids_they_build(self, tmp_path, capsys, subcommand, flags,
+                                                   overrides):
+        cfg = write_cfg(tmp_path, **overrides)
+        assert run(subcommand, "--config", cfg, *flags, "--out", tmp_path / "out") == 0
+        assert "config error" not in capsys.readouterr().err
+
+    def test_repeated_n_list_entry_is_a_config_error(self, tmp_path, capsys):
+        assert run("variance-sweep", "--n-list", "16,32,16", "--symbols", 5,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "config error: n_list: entries must not repeat" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("subcommand", ["rate-sweep", "papr-sample"])
     def test_search_budget_spares_runs_without_a_search(self, tmp_path, subcommand):
         cfg = write_cfg(tmp_path, gamma_step=1e-12)

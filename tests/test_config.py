@@ -86,6 +86,7 @@ class TestValidation:
         ("n_list = 63", "n_list"),
         ("n_list = ", "n_list"),
         ("n_list = ,,", "n_list"),
+        ("n_list = 16, 16", "n_list"),
         ("dnr_db_start = nan", "dnr_db_start"),
         ("dnr_db_stop = inf", "dnr_db_stop"),
         ("dnr_db_step = inf", "dnr_db_step"),
@@ -108,19 +109,47 @@ class TestValidation:
     def test_largest_u64_seed_is_valid(self):
         v.ExperimentConfig(seed=2 ** 64 - 1).validate()
 
-    @pytest.mark.parametrize("text,key", [
+    OVERSIZED_GRIDS = [
         ("dnr_db_step = 1e-9", "dnr_db_step"),
         ("dnr_db_start = -1e308\ndnr_db_stop = 1e308\ndnr_db_step = 1", "dnr_db_step"),
         ("dnr_db_stop = 4000\ndnr_db_step = 1000", "dnr_db_stop"),
         ("zeta_step = 1e-12", "zeta_step"),
         ("zeta_step = 2e-6\nn_list = 64, 256, 1024", "zeta_step"),
         ("zeta_step = 5e-324", "zeta_step"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("text,key", OVERSIZED_GRIDS)
     def test_oversized_grid_names_its_key(self, text, key):
+        cfg = v.parse_config(text).validate()
         with pytest.raises(ConfigError) as err:
-            v.parse_config(text).validate()
+            if key == "zeta_step":
+                cfg.check_profile_budget()
+            else:
+                cfg.check_rate_table_budget()
         assert err.value.key == key
         assert "budget" in str(err.value) or "overflows" in str(err.value)
+
+    @pytest.mark.parametrize("text,key", OVERSIZED_GRIDS)
+    def test_validate_bounds_no_grid(self, text, key):
+        cfg = v.parse_config(text)
+        assert cfg.validate() is cfg
+
+    @pytest.mark.parametrize("text,key", [
+        ("dnr_db_step = 1e-9", "dnr_db_step"),
+        ("dnr_db_stop = 4000\ndnr_db_step = 1000", "dnr_db_stop"),
+    ])
+    def test_every_dnr_grid_user_checks_the_dnr_grid(self, text, key):
+        cfg = v.parse_config(text).validate()
+        for check in (cfg.dnr_db_grid, cfg.check_rate_table_budget, cfg.check_search_budget):
+            with pytest.raises(ConfigError) as err:
+                check()
+            assert err.value.key == key
+
+    def test_profile_at_the_budget_is_valid(self):
+        cfg = v.ExperimentConfig(zeta_step=1.0 / v.config.GRID_POINTS_MAX)
+        cfg.check_profile_budget()
+        with pytest.raises(ConfigError, match="variance profile"):
+            replace(cfg, n_list=(64, 256)).check_profile_budget()
 
     @pytest.mark.parametrize("text", [
         "gamma_step = 1e-12",

@@ -408,6 +408,26 @@ class TestRawWordDraws:
             v.sample_papr_population(16, constellation, chunk + 1, seed=1)
         assert calls == [7] * (chunk_index + 1)
 
+    @pytest.mark.parametrize("constellation,checked", [
+        (v.Constellation.COMPLEX_GAUSSIAN, False),
+        (v.Constellation.QPSK, True),
+    ])
+    def test_draw_canary_runs_only_for_raw_word_draws(self, monkeypatch, constellation,
+                                                      checked):
+        """Gaussian rows come from the Generator the canary would rebuild, so it is skipped;
+        the seeding canary still checks those chunks."""
+        def refuse(*args):
+            raise RuntimeError("draw canary ran")
+
+        monkeypatch.setattr(v.ofdm, "_check_draws", refuse)
+        count = v.ofdm._SEED_CHUNK + 1
+        if checked:
+            with pytest.raises(RuntimeError, match="draw canary ran"):
+                v.sample_papr_population(16, constellation, count, seed=1)
+        else:
+            pop = v.sample_papr_population(16, constellation, count, seed=1)
+            assert len(pop) == count
+
 
 class TestSizeChecks:
     """Every entry point rejects a bad N or F with the same type and message."""
