@@ -15,8 +15,8 @@ from .errors import (ConfigError, CurrentRangeError, DegenerateSymbolError,
 from .ofdm import (Constellation, FreqSymbol, PaprPopulation, PaprSample,
                    TimeSymbol, generate_freq_symbol, papr_of,
                    sample_papr_population, symbol_rng, to_time_domain)
-from .led import (BiasingRatio, LedModel, ScalingDecision, compute_alpha,
-                  optical_output, variance_closed_form, variance_factor)
+from .led import (LedModel, ScalingDecision, compute_alpha, optical_output,
+                  variance_closed_form, variance_factor)
 from .dimming import (DimmingSpec, PwmFrame, Scheme, assemble_waveform,
                       duty_cycle, effective_brightness, pwm_frame, snr_sample,
                       write_waveform_csv)
@@ -39,8 +39,8 @@ __all__ = [
     "generate_freq_symbol", "to_time_domain", "papr_of", "sample_papr_population",
     "symbol_rng",
     # led
-    "LedModel", "BiasingRatio", "ScalingDecision", "compute_alpha",
-    "variance_factor", "variance_closed_form", "optical_output",
+    "LedModel", "ScalingDecision", "compute_alpha", "variance_factor",
+    "variance_closed_form", "optical_output",
     # dimming
     "Scheme", "DimmingSpec", "PwmFrame", "pwm_frame", "effective_brightness",
     "duty_cycle", "snr_sample", "assemble_waveform", "write_waveform_csv",

@@ -25,7 +25,7 @@ from .config import ExperimentConfig, load_config, parse_config
 from .csvio import write_rows
 from .dimming import (DimmingSpec, Scheme, assemble_waveform, duty_cycle, effective_brightness,
                       write_waveform_csv)
-from .errors import ConfigError, VlcsimError
+from .errors import ConfigError, DutyCycleError, VlcsimError
 from .led import LedModel, compute_alpha, variance_closed_form, variance_factor
 from .ofdm import (Constellation, generate_freq_symbol, papr_of,
                    sample_papr_population, symbol_rngs, to_time_domain)
@@ -264,9 +264,15 @@ def main(argv=None) -> int:
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         if args.subcommand != "selftest":
             _write_manifest(cfg, args.subcommand)
+        if cfg.n_list and args.subcommand != "variance-sweep":
+            _notice(f"{args.subcommand} uses n_subcarriers {cfg.n_subcarriers}; "
+                    f"ignoring n_list {', '.join(map(str, cfg.n_list))}")
         return _SUBCOMMANDS[args.subcommand][0](cfg)
     except ConfigError as exc:
         print(f"vlcsim: config error: {exc}", file=sys.stderr)
+        return 2
+    except DutyCycleError as exc:  # every duty cycle a run checks has a configured gamma
+        print(f"vlcsim: config error: gammas: {exc}", file=sys.stderr)
         return 2
     except VlcsimError as exc:
         print(f"vlcsim: error: {exc}", file=sys.stderr)

@@ -174,9 +174,6 @@ class ExperimentConfig:
             lines.append(f"{f.name} = {_format_value(value)}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path):
-        Path(path).write_text(self.to_text())
-
 
 def _format_value(value) -> str:
     if isinstance(value, Constellation):

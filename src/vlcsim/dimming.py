@@ -37,14 +37,22 @@ def effective_brightness(brightness: float) -> tuple[float, bool]:
 
 def duty_cycle(lambda_effective: float, gamma: float) -> float:
     """PWM on-fraction brightness/gamma; gamma below the target is infeasible."""
+    # a mirrored target's 1.0 - brightness is rounded, and its decimal complement
+    # misses it by up to ulp(0.5) / 2 either way: within ulp(0.5) the duty is 1
     if not 0.0 < lambda_effective < 1.0:
         raise ValueError(f"effective brightness must be in (0, 1), got {lambda_effective}")
     if not gamma < 1.0:
         raise ValueError(f"forward ratio must be < 1, got {gamma}")
-    if gamma < lambda_effective:
+    if gamma < lambda_effective - math.ulp(0.5):
         raise DutyCycleError(
             f"forward ratio {gamma} < effective brightness {lambda_effective}: duty cycle would exceed 1")
-    return lambda_effective / gamma
+    return 1.0 if gamma <= lambda_effective + math.ulp(0.5) else lambda_effective / gamma
+
+
+def check_dnr(dnr: float):
+    """Raise ValueError unless the linear DNR is finite and >= 0."""
+    if not (dnr >= 0.0 and math.isfinite(dnr)):
+        raise ValueError(f"dnr must be finite and >= 0, got {dnr}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +70,7 @@ class DimmingSpec:
 
     def __post_init__(self):
         lam_eff, _ = effective_brightness(self.brightness)
-        if not (self.dnr >= 0.0 and math.isfinite(self.dnr)):
-            raise ValueError(f"dnr must be finite and >= 0, got {self.dnr}")
+        check_dnr(self.dnr)
         if self.scheme is Scheme.PWM:
             if self.forward_ratio is None:
                 raise ValueError("PWM requires a forward_ratio")
@@ -93,8 +100,7 @@ def snr_sample(effective_ratio: float, papr: PaprSample, dnr: float) -> float:
     """Per-symbol SNR at the given biasing ratio: DNR times the variance factor."""
     if not 0.0 < effective_ratio < 1.0:
         raise ValueError(f"effective ratio must be in (0, 1), got {effective_ratio}")
-    if not (dnr >= 0.0 and math.isfinite(dnr)):
-        raise ValueError(f"dnr must be finite and >= 0, got {dnr}")
+    check_dnr(dnr)
     return float(dnr * variance_factor(effective_ratio, papr.upapr, papr.lpapr))
 
 

@@ -36,29 +36,13 @@ class LedModel:
 
 
 @dataclass(frozen=True)
-class BiasingRatio:
-    """Bias position inside the dynamic range, (bias - i_low) / range."""
-
-    zeta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.zeta < 1.0:
-            raise ValueError(f"biasing ratio must be in (0, 1), got {self.zeta}")
-
-
-@dataclass(frozen=True)
 class ScalingDecision:
     """Chosen per-symbol scaling factor and the variance it yields."""
 
     alpha_pos: float
     alpha_neg: float
     alpha: float
-    bias: float
     sigma_y2: float
-
-
-def _as_zeta(zeta) -> float:
-    return (zeta if isinstance(zeta, BiasingRatio) else BiasingRatio(float(zeta))).zeta
 
 
 def compute_alpha(max_x: float, min_x: float, bias: float, led: LedModel,
@@ -81,7 +65,7 @@ def compute_alpha(max_x: float, min_x: float, bias: float, led: LedModel,
     alpha_neg = max(headroom / min_x, footroom / max_x)
     alpha = alpha_pos if abs(alpha_pos) >= abs(alpha_neg) else alpha_neg
     return ScalingDecision(alpha_pos=alpha_pos, alpha_neg=alpha_neg, alpha=alpha,
-                           bias=bias, sigma_y2=alpha * alpha * sigma_x2)
+                           sigma_y2=alpha * alpha * sigma_x2)
 
 
 def variance_factor(zeta, upapr, lpapr):
@@ -101,31 +85,31 @@ def variance_factor(zeta, upapr, lpapr):
 
 
 def variance_closed_form(zeta, papr: PaprSample, led: LedModel) -> float:
-    """Variance of the maximally scaled symbol at biasing ratio zeta."""
-    z = _as_zeta(zeta)
+    """Variance of the maximally scaled symbol at biasing ratio zeta in (0, 1)."""
+    zeta = float(zeta)
+    if not 0.0 < zeta < 1.0:
+        raise ValueError(f"biasing ratio must be in (0, 1), got {zeta}")
     d = led.dynamic_range
-    return float(d * d * variance_factor(z, papr.upapr, papr.lpapr))
+    return float(d * d * variance_factor(zeta, papr.upapr, papr.lpapr))
 
 
 def optical_output(current, led: LedModel):
     """Emitted intensity for a drive current; 0 A is the device-off state.
 
-    Accepts a scalar or an array of currents. Anything other than 0 or a
-    value inside [i_low, i_high] is unreachable under maximal scaling and is
-    rejected.
+    Accepts an array of currents, or a scalar, which gives a float. Anything
+    other than 0 or a value inside [i_low, i_high] is unreachable under
+    maximal scaling and is rejected.
     """
-    i = np.asarray(current, dtype=np.float64)
+    i = np.atleast_1d(np.asarray(current, dtype=np.float64))
     off = i == 0.0
     in_range = (i >= led.i_low) & (i <= led.i_high)
     if not np.all(off | in_range):
         bad = i[~(off | in_range)].flat[0]
         raise CurrentRangeError(
             f"current {bad} outside [{led.i_low}, {led.i_high}] and not the off state")
-    if i.ndim == 0:
-        return float(np.where(off, 0.0, led.o_high * (i - led.i_low) / led.dynamic_range))
     # one output array; o_high * x equals x * o_high in IEEE arithmetic
     out = i - led.i_low
     out *= led.o_high
     out /= led.dynamic_range
     out[off] = 0.0
-    return out
+    return float(out[0]) if np.ndim(current) == 0 else out

@@ -112,11 +112,7 @@ class FreqSymbol:
         if bins.shape != (self.n_subcarriers,):
             raise ValueError(f"expected {self.n_subcarriers} bins, got shape {bins.shape}")
         object.__setattr__(self, "bins", bins)
-        self.validate()
-
-    def validate(self):
-        """Check null DC/Nyquist bins and Hermitian symmetry (exact)."""
-        _check_hermitian(self.bins[None, :], self.n_subcarriers // 2)
+        _check_hermitian(bins[None, :], self.n_subcarriers // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +122,6 @@ class TimeSymbol:
     samples: np.ndarray
     oversample_factor: int
     sigma_x2: float
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.sigma_x2 == 0.0
 
 
 @dataclass(frozen=True)
@@ -156,17 +148,6 @@ class PaprPopulation:
     oversample_factor: int
 
     def __len__(self) -> int:
-        return len(self.upapr)
-
-    def __getitem__(self, index: int) -> PaprSample:
-        return PaprSample(float(self.upapr[index]), float(self.lpapr[index]))
-
-    def __iter__(self):
-        for u, l in zip(self.upapr, self.lpapr):
-            yield PaprSample(float(u), float(l))
-
-    @property
-    def count(self) -> int:
         return len(self.upapr)
 
 
@@ -362,7 +343,7 @@ def to_time_domain(sym: FreqSymbol, oversample_factor: int = 4) -> TimeSymbol:
 
 def papr_of(sym: TimeSymbol) -> PaprSample:
     """UPAPR = max(x)^2 / var, LPAPR = min(x)^2 / var for one symbol."""
-    if sym.is_degenerate:
+    if sym.sigma_x2 == 0.0:
         raise DegenerateSymbolError("all-zero symbol has no PAPR")
     hi = float(np.max(sym.samples))
     lo = float(np.min(sym.samples))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_rows
-from .dimming import DimmingSpec, Scheme, duty_cycle, effective_brightness
+from .dimming import DimmingSpec, Scheme, check_dnr, duty_cycle, effective_brightness
 from .led import variance_factor
 from .ofdm import PaprPopulation
 
@@ -157,8 +157,7 @@ def optimize_gamma(lambda_effective: float, dnr: float, pop: PaprPopulation,
     Ties resolve to the smallest gamma. Because the grid contains
     gamma = brightness, the winner never loses to biasing adjustment.
     """
-    if not (dnr >= 0.0 and math.isfinite(dnr)):
-        raise ValueError(f"dnr must be finite and >= 0, got {dnr}")
+    check_dnr(dnr)
     return _search(lambda_effective, [dnr], pop, grid_step)[0]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vlcsim as v
-from vlcsim.cli import main
+from vlcsim.cli import _SUBCOMMANDS, main
 
 
 def run(*argv):
@@ -127,6 +127,13 @@ class TestExitCodes:
         assert "forward ratio 0.2 < effective brightness 0.3" in err
         assert "Traceback" not in err
         assert not (tmp_path / "shared_cache").exists()
+
+    @pytest.mark.parametrize("subcommand", ["rate-sweep", "waveform-demo"])
+    def test_unreachable_ratio_names_its_key(self, tmp_path, capsys, subcommand):
+        assert run(subcommand, "--n", 16, "--symbols", 5, "--lambda", "0.3", "--gamma", "0.2",
+                   "--out", tmp_path / "out") == 2
+        assert ("vlcsim: config error: gammas: forward ratio 0.2 < effective brightness 0.3"
+                in capsys.readouterr().err)
 
     def test_seed_beyond_u64_is_a_config_error(self, tmp_path, capsys):
         assert run("papr-sample", "--n", 16, "--symbols", 5, "--seed", 2 ** 64,
@@ -295,6 +302,35 @@ class TestOutputs:
         assert run(*argv, "--out", tmp_path / "out") == 0
         for name in ("waveform_biasing.csv", "waveform_pwm.csv"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_decimal_complement_of_a_mirrored_brightness_runs(self, tmp_path):
+        """gamma 0.3 reaches lambda 0.7, whose mirror 1.0 - 0.7 rounds above 0.3."""
+        argv = ["--lambda", "0.7", "--gamma", "0.3", "--symbols", 5, "--n", 16]
+        out = tmp_path / "out"
+        assert run("rate-sweep", *argv, "--out", out) == 0
+        rows = (out / "rates.csv").read_text().splitlines()[1:]
+        rates = {line.split(",")[0]: float(line.split(",")[4]) for line in rows[:2]}
+        assert rates["pwm"] == pytest.approx(rates["biasing"], rel=0, abs=1e-12)
+        assert run("waveform-demo", *argv, "--out", out) == 0
+        biasing = (out / "waveform_biasing.csv").read_text().splitlines()
+        assert len((out / "waveform_pwm.csv").read_text().splitlines()) == len(biasing)
+
+    @pytest.mark.parametrize("subcommand", list(_SUBCOMMANDS))
+    def test_runs_that_ignore_n_list_say_so(self, tmp_path, capsys, subcommand):
+        argv = [subcommand, "--n-list", "16,32", "--symbols", 5, "--gamma", "0.4",
+                "--dnr-db", "0:20:10"]
+        assert run(*argv, "--out", tmp_path / "out") == 0
+        err = capsys.readouterr().err
+        notices = [line for line in err.splitlines() if "ignoring n_list" in line]
+        assert notices == ([] if subcommand == "variance-sweep" else
+                           [f"[vlcsim] {subcommand} uses n_subcarriers 64; ignoring n_list 16, 32"])
+
+    def test_ignored_n_list_leaves_the_csv_unchanged(self, tmp_path):
+        argv = ["papr-sample", "--symbols", 5]
+        assert run(*argv, "--n-list", "16,32", "--out", tmp_path / "list") == 0
+        assert run(*argv, "--out", tmp_path / "plain") == 0
+        assert ((tmp_path / "list" / "papr_population.csv").read_bytes()
+                == (tmp_path / "plain" / "papr_population.csv").read_bytes())
 
     def test_flag_overrides_beat_config_file(self, tmp_path):
         cfg = write_cfg(tmp_path, seed=11)

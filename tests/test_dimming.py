@@ -55,6 +55,24 @@ class TestDutyCycle:
         with pytest.raises(ValueError):
             v.duty_cycle(0.3, 1.0)
 
+    def test_decimal_complement_of_a_mirrored_brightness_is_always_on(self):
+        """gamma = 1 - lambda, written in decimal, gives duty 1 for every
+        three-decimal lambda in (0.5, 1), though 1.0 - lambda is rounded."""
+        duties = [v.duty_cycle(v.effective_brightness(k / 1000)[0], (1000 - k) / 1000)
+                  for k in range(501, 1000)]
+        assert len(duties) == 499 and set(duties) == {1.0}
+        v.DimmingSpec(0.7, v.Scheme.PWM, dnr=1.0, forward_ratio=0.3)
+        assert v.pwm_frame(v.effective_brightness(0.7)[0], 0.3, LED).period == 1.0
+
+    def test_rounding_slack_admits_no_decimal_below_the_target(self):
+        with pytest.raises(DutyCycleError):
+            v.duty_cycle(0.3, 0.299)
+
+    def test_ratios_beyond_the_slack_keep_the_plain_quotient(self):
+        for lam in (0.05, 0.2, 0.3, 0.35, 0.5):
+            for gamma in np.linspace(lam, 0.99, 50):
+                assert v.duty_cycle(lam, float(gamma)) == lam / float(gamma)
+
 
 class TestDimmingSpec:
     def test_pwm_requires_forward_ratio(self):

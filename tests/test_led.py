@@ -110,16 +110,11 @@ class TestVarianceClosedForm:
         d = v.compute_alpha(3.0, -2.0, 0.2, v.LedModel(), sigma_x2=1.0)
         assert d.sigma_y2 == pytest.approx(0.01, rel=1e-12)
 
-    def test_accepts_biasing_ratio_wrapper(self):
-        papr = v.PaprSample(5.0, 3.0)
-        assert (v.variance_closed_form(v.BiasingRatio(0.3), papr, v.LedModel())
-                == v.variance_closed_form(0.3, papr, v.LedModel()))
-
     def test_rejects_ratio_outside_open_interval(self):
         with pytest.raises(ValueError):
             v.variance_closed_form(0.0, v.PaprSample(4.0, 4.0), v.LedModel())
         with pytest.raises(ValueError):
-            v.BiasingRatio(1.0)
+            v.variance_closed_form(1.0, v.PaprSample(4.0, 4.0), v.LedModel())
 
     def test_mirror_symmetry_is_exact(self):
         rng = np.random.default_rng(14)
@@ -168,10 +163,11 @@ class TestClosedFormMatchesScaling:
             hi = float(np.max(sym.samples))
             lo = float(np.min(sym.samples))
             for zeta in (0.1, 0.3, 0.5):
-                d = v.compute_alpha(hi, lo, led.i_low + zeta * led.dynamic_range, led)
-                y = d.alpha * sym.samples + d.bias
+                bias = led.i_low + zeta * led.dynamic_range
+                d = v.compute_alpha(hi, lo, bias, led)
+                y = d.alpha * sym.samples + bias
                 assert np.all(y >= led.i_low - slack) and np.all(y <= led.i_high + slack)
-                y_over = d.alpha * (1 + 1e-6) * sym.samples + d.bias
+                y_over = d.alpha * (1 + 1e-6) * sym.samples + bias
                 assert np.any(y_over < led.i_low - slack) or np.any(y_over > led.i_high + slack)
 
     def test_population_variance_drops_with_subcarriers(self, pop64, pop1024):
