@@ -37,16 +37,17 @@ def effective_brightness(brightness: float) -> tuple[float, bool]:
 
 def duty_cycle(lambda_effective: float, gamma: float) -> float:
     """PWM on-fraction brightness/gamma; gamma below the target is infeasible."""
-    # a mirrored target's 1.0 - brightness is rounded, and its decimal complement
-    # misses it by up to ulp(0.5) / 2 either way: within ulp(0.5) the duty is 1
+    # a mirrored target's 1.0 - brightness is rounded; its decimal complement misses it
+    # by up to ulp(0.5) / 2, so within min(ulp(0.5), 2**-40 * target) the duty is 1
     if not 0.0 < lambda_effective < 1.0:
         raise ValueError(f"effective brightness must be in (0, 1), got {lambda_effective}")
     if not gamma < 1.0:
         raise ValueError(f"forward ratio must be < 1, got {gamma}")
-    if gamma < lambda_effective - math.ulp(0.5):
+    window = min(math.ulp(0.5), 2.0 ** -40 * lambda_effective)
+    if gamma < lambda_effective - window:
         raise DutyCycleError(
             f"forward ratio {gamma} < effective brightness {lambda_effective}: duty cycle would exceed 1")
-    return 1.0 if gamma <= lambda_effective + math.ulp(0.5) else lambda_effective / gamma
+    return 1.0 if gamma <= lambda_effective + window else lambda_effective / gamma
 
 
 def check_dnr(dnr: float):

@@ -71,17 +71,16 @@ def compute_alpha(max_x: float, min_x: float, bias: float, led: LedModel,
 def variance_factor(zeta, upapr, lpapr):
     """Normalized scaled-signal variance sigma_y^2 / D^2.
 
-    Equals max{min((1-z)^2/U, z^2/L), min((1-z)^2/L, z^2/U)}. The pair
-    (z, 1-z) is canonicalized internally so the result is bitwise symmetric
-    under z <-> 1-z and under swapping U and L. Broadcasts over arrays.
+    The paper's max{min((1-z)^2/U, z^2/L), min((1-z)^2/L, z^2/U)} is
+    min(a/P, b/Q), with a >= b the squares of max(z, 1-z) and min(z, 1-z) and
+    P >= Q the larger and smaller of U and L: the other min term, b/P, is below
+    both, so the two forms pick the same quotient bit for bit. Symmetric under
+    z <-> 1-z and under swapping U and L by construction. Broadcasts over arrays.
     """
     zeta = np.asarray(zeta, dtype=np.float64)
     hi = np.maximum(zeta, 1.0 - zeta)
     lo = 1.0 - hi
-    a = hi * hi
-    b = lo * lo
-    return np.maximum(np.minimum(a / upapr, b / lpapr),
-                      np.minimum(a / lpapr, b / upapr))
+    return np.minimum(hi * hi / np.maximum(upapr, lpapr), lo * lo / np.minimum(upapr, lpapr))
 
 
 def variance_closed_form(zeta, papr: PaprSample, led: LedModel) -> float:

@@ -181,9 +181,9 @@ def zeta_grid(grid_step: float) -> np.ndarray:
     """Biasing-ratio grid built as exact floating-point mirror pairs."""
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid_step must be in (0, 0.5], got {grid_step}")
-    lower = grid_step * np.arange(1, int(zeta_grid_half(grid_step)) + 1)
+    # capped at 0.5, which the count's slack can pass; 0.5 is its own mirror, kept once
+    lower = np.minimum(grid_step * np.arange(1, int(zeta_grid_half(grid_step)) + 1), 0.5)
     mirrored = (1.0 - lower)[::-1]
-    # at a step dividing 0.5, 0.5 is its own mirror and appears once
     return np.concatenate([lower, mirrored[1:] if lower[-1] == mirrored[0] else mirrored])
 
 

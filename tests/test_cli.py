@@ -135,6 +135,13 @@ class TestExitCodes:
         assert ("vlcsim: config error: gammas: forward ratio 0.2 < effective brightness 0.3"
                 in capsys.readouterr().err)
 
+    def test_ratio_below_a_tiny_brightness_is_a_config_error(self, tmp_path, capsys):
+        assert run("rate-sweep", "--lambda", "2e-16", "--gamma", "1e-16", "--symbols", 5,
+                   "--n", 16, "--dnr-db", "0:0:1", "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "vlcsim: config error: gammas: forward ratio 1e-16 < effective brightness 2e-16" in err
+        assert "Traceback" not in err
+
     def test_seed_beyond_u64_is_a_config_error(self, tmp_path, capsys):
         assert run("papr-sample", "--n", 16, "--symbols", 5, "--seed", 2 ** 64,
                    "--out", tmp_path / "out") == 2
@@ -248,6 +255,17 @@ class TestOutputs:
         for line in text[1:] + peaks[1:]:
             for field in line.split(","):
                 float(field)  # plain parseable numbers, no numpy reprs
+
+    def test_variance_sweep_step_just_above_a_divisor_of_half(self, tmp_path):
+        """k * step rounds past 0.5; the grid holds 0.5 once, in order."""
+        cfg = write_cfg(tmp_path, zeta_step=0.10000000000010001)
+        out = tmp_path / "out"
+        assert run("variance-sweep", "--config", cfg, "--n", 16, "--symbols", 50, "--out", out) == 0
+        rows = (out / "variance_profile.csv").read_text().splitlines()[1:]
+        zetas = [float(line.split(",")[1]) for line in rows]
+        assert zetas == sorted(zetas) and zetas.count(0.5) == 1 and len(zetas) == 9
+        (peak,) = (out / "variance_peaks.csv").read_text().splitlines()[1:]
+        assert float(peak.split(",")[1]) in zetas[:5]
 
     def test_rate_sweep_row_count(self, tmp_path):
         cfg = write_cfg(tmp_path, lambdas="0.2, 0.3", gammas="0.3, 0.4")

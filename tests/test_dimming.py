@@ -68,6 +68,16 @@ class TestDutyCycle:
         with pytest.raises(DutyCycleError):
             v.duty_cycle(0.3, 0.299)
 
+    def test_slack_is_at_most_a_fixed_fraction_of_the_target(self):
+        """Below 2**-13 the ulp(0.5) window shrinks to 2**-40 of the target."""
+        assert v.duty_cycle(1e-16, 2e-16) == 0.5
+        with pytest.raises(DutyCycleError):
+            v.duty_cycle(2e-16, 1e-16)
+        assert v.duty_cycle(v.effective_brightness(0.7)[0], 0.3) == 1.0
+        assert v.duty_cycle(2.0 ** -13, 2.0 ** -13 + 2.0 ** -53) == 1.0
+        lam, gamma = 2.0 ** -14, 2.0 ** -14 + 2.0 ** -53
+        assert v.duty_cycle(lam, gamma) == lam / gamma < 1.0
+
     def test_ratios_beyond_the_slack_keep_the_plain_quotient(self):
         for lam in (0.05, 0.2, 0.3, 0.35, 0.5):
             for gamma in np.linspace(lam, 0.99, 50):

@@ -97,6 +97,18 @@ class TestComputeAlpha:
                 v.compute_alpha(1.0, -1.0, bias, v.LedModel())
 
 
+def four_term_variance_factor(zeta, upapr, lpapr):
+    """The paper's form, max{min((1-z)^2/U, z^2/L), min((1-z)^2/L, z^2/U)}."""
+    zeta = np.asarray(zeta, dtype=np.float64)
+    hi = np.maximum(zeta, 1.0 - zeta)
+    lo = 1.0 - hi
+    a, b = hi * hi, lo * lo
+    return np.maximum(np.minimum(a / upapr, b / lpapr), np.minimum(a / lpapr, b / upapr))
+
+
+EDGE_ZETAS = [*(np.arange(1, 1000) * 0.001), 1e-300, 0.5, 1.0 - 1e-16]
+
+
 class TestVarianceClosedForm:
     def test_symmetric_papr(self):
         assert v.variance_closed_form(0.5, v.PaprSample(4.0, 4.0), v.LedModel()) == 0.0625
@@ -130,6 +142,20 @@ class TestVarianceClosedForm:
             a = v.variance_closed_form(zeta, v.PaprSample(7.3, 2.9), v.LedModel())
             b = v.variance_closed_form(zeta, v.PaprSample(2.9, 7.3), v.LedModel())
             assert a == b
+
+    @pytest.mark.parametrize("population", ["pop64", "pop64_qam16", "gaussian4"])
+    def test_two_term_kernel_equals_the_four_term_form_bit_for_bit(self, request, population):
+        if population == "gaussian4":
+            # one data bin: every symbol's U equals its L, the tie P == Q
+            pop = v.sample_papr_population(4, v.Constellation.COMPLEX_GAUSSIAN, 2000, seed=3)
+        else:
+            pop = request.getfixturevalue(population)
+        for zeta in EDGE_ZETAS:
+            want = four_term_variance_factor(zeta, pop.upapr, pop.lpapr).view(np.uint64)
+            got = v.variance_factor(zeta, pop.upapr, pop.lpapr)
+            assert np.array_equal(got.view(np.uint64), want), zeta
+            swapped = v.variance_factor(zeta, pop.lpapr, pop.upapr)
+            assert np.array_equal(swapped.view(np.uint64), want), zeta
 
     def test_scales_with_squared_dynamic_range(self):
         papr = v.PaprSample(6.0, 5.0)

@@ -337,11 +337,25 @@ class TestGridPointCounts:
         assert isinstance(count, float)
         assert count == len(v.gamma_grid(lam, step))
 
-    @pytest.mark.parametrize("step", [0.5, 0.3, 0.1, 0.07, 0.01, 0.005])
+    # steps just above 0.5 / k, whose k-th point rounded past 0.5 before the cap
+    JUST_ABOVE = [0.10000000000010001, *(0.5 / k * (1 + 1e-12) for k in (2, 3, 7, 50, 999))]
+    ZETA_STEPS = [0.5, 0.3, 0.1, 0.07, 0.01, 0.005, *JUST_ABOVE]
+
+    @pytest.mark.parametrize("step", ZETA_STEPS)
     def test_zeta_half_counts_the_lower_half(self, step):
         half = v.rates.zeta_grid_half(step)
         assert isinstance(half, float)
         assert half == np.count_nonzero(v.zeta_grid(step) <= 0.5)
+
+    @pytest.mark.parametrize("step", ZETA_STEPS)
+    def test_zeta_grid_is_sorted_with_mirror_pairs(self, step):
+        """Strictly increasing, so 0.5 appears at most once; the upper half mirrors the lower."""
+        grid = v.zeta_grid(step)
+        assert np.all(np.diff(grid) > 0)
+        lower = grid[grid < 0.5]
+        assert np.array_equal(grid[grid > 0.5], (1.0 - lower)[::-1])
+        if step in self.JUST_ABOVE:
+            assert 0.5 in grid
 
     def test_overflowing_counts_read_as_inf(self):
         assert v.rates.gamma_grid_points(0.1, 5e-324) == np.inf
