@@ -60,8 +60,9 @@ def save_population(path, pop: PaprPopulation):
 def load_population(path) -> PaprPopulation:
     """Read a population cache file.
 
-    Raises ValueError on a foreign format and on a population that another
-    NumPy version sampled.
+    Raises ValueError on a foreign format, on a population that another
+    NumPy version sampled, and on a record that is NaN, infinite or negative,
+    which the sampler never writes.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -83,6 +84,8 @@ def load_population(path) -> PaprPopulation:
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     if body.size != 2 * count:
         raise ValueError(f"{path}: expected {count} records, found {body.size // 2}")
+    if not np.all((body >= 0.0) & (body < np.inf)):  # NaN fails both
+        raise ValueError(f"{path}: records must be finite and non-negative")
     records = body.reshape(count, 2)
     return PaprPopulation(upapr=records[:, 0].copy(), lpapr=records[:, 1].copy(),
                           n_subcarriers=n,
@@ -108,9 +111,10 @@ def load_or_build(cache_dir, n_subcarriers: int, constellation: Constellation,
     """Return (population, came_from_cache).
 
     A cache file that cannot be read, was written in another cache format or
-    under another NumPy version, or whose header disagrees with the request
-    is discarded and rebuilt; notice, if given, is called with one line
-    saying why. The freshly built population is written back.
+    under another NumPy version, holds a record the sampler cannot write, or
+    whose header disagrees with the request is discarded and rebuilt;
+    notice, if given, is called with one line saying why. The freshly built
+    population is written back.
     """
     path = population_cache_path(cache_dir, n_subcarriers, constellation, count,
                                  seed, oversample_factor)

@@ -28,7 +28,7 @@ from .dimming import (DimmingSpec, Scheme, assemble_waveform, duty_cycle, effect
 from .errors import ConfigError, DutyCycleError, VlcsimError
 from .led import LedModel, compute_alpha, variance_closed_form, variance_factor
 from .ofdm import (Constellation, generate_freq_symbol, papr_of,
-                   sample_papr_population, symbol_rngs, to_time_domain)
+                   sample_papr_population, symbol_rng, symbol_rngs, to_time_domain)
 from .rates import (AUTO, sweep_gamma_search, sweep_rates, variance_profile,
                     write_gamma_search_csv, write_rates_csv)
 
@@ -112,11 +112,11 @@ def _population(cfg: ExperimentConfig, n_subcarriers: int):
     return pop
 
 
-def _time_symbols(cfg: ExperimentConfig, count: int):
-    """The seeded time-domain symbols 0..count-1 of the configuration."""
+def _time_symbols(cfg: ExperimentConfig, rngs):
+    """The configuration's time-domain symbols, one drawn from each generator."""
     return [to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation, rng),
                            cfg.oversample_factor)
-            for rng in symbol_rngs(cfg.seed, count)]
+            for rng in rngs]
 
 
 def _cmd_papr_sample(cfg: ExperimentConfig) -> int:
@@ -183,7 +183,7 @@ def _cmd_waveform_demo(cfg: ExperimentConfig) -> int:
     # waveforms are noise-free; any valid DNR budget works
     specs = [DimmingSpec(brightness=lam, scheme=Scheme.BIASING_ADJUSTMENT, dnr=1.0),
              DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=1.0, forward_ratio=cfg.gammas[0])]
-    symbols = _time_symbols(cfg, cfg.symbol_count)
+    symbols = _time_symbols(cfg, symbol_rngs(cfg.seed, cfg.symbol_count))
     paths = [Path(cfg.output_dir) / f"waveform_{spec.scheme.value}.csv" for spec in specs]
     for spec, path in zip(specs, paths):
         write_waveform_csv(path, assemble_waveform(symbols, spec, led), led)
@@ -195,11 +195,12 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
     led = LedModel()
     checks: list[tuple[str, bool]] = []
 
-    symbols = _time_symbols(cfg, 200)
+    # the reference is NumPy's own per-symbol seeding, not the sampler's batched one
+    symbols = _time_symbols(cfg, (symbol_rng(cfg.seed, i) for i in range(200)))
     pop = sample_papr_population(cfg.n_subcarriers, cfg.constellation, 200, cfg.seed,
                                  cfg.oversample_factor)
     reference = [papr_of(sym) for sym in symbols]
-    checks.append(("block sampler equals per-symbol draws and one-row synthesis",
+    checks.append(("block sampler equals symbol_rng draws and one-row synthesis",
                    np.array_equal(pop.upapr, [s.upapr for s in reference])
                    and np.array_equal(pop.lpapr, [s.lpapr for s in reference])))
 

@@ -7,10 +7,11 @@ the Hermitian check, the inverse FFT and the residual check for a block of
 symbols: the population sampler runs it on fixed-size blocks, and
 to_time_domain on a one-row block. Symbols are seeded per index, so results
 never depend on block size; symbol_rngs seeds them in chunks with one
-vectorized SeedSequence pass each, and symbol_rng(seed, i) is its per-index
-reference. The sampler draws a block's QPSK and 16-QAM points from
-PCG64.random_raw words, the very indices Generator.integers would draw;
-canaries check each chunk's seeding, and these draws, against NumPy's own.
+vectorized SeedSequence pass each. The sampler draws a block's QPSK and
+16-QAM points from PCG64.random_raw words, the very indices
+Generator.integers would draw. symbol_rng(seed, i), NumPy's own
+default_rng([seed, i]), is the one reference: a canary compares the first
+drawn row of every seed chunk, for every constellation, with its draw.
 """
 
 from __future__ import annotations
@@ -215,21 +216,13 @@ def _seed_states(seed: int, start: int, stop: int) -> np.ndarray:
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
-def _check_seed_states(seed: int, start: int, states: np.ndarray):
-    """Canary: the chunk's first row must equal NumPy's own SeedSequence."""
-    expected = np.random.SeedSequence([seed, start]).generate_state(4, np.uint64)
-    if not np.array_equal(states[0], expected):
+def _check_reference(constellation: Constellation, seed: int, start: int, row: np.ndarray):
+    """Canary: a seed chunk's first drawn row must equal symbol_rng's, NumPy's own draw."""
+    if not np.array_equal(row, _draw_constellation(constellation, len(row),
+                                                   symbol_rng(seed, start))):
         raise RuntimeError(
-            f"batched seeding differs from numpy.random.SeedSequence at index {start} "
-            f"(NumPy {np.__version__})")
-
-
-def _check_draws(constellation: Constellation, state: np.ndarray, start: int, row: np.ndarray):
-    """Canary: a chunk's first drawn row must equal NumPy's own Generator draw."""
-    rng = np.random.Generator(_pcg64(state))
-    if not np.array_equal(row, _draw_constellation(constellation, len(row), rng)):
-        raise RuntimeError(f"block draws differ from numpy.random.Generator at index {start} "
-                           f"(NumPy {np.__version__})")
+            f"batched draws differ from numpy.random.Generator at index {start} "
+            f"seeded by numpy.random.SeedSequence([seed, {start}]) (NumPy {np.__version__})")
 
 
 @functools.cache
@@ -263,7 +256,6 @@ def _state_blocks(seed: int, count: int, rows: int = _SEED_CHUNK):
     states are computed _SEED_CHUNK indices at a time, and no block crosses a chunk."""
     for chunk in range(0, count, _SEED_CHUNK):
         states = _seed_states(seed, chunk, min(chunk + _SEED_CHUNK, count))
-        _check_seed_states(seed, chunk, states)
         for first in range(0, len(states), rows):
             yield chunk + first, states[first:first + rows]
 
@@ -279,8 +271,8 @@ def _draw_rows(constellation: Constellation, states: np.ndarray, start: int, out
 
     Generator.integers(0, k) is Lemire's (u * k) >> 32 on PCG64's 32-bit halves, low
     half first, and never rejects for k a power of two: QPSK and 16-QAM indices are
-    the top log2(k) bits of the halves of random_raw's words. Such a block that starts
-    a seed chunk has its first row checked by the _check_draws canary.
+    the top log2(k) bits of the halves of random_raw's words. start, the symbol index
+    of states[0], does not enter the draws.
     """
     size = out.shape[1]
     points = (_QPSK_POINTS if constellation is Constellation.QPSK else
@@ -294,8 +286,6 @@ def _draw_rows(constellation: Constellation, states: np.ndarray, start: int, out
         log2k = (len(points) - 1).bit_length()
         # indices are < k, so "clip" only lets take write straight into out
         np.take(points, halves >> np.uint32(32 - log2k), out=out, mode="clip")
-        if start % _SEED_CHUNK == 0:
-            _check_draws(constellation, states[0], start, out[0])
 
 
 def _draw_constellation(constellation: Constellation, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -358,8 +348,9 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
     papr_of(to_time_domain(generate_freq_symbol(..., symbol_rng(seed, i)), F)).
     Symbols are processed in blocks of rows sharing one in-place 2-D inverse
     FFT; the block buffers are allocated once per call and bounded by
-    _BLOCK_BYTES, and no block crosses a seed chunk. Sampling runs on the
-    calling thread and starts no threads.
+    _BLOCK_BYTES, and no block crosses a seed chunk, whose first row the
+    _check_reference canary compares with symbol_rng's draw. Sampling runs on
+    the calling thread and starts no threads.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -377,6 +368,8 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
         blk, x = buf[:len(states)], re[:len(states)]
         blk.fill(0)
         _draw_rows(constellation, states, start, blk[:, 1:half])
+        if start % _SEED_CHUNK == 0:
+            _check_reference(constellation, seed, start, blk[0, 1:half])
         _mirror(blk, half)
         var = _synthesize(blk, n_subcarriers, x, sq[:len(states)])
         if not var.all():

@@ -190,18 +190,19 @@ def zeta_grid(grid_step: float) -> np.ndarray:
 def variance_profile(pop: PaprPopulation, grid_step: float = 0.01) -> VarianceProfile:
     """Population mean of the normalized variance across biasing ratios.
 
-    zeta_dagger is the peak location restricted to the lower half of the
-    grid; the upper half is its exact mirror image.
+    The means are computed on the lower half of the grid and mirrored: at a
+    grid point 1 - z, variance_factor takes the same max(z, 1 - z) as at z,
+    so the upper half has the same bits. zeta_dagger is the peak location in
+    the lower half.
     """
     if len(pop) == 0:
         raise ValueError("population is empty")
     zetas = zeta_grid(grid_step)
-    means = np.array([float(np.mean(variance_factor(z, pop.upapr, pop.lpapr)))
-                      for z in zetas])
-    lower = zetas <= 0.5
-    peak = int(np.argmax(means[lower]))
+    lower = np.array([float(np.mean(variance_factor(z, pop.upapr, pop.lpapr)))
+                      for z in zetas[:(len(zetas) + 1) // 2]])
+    means = np.concatenate([lower, lower[:len(zetas) // 2][::-1]])
     return VarianceProfile(grid=np.column_stack([zetas, means]),
-                           zeta_dagger=float(zetas[lower][peak]))
+                           zeta_dagger=float(zetas[int(np.argmax(lower))]))
 
 
 def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,

@@ -92,6 +92,25 @@ class TestLoadOrBuild:
         assert pop.seed == 5
         assert v.load_population(path).seed == 5  # rebuilt file replaced the stale one
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_impossible_record_triggers_rebuild(self, tmp_path, bad):
+        """A NaN, infinite or negative record fails the load and is rebuilt with one notice."""
+        path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
+        fresh, _ = v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
+                                   oversample_factor=2)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, len(raw) - 8, bad)  # the last lpapr
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            v.load_population(path)
+        notes = []
+        pop, cached = v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
+                                      oversample_factor=2, notice=notes.append)
+        assert not cached
+        assert len(notes) == 1 and "finite and non-negative" in notes[0]
+        assert_array_equal(pop.upapr, fresh.upapr)
+        assert_array_equal(pop.lpapr, fresh.lpapr)
+
     def test_corrupt_file_triggers_rebuild(self, tmp_path):
         path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
         path.parent.mkdir(parents=True, exist_ok=True)

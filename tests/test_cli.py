@@ -31,6 +31,20 @@ class TestExitCodes:
         assert run("selftest", "--n", 16, "--symbols", 50, "--oversample", 2,
                    "--out", tmp_path / "out") == 0
 
+    def test_selftest_checks_the_sampler_against_numpy_seeding(self, tmp_path, monkeypatch,
+                                                               capsys):
+        """States corrupted past each chunk's first row escape the canary, not selftest."""
+        seed_states = v.ofdm._seed_states
+
+        def corrupted(seed, start, stop):
+            states = seed_states(seed, start, stop)
+            states[1:, 2] ^= np.uint64(1)
+            return states
+
+        monkeypatch.setattr(v.ofdm, "_seed_states", corrupted)
+        assert run("selftest", "--n", 16, "--oversample", 2, "--out", tmp_path / "out") == 3
+        assert "[selftest] FAIL block sampler " in capsys.readouterr().out
+
     def test_invalid_config_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("symbol_count = 0\n")

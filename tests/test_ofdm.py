@@ -173,6 +173,7 @@ class TestOneSynthesisKernel:
         """A NaN data bin fails the kernel's Hermitian check, as in FreqSymbol.validate."""
         monkeypatch.setattr(v.ofdm, "_draw_rows",
                             lambda constellation, states, start, out: out.fill(np.nan))
+        monkeypatch.setattr(v.ofdm, "_check_reference", lambda *args: None)
         with pytest.raises(HermitianSymmetryError, match="not Hermitian symmetric"):
             v.sample_papr_population(16, v.Constellation.QPSK, 3, seed=1)
 
@@ -256,6 +257,7 @@ class TestBatchedSampler:
     def test_zero_symbol_raises_degenerate(self, monkeypatch):
         monkeypatch.setattr(v.ofdm, "_draw_rows",
                             lambda constellation, states, start, out: out.fill(0))
+        monkeypatch.setattr(v.ofdm, "_check_reference", lambda *args: None)
         with pytest.raises(DegenerateSymbolError):
             v.sample_papr_population(64, v.Constellation.QPSK, 3, seed=1)
 
@@ -311,20 +313,29 @@ class TestBatchedSeeding:
             assert_array_equal(pop.lpapr, ref_l[:count])
 
     def test_sampler_builds_no_per_symbol_seed_sequence(self, monkeypatch):
+        """symbol_rng seeds only the canary's reference, at each chunk's first index."""
         count = v.ofdm._SEED_CHUNK + 3
         ref_u, ref_l = _reference_population(16, v.Constellation.QAM16, count, 5, 2)
+        default_rng = np.random.default_rng
+        seeded = []
+
+        def chunk_starts_only(seed, index):
+            seeded.append(index)
+            return default_rng([seed, index])
 
         def refuse(*args, **kwargs):
             raise AssertionError("sampler seeded a symbol one at a time")
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        monkeypatch.setattr(v.ofdm, "symbol_rng", refuse)
+        monkeypatch.setattr(v.ofdm, "symbol_rng", chunk_starts_only)
         pop = v.sample_papr_population(16, v.Constellation.QAM16, count, seed=5,
                                        oversample_factor=2)
         assert_array_equal(pop.upapr, ref_u)
         assert_array_equal(pop.lpapr, ref_l)
+        assert seeded == [0, v.ofdm._SEED_CHUNK]
 
-    def test_canary_rejects_a_corrupted_state_row(self, monkeypatch):
+    @pytest.mark.parametrize("constellation", list(v.Constellation))
+    def test_canary_rejects_a_corrupted_state_row(self, monkeypatch, constellation):
         seed_states = v.ofdm._seed_states
 
         def corrupted(seed, start, stop):
@@ -334,7 +345,7 @@ class TestBatchedSeeding:
 
         monkeypatch.setattr(v.ofdm, "_seed_states", corrupted)
         with pytest.raises(RuntimeError, match="SeedSequence"):
-            v.sample_papr_population(16, v.Constellation.QPSK, 3, seed=1)
+            v.sample_papr_population(16, constellation, 3, seed=1)
 
     def test_precomputed_seed_serves_only_pcg64(self):
         state = v.ofdm._seed_states(3, 0, 1)[0]
@@ -406,25 +417,14 @@ class TestRawWordDraws:
             v.sample_papr_population(16, constellation, chunk + 1, seed=1)
         assert calls == [7] * (chunk_index + 1)
 
-    @pytest.mark.parametrize("constellation,checked", [
-        (v.Constellation.COMPLEX_GAUSSIAN, False),
-        (v.Constellation.QPSK, True),
-    ])
-    def test_draw_canary_runs_only_for_raw_word_draws(self, monkeypatch, constellation,
-                                                      checked):
-        """Gaussian rows come from the Generator the canary would rebuild, so it is skipped;
-        the seeding canary still checks those chunks."""
-        def refuse(*args):
-            raise RuntimeError("draw canary ran")
-
-        monkeypatch.setattr(v.ofdm, "_check_draws", refuse)
-        count = v.ofdm._SEED_CHUNK + 1
-        if checked:
-            with pytest.raises(RuntimeError, match="draw canary ran"):
-                v.sample_papr_population(16, constellation, count, seed=1)
-        else:
-            pop = v.sample_papr_population(16, constellation, count, seed=1)
-            assert len(pop) == count
+    @pytest.mark.parametrize("constellation", list(v.Constellation))
+    def test_canary_checks_every_constellation(self, monkeypatch, constellation):
+        """The one canary gets the first drawn row of every chunk, whatever the constellation."""
+        checked = []
+        monkeypatch.setattr(v.ofdm, "_check_reference",
+                            lambda constellation, seed, start, row: checked.append(start))
+        v.sample_papr_population(16, constellation, v.ofdm._SEED_CHUNK + 1, seed=1)
+        assert checked == [0, v.ofdm._SEED_CHUNK]
 
 
 class TestSizeChecks:

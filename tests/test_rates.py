@@ -150,12 +150,21 @@ class TestOptimizeGamma:
 
 
 class TestVarianceProfile:
-    def test_profile_is_exactly_symmetric(self, pop64):
-        prof = v.variance_profile(pop64, 0.01)
+    @pytest.mark.parametrize("step", [
+        0.01, 0.05, 0.001, 0.003, 0.07, 0.1, 0.25, 0.5, 0.10000000000010001,
+        *(0.5 / k * (1 + 1e-12) for k in (2, 3, 7, 50, 999))])
+    def test_profile_is_exactly_symmetric(self, pop64, step):
+        """The mirrored means are the bits of a per-zeta evaluation on the whole grid."""
+        prof = v.variance_profile(pop64, step)
         zetas, means = prof.grid[:, 0], prof.grid[:, 1]
         for i in range(len(zetas)):
             j = int(np.argmin(np.abs(zetas - (1.0 - zetas[i]))))
             assert means[i] == means[j]
+        per_zeta = np.array([np.mean(v.variance_factor(z, pop64.upapr, pop64.lpapr))
+                             for z in zetas])
+        np.testing.assert_array_equal(means.view(np.uint64), per_zeta.view(np.uint64))
+        lower = zetas <= 0.5
+        assert prof.zeta_dagger == zetas[lower][np.argmax(per_zeta[lower])]
 
     def test_peak_sits_in_lower_half_and_beats_midpoint(self, pop64):
         prof = v.variance_profile(pop64, 0.01)
