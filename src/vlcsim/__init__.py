@@ -17,9 +17,8 @@ from .ofdm import (Constellation, FreqSymbol, PaprPopulation, PaprSample,
                    sample_papr_population, symbol_rng, to_time_domain)
 from .led import (LedModel, ScalingDecision, compute_alpha, optical_output,
                   variance_closed_form, variance_factor)
-from .dimming import (DimmingSpec, PwmFrame, Scheme, assemble_waveform,
-                      duty_cycle, effective_brightness, pwm_frame, snr_sample,
-                      write_waveform_csv)
+from .dimming import (DimmingSpec, Scheme, assemble_waveform, duty_cycle,
+                      effective_brightness, write_waveform_csv)
 from .rates import (AUTO, GammaSearchResult, RateEstimate, VarianceProfile,
                     estimate_rate, gamma_grid, optimize_gamma, sweep_gamma_search,
                     sweep_rates, variance_profile, write_gamma_search_csv,
@@ -42,8 +41,8 @@ __all__ = [
     "LedModel", "ScalingDecision", "compute_alpha", "variance_factor",
     "variance_closed_form", "optical_output",
     # dimming
-    "Scheme", "DimmingSpec", "PwmFrame", "pwm_frame", "effective_brightness",
-    "duty_cycle", "snr_sample", "assemble_waveform", "write_waveform_csv",
+    "Scheme", "DimmingSpec", "effective_brightness", "duty_cycle",
+    "assemble_waveform", "write_waveform_csv",
     # rates
     "AUTO", "RateEstimate", "GammaSearchResult", "VarianceProfile",
     "estimate_rate", "optimize_gamma", "variance_profile", "sweep_rates",

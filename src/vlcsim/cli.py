@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cache import load_or_build, population_cache_path, resolve_cache_dir, write_population_csv
-from .config import ExperimentConfig, load_config, parse_config
+from .config import ExperimentConfig, config_line, load_config, parse_config
 from .csvio import write_rows
 from .dimming import (DimmingSpec, Scheme, assemble_waveform, duty_cycle, effective_brightness,
                       write_waveform_csv)
@@ -80,15 +80,14 @@ def _effective_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
         cfg = load_config(args.config, cfg)
-    lines = [f"{key} = {getattr(args, key)}" for key in _FLAG_KEYS
+    lines = [config_line(key, str(getattr(args, key))) for key in _FLAG_KEYS
              if getattr(args, key) is not None]
     if args.dnr_db is not None:
         parts = args.dnr_db.split(":")
         if len(parts) != 3:
             raise ConfigError("dnr-db", f"expected START:STOP:STEP, got {args.dnr_db!r}")
-        lines += [f"dnr_db_{end} = {part}" for end, part in zip(("start", "stop", "step"), parts)]
-    if lines:
-        cfg = parse_config("\n".join(lines), cfg)
+        lines += [config_line(f"dnr_db_{end}", part) for end, part in zip(("start", "stop", "step"), parts)]
+    cfg = parse_config("\n".join(lines), cfg)
     if args.quick and cfg.symbol_count > 1000:
         cfg = replace(cfg, symbol_count=1000)
     return cfg.validate()

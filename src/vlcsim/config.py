@@ -37,12 +37,15 @@ def _check_budget(key: str, count: float, what: str, hint: str = ""):
                                + (f"; {hint}" if hint else ""))
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+def config_line(key: str, value: str) -> str:
+    """One key = value line that parse_config reads back as value."""
+    if "#" in value or "".join(value.splitlines()) != value:
+        raise ConfigError(key, f"cannot contain '#' or a line break, got {value!r}")
+    return f"{key} = {value}"
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+def _parse_list(kind, text: str) -> tuple:
+    return tuple(kind(part) for part in text.split(",") if part.strip())
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,7 @@ class ExperimentConfig:
             if any(isinstance(x, float) and not np.isfinite(x)
                    for x in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f.name, f"must be finite, got {value!r}")
+        config_line("output_dir", self.output_dir)  # so to_text() can write it
         if self.n_subcarriers % 2 != 0 or self.n_subcarriers < 4:
             raise ConfigError("n_subcarriers", f"must be even and >= 4, got {self.n_subcarriers}")
         if self.symbol_count < 1:
@@ -171,7 +175,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.name == "n_list" and value is None:
                 continue
-            lines.append(f"{f.name} = {_format_value(value)}")
+            lines.append(config_line(f.name, _format_value(value)))
         return "\n".join(lines) + "\n"
 
 
@@ -194,15 +198,15 @@ _PARSERS = {
     "i_low": float,
     "i_high": float,
     "o_high": float,
-    "lambdas": _parse_float_list,
-    "gammas": lambda text: AUTO if text.strip() == AUTO else _parse_float_list(text),
+    "lambdas": lambda text: _parse_list(float, text),
+    "gammas": lambda text: AUTO if text.strip() == AUTO else _parse_list(float, text),
     "dnr_db_start": float,
     "dnr_db_stop": float,
     "dnr_db_step": float,
     "zeta_step": float,
     "gamma_step": float,
     "output_dir": str,
-    "n_list": _parse_int_list,
+    "n_list": lambda text: _parse_list(int, text),
 }
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .csvio import write_csv
 from .errors import CurrentRangeError, DutyCycleError
-from .led import LedModel, compute_alpha, optical_output, variance_factor
-from .ofdm import PaprSample, TimeSymbol
+from .led import LedModel, compute_alpha, optical_output
+from .ofdm import TimeSymbol
 
 
 class Scheme(str, Enum):
@@ -78,31 +78,6 @@ class DimmingSpec:
             duty_cycle(lam_eff, self.forward_ratio)
         elif self.forward_ratio is not None:
             raise ValueError("forward_ratio only applies to the PWM scheme")
-
-
-@dataclass(frozen=True)
-class PwmFrame:
-    """On-interval length, full period, and on-level current of one PWM frame."""
-
-    on_duration: float
-    period: float
-    on_level: float
-
-
-def pwm_frame(lambda_effective: float, gamma: float, led: LedModel,
-              on_duration: float = 1.0) -> PwmFrame:
-    """Frame timing for one OFDM symbol per on interval."""
-    d = duty_cycle(lambda_effective, gamma)
-    return PwmFrame(on_duration=on_duration, period=on_duration / d,
-                    on_level=led.i_low + gamma * led.dynamic_range)
-
-
-def snr_sample(effective_ratio: float, papr: PaprSample, dnr: float) -> float:
-    """Per-symbol SNR at the given biasing ratio: DNR times the variance factor."""
-    if not 0.0 < effective_ratio < 1.0:
-        raise ValueError(f"effective ratio must be in (0, 1), got {effective_ratio}")
-    check_dnr(dnr)
-    return float(dnr * variance_factor(effective_ratio, papr.upapr, papr.lpapr))
 
 
 def _alpha(sym: TimeSymbol, bias: float, led: LedModel) -> float:

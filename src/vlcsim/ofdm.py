@@ -266,13 +266,12 @@ def symbol_rngs(seed: int, count: int):
         yield from (np.random.Generator(_pcg64(state)) for state in states)
 
 
-def _draw_rows(constellation: Constellation, states: np.ndarray, start: int, out: np.ndarray):
+def _draw_rows(constellation: Constellation, states: np.ndarray, out: np.ndarray):
     """out[r] = _draw_constellation(constellation, out.shape[1], Generator(_pcg64(states[r]))).
 
     Generator.integers(0, k) is Lemire's (u * k) >> 32 on PCG64's 32-bit halves, low
     half first, and never rejects for k a power of two: QPSK and 16-QAM indices are
-    the top log2(k) bits of the halves of random_raw's words. start, the symbol index
-    of states[0], does not enter the draws.
+    the top log2(k) bits of the halves of random_raw's words.
     """
     size = out.shape[1]
     points = (_QPSK_POINTS if constellation is Constellation.QPSK else
@@ -367,7 +366,7 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
         stop = start + len(states)
         blk, x = buf[:len(states)], re[:len(states)]
         blk.fill(0)
-        _draw_rows(constellation, states, start, blk[:, 1:half])
+        _draw_rows(constellation, states, blk[:, 1:half])
         if start % _SEED_CHUNK == 0:
             _check_reference(constellation, seed, start, blk[0, 1:half])
         _mirror(blk, half)

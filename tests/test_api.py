@@ -16,6 +16,8 @@ REMOVED = [
     (v.PaprPopulation, "count"), (v.PaprPopulation, "__getitem__"),
     (v.PaprPopulation, "__iter__"), (ofdm.FreqSymbol, "validate"),
     (ofdm.TimeSymbol, "is_degenerate"), (config.ExperimentConfig, "save"),
+    (v, "PwmFrame"), (dimming, "PwmFrame"), (v, "pwm_frame"), (dimming, "pwm_frame"),
+    (v, "snr_sample"), (dimming, "snr_sample"),
 ]
 
 
@@ -47,7 +49,6 @@ def test_scaling_decision_does_not_echo_the_bias():
 def test_dnr_check_is_one_helper_outside_the_public_list():
     assert "check_dnr" not in v.__all__
     for call in (lambda: v.DimmingSpec(0.2, v.Scheme.BIASING_ADJUSTMENT, dnr=-1.0),
-                 lambda: v.snr_sample(0.2, v.PaprSample(4.0, 4.0), -1.0),
                  lambda: v.optimize_gamma(0.2, -1.0, v.sample_papr_population(
                      16, v.Constellation.QPSK, 5, seed=1)),
                  lambda: dimming.check_dnr(-1.0)):

@@ -178,6 +178,31 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags,key", [
+        (["--out", "run#1"], "output_dir"),
+        (["--out", "a\nb"], "output_dir"),
+        (["--out", "a\r\nb"], "output_dir"),
+        (["--out", "a\u2028b"], "output_dir"),
+        (["--out", "run\n"], "output_dir"),
+        (["--lambda", "0.1#0.3", "--gamma", "0.2"], "lambdas"),
+        (["--lambda", "0.1,\n0.3", "--gamma", "0.4"], "lambdas"),
+        (["--gamma", "0.2#0.4"], "gammas"),
+        (["--gamma", "auto\n"], "gammas"),
+        (["--n-list", "16#32"], "n_list"),
+        (["--dnr-db", "0:0:1#2"], "dnr_db_step"),
+        (["--dnr-db", "0\n:0:1"], "dnr_db_start"),
+    ])
+    def test_flag_value_with_a_comment_or_line_break_names_its_key(self, tmp_path, monkeypatch,
+                                                                   capsys, flags, key):
+        """'#' starts a comment and a line break ends a key = value line: neither is cut."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["--n", 16, "--symbols", 5, "--lambda", "0.2", "--dnr-db", "0:0:1", "--out", "out"]
+        assert run("rate-sweep", *argv, *flags) == 2
+        err = capsys.readouterr().err
+        assert f"vlcsim: config error: {key}: cannot contain '#' or a line break, got " in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # no output directory, no cache
+
     def test_output_under_regular_file_is_an_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory\n")

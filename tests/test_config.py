@@ -38,6 +38,21 @@ class TestRoundTrip:
         path.write_text(cfg.to_text())
         assert v.load_config(path) == cfg
 
+    @pytest.mark.parametrize("output_dir", ["runs/a b", "", "a=b", "caf\u00e9"])
+    def test_output_dir_round_trips(self, output_dir):
+        cfg = v.ExperimentConfig(output_dir=output_dir).validate()
+        assert v.parse_config(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("output_dir", ["run#1", "a\nb", "a\r\nb", "a\x0bb", "a\u2028b",
+                                            "run\n"])
+    def test_output_dir_no_manifest_can_hold_is_rejected(self, output_dir):
+        """'#' would start a comment and a line break would end the line."""
+        cfg = v.ExperimentConfig(output_dir=output_dir)
+        for call in (cfg.validate, cfg.to_text):
+            with pytest.raises(ConfigError) as err:
+                call()
+            assert err.value.key == "output_dir"
+
 
 class TestParsing:
     def test_comments_and_blank_lines_ignored(self):

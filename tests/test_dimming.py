@@ -1,4 +1,4 @@
-"""Tests for brightness folding, duty cycling, per-symbol SNR, and waveform assembly."""
+"""Tests for brightness folding, duty cycling, and waveform assembly."""
 
 import csv
 
@@ -62,7 +62,6 @@ class TestDutyCycle:
                   for k in range(501, 1000)]
         assert len(duties) == 499 and set(duties) == {1.0}
         v.DimmingSpec(0.7, v.Scheme.PWM, dnr=1.0, forward_ratio=0.3)
-        assert v.pwm_frame(v.effective_brightness(0.7)[0], 0.3, LED).period == 1.0
 
     def test_rounding_slack_admits_no_decimal_below_the_target(self):
         with pytest.raises(DutyCycleError):
@@ -108,52 +107,6 @@ class TestDimmingSpec:
     def test_rejects_non_finite_dnr(self, dnr):
         with pytest.raises(ValueError, match="dnr"):
             v.DimmingSpec(brightness=0.2, scheme=v.Scheme.PWM, dnr=dnr, forward_ratio=0.3)
-
-
-class TestPwmFrame:
-    def test_frame_timing_and_level(self):
-        frame = v.pwm_frame(0.25, 0.4, LED, on_duration=2.0)
-        assert frame.on_duration == 2.0
-        assert frame.period == pytest.approx(3.2)
-        assert frame.on_level == pytest.approx(0.4)
-
-    def test_on_level_dominates_average_current(self):
-        lam_eff, gamma = 0.2, 0.35
-        frame = v.pwm_frame(lam_eff, gamma, LED)
-        i_avg = LED.i_low + lam_eff * LED.dynamic_range
-        assert LED.i_low < frame.on_level < LED.i_high
-        assert frame.on_level >= i_avg
-
-
-class TestSnrSample:
-    @pytest.mark.parametrize("dnr", [np.inf, -np.inf, np.nan])
-    def test_rejects_non_finite_dnr(self, dnr):
-        with pytest.raises(ValueError, match="dnr"):
-            v.snr_sample(0.3, v.PaprSample(9.0, 2.0), dnr)
-
-    def test_symmetric_papr(self):
-        assert v.snr_sample(0.5, v.PaprSample(4.0, 4.0), 16.0) == pytest.approx(1.0)
-
-    def test_zero_budget(self):
-        assert v.snr_sample(0.3, v.PaprSample(9.0, 2.0), 0.0) == 0.0
-
-    def test_asymmetric_papr(self):
-        assert v.snr_sample(0.2, v.PaprSample(9.0, 4.0), 100.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_inherits_both_symmetries(self):
-        papr = v.PaprSample(8.5, 3.5)
-        for zeta in (0.13, 0.42):
-            assert v.snr_sample(zeta, papr, 7.0) == v.snr_sample(1.0 - zeta, papr, 7.0)
-            assert (v.snr_sample(zeta, papr, 7.0)
-                    == v.snr_sample(zeta, v.PaprSample(3.5, 8.5), 7.0))
-
-    def test_argmax_over_gamma_matches_variance(self):
-        """DNR scaling cannot move the best forward ratio."""
-        papr = v.PaprSample(6.7, 3.1)
-        gammas = np.arange(0.1, 0.51, 0.01)
-        snrs = [v.snr_sample(g, papr, 250.0) for g in gammas]
-        variances = [v.variance_closed_form(g, papr, LED) for g in gammas]
-        assert np.argmax(snrs) == np.argmax(variances)
 
 
 class TestAssembleWaveform:
