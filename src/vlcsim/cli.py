@@ -23,14 +23,19 @@ from . import __version__
 from .cache import load_or_build, population_cache_path, resolve_cache_dir, write_population_csv
 from .config import ExperimentConfig, config_line, load_config, parse_config
 from .csvio import write_rows
-from .dimming import (DimmingSpec, Scheme, assemble_waveform, duty_cycle, effective_brightness,
-                      write_waveform_csv)
+from .dimming import (DimmingSpec, Scheme, assemble_waveform, check_waveform, duty_cycle,
+                      effective_brightness, write_waveform_csv)
 from .errors import ConfigError, DutyCycleError, VlcsimError
 from .led import LedModel, compute_alpha, variance_closed_form, variance_factor
 from .ofdm import (Constellation, generate_freq_symbol, papr_of,
                    sample_papr_population, symbol_rng, symbol_rngs, to_time_domain)
 from .rates import (AUTO, sweep_gamma_search, sweep_rates, variance_profile,
                     write_gamma_search_csv, write_rates_csv)
+
+# working memory of one waveform block that waveform-demo assembles and writes:
+# about 32 bytes per sample (currents, optical copy and masks) over whole symbol
+# periods, on samples plus PWM gap, and at least one period
+_WAVE_BLOCK_BYTES = 256 * 1024
 
 # flags whose argparse dest is the config key they set, in the order they are parsed
 _FLAG_KEYS = ("seed", "n_subcarriers", "n_list", "symbol_count", "oversample_factor",
@@ -118,6 +123,14 @@ def _time_symbols(cfg: ExperimentConfig, rngs):
             for rng in rngs]
 
 
+def _symbol_blocks(symbols, spec: DimmingSpec):
+    """Consecutive runs of symbols whose waveform takes about _WAVE_BLOCK_BYTES."""
+    lam_eff = effective_brightness(spec.brightness)[0]
+    period = len(symbols[0].samples) / duty_cycle(lam_eff, spec.forward_ratio or lam_eff)
+    rows = max(1, int(_WAVE_BLOCK_BYTES // (32 * period)))
+    return [symbols[i:i + rows] for i in range(0, len(symbols), rows)]
+
+
 def _cmd_papr_sample(cfg: ExperimentConfig) -> int:
     pop = _population(cfg, cfg.n_subcarriers)
     csv_path = Path(cfg.output_dir) / "papr_population.csv"
@@ -182,10 +195,15 @@ def _cmd_waveform_demo(cfg: ExperimentConfig) -> int:
     # waveforms are noise-free; any valid DNR budget works
     specs = [DimmingSpec(brightness=lam, scheme=Scheme.BIASING_ADJUSTMENT, dnr=1.0),
              DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=1.0, forward_ratio=cfg.gammas[0])]
+    for spec in specs:  # a rejected spec fails before either CSV is opened
+        check_waveform(spec, led)
     symbols = _time_symbols(cfg, symbol_rngs(cfg.seed, cfg.symbol_count))
     paths = [Path(cfg.output_dir) / f"waveform_{spec.scheme.value}.csv" for spec in specs]
     for spec, path in zip(specs, paths):
-        write_waveform_csv(path, assemble_waveform(symbols, spec, led), led)
+        # gaps are per symbol and mirroring and snapping per sample, so the
+        # blocks concatenate to the whole waveform's assembly bit for bit
+        write_waveform_csv(path, (assemble_waveform(block, spec, led)
+                                  for block in _symbol_blocks(symbols, spec)), led)
     _notice(f"wrote {paths[0]} and {paths[1]}")
     return 0
 
@@ -262,12 +280,14 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args)
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-        if args.subcommand != "selftest":
-            _write_manifest(cfg, args.subcommand)
         if cfg.n_list and args.subcommand != "variance-sweep":
             _notice(f"{args.subcommand} uses n_subcarriers {cfg.n_subcarriers}; "
                     f"ignoring n_list {', '.join(map(str, cfg.n_list))}")
-        return _SUBCOMMANDS[args.subcommand][0](cfg)
+        code = _SUBCOMMANDS[args.subcommand][0](cfg)
+        # written once the run has succeeded, so a manifest never reruns a rejected config
+        if args.subcommand != "selftest":
+            _write_manifest(cfg, args.subcommand)
+        return code
     except ConfigError as exc:
         print(f"vlcsim: config error: {exc}", file=sys.stderr)
         return 2

@@ -41,6 +41,8 @@ def config_line(key: str, value: str) -> str:
     """One key = value line that parse_config reads back as value."""
     if "#" in value or "".join(value.splitlines()) != value:
         raise ConfigError(key, f"cannot contain '#' or a line break, got {value!r}")
+    if value != value.strip():  # parse_config strips it
+        raise ConfigError(key, f"cannot start or end with whitespace, got {value!r}")
     return f"{key} = {value}"
 
 

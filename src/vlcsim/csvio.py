@@ -3,15 +3,17 @@
 Fields are joined by ',' without quoting and rows end in '\\n'. Floats,
 NumPy's included, are written as repr(float(x)), the shortest text that
 reads back as the same double; None is an empty field; anything else goes
-through str(). Tables are given as columns (write_csv) or as rows
-(write_rows); either way the text is built piecewise and streamed to the
-file.
+through str(). Tables are given as columns (write_csv), as consecutive
+blocks of columns (write_blocks) or as rows (write_rows); either way the
+text is built piecewise and streamed to the file.
 """
+
+import os
 
 import numpy as np
 
-# rows formatted and written per write call by write_csv; a chunk's text is
-# the largest piece of a table held in memory
+# rows formatted and written per write call by write_csv and write_blocks; a
+# chunk's text is the largest piece of a table held in memory
 _CHUNK_ROWS = 256
 
 # the one float format: float.__repr__ is repr(float(x)) for a float x
@@ -60,8 +62,13 @@ def _chunks(columns):
 
 def _write(path, header, texts):
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(texts)
+        try:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(texts)
+        except BaseException:  # a table that fails part-way leaves no partial file
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def write_csv(path, header, columns):
@@ -71,7 +78,17 @@ def write_csv(path, header, columns):
     the shortest column sets the row count, and a table without rows may
     pass no columns. Rows are formatted and written _CHUNK_ROWS at a time.
     """
-    _write(path, header, _chunks(columns))
+    write_blocks(path, header, [columns])
+
+
+def write_blocks(path, header, blocks):
+    """Write the header, then the rows of each block of columns in turn.
+
+    Each block is a list of columns as write_csv takes them; blocks is read
+    once, after the file is opened, so a table can be produced block by
+    block while it is written and never held whole.
+    """
+    _write(path, header, (text for columns in blocks for text in _chunks(columns)))
 
 
 def write_rows(path, header, rows):

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import write_blocks
 from .errors import CurrentRangeError, DutyCycleError
 from .led import LedModel, compute_alpha, optical_output
 from .ofdm import TimeSymbol
@@ -93,6 +93,18 @@ def _snap_to_range(wave: np.ndarray, led: LedModel):
     np.copyto(wave, led.i_high, where=(wave < led.i_high + slack) & (wave > led.i_high))
 
 
+def check_waveform(spec: DimmingSpec, led: LedModel):
+    """Raise CurrentRangeError unless led can drive spec's waveform.
+
+    A mirrored PWM off state sits at i_high + i_low, above the range, so it
+    needs i_low == 0. Every other spec can be driven on any LED.
+    """
+    if spec.scheme is Scheme.PWM and effective_brightness(spec.brightness)[1] and led.i_low != 0.0:
+        raise CurrentRangeError(
+            "mirrored PWM requires i_low == 0; the off interval cannot be mirrored "
+            f"into [{led.i_low}, {led.i_high}]")
+
+
 def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
     """Concatenate maximally scaled symbols into the LED drive waveform.
 
@@ -104,13 +116,9 @@ def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
     symbols = list(symbols)
     if not symbols:
         raise ValueError("no symbols to assemble")
+    check_waveform(spec, led)
     lam_eff, mirrored = effective_brightness(spec.brightness)
     gamma = lam_eff if spec.scheme is Scheme.BIASING_ADJUSTMENT else spec.forward_ratio
-    if spec.scheme is Scheme.PWM and mirrored and led.i_low != 0.0:
-        # the mirrored off state sits at i_high + i_low, above the range
-        raise CurrentRangeError(
-            "mirrored PWM requires i_low == 0; the off interval cannot be mirrored "
-            f"into [{led.i_low}, {led.i_high}]")
     d = duty_cycle(lam_eff, gamma)
     bias = led.i_low + gamma * led.dynamic_range
     gaps = [int(round(len(sym.samples) * (1.0 - d) / d)) for sym in symbols]
@@ -128,7 +136,18 @@ def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
     return wave
 
 
-def write_waveform_csv(path, currents: np.ndarray, led: LedModel):
-    """Dump a drive waveform as sample_index,current,optical rows."""
-    write_csv(path, ["sample_index", "current", "optical"],
-              [range(len(currents)), currents, optical_output(currents, led)])
+def write_waveform_csv(path, currents, led: LedModel):
+    """Dump a drive waveform as sample_index,current,optical rows.
+
+    currents is the waveform as one array or as an iterable of its
+    consecutive blocks (assemble_waveform over consecutive runs of symbols,
+    say), read once while the file is written; the optical column is
+    computed block by block, so only one block is held at a time.
+    """
+    def blocks():
+        start = 0
+        for block in [currents] if isinstance(currents, np.ndarray) else currents:
+            yield [range(start, start + len(block)), block, optical_output(block, led)]
+            start += len(block)
+
+    write_blocks(path, ["sample_index", "current", "optical"], blocks())

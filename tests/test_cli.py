@@ -84,9 +84,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config error: {key}" in err
         assert "Traceback" not in err
-        # rejected before a population is sampled or a table written
+        # rejected before a population is sampled or a table or manifest written
         assert not (tmp_path / "shared_cache").exists()
         assert not list(tmp_path.rglob("*.csv"))
+        assert not list(tmp_path.rglob("*.manifest.txt"))
 
     @pytest.mark.parametrize("subcommand,flags,overrides", [
         ("papr-sample", ["--dnr-db=0:60:0.00001"], {}),
@@ -202,6 +203,38 @@ class TestExitCodes:
         assert f"vlcsim: config error: {key}: cannot contain '#' or a line break, got " in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []  # no output directory, no cache
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--out", " out"], "output_dir"),
+        (["--out", "out\t"], "output_dir"),
+        (["--lambda", "0.2 ", "--gamma", "0.3"], "lambdas"),
+    ])
+    def test_flag_value_with_surrounding_whitespace_names_its_key(self, tmp_path, monkeypatch,
+                                                                  capsys, flags, key):
+        """A config line is read back stripped, so the value would not be the flag's."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["--n", 16, "--symbols", 5, "--lambda", "0.2", "--dnr-db", "0:0:1", "--out", "out"]
+        assert run("rate-sweep", *argv, *flags) == 2
+        err = capsys.readouterr().err
+        assert f"vlcsim: config error: {key}: cannot start or end with whitespace, got " in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("subcommand,flags,config,message", [
+        ("waveform-demo", ["--lambda", "0.8", "--gamma", "0.3"], "i_low = 0.1\n",
+         "vlcsim: error: mirrored PWM requires i_low == 0"),
+        ("rate-sweep", ["--lambda", "0.1,0.3", "--gamma", "0.2", "--dnr-db", "0:0:1"], "",
+         "vlcsim: config error: gammas: forward ratio 0.2 < effective brightness 0.3"),
+    ])
+    def test_rejected_run_leaves_no_csv_and_no_manifest(self, tmp_path, capsys, subcommand, flags,
+                                                        config, message):
+        """A manifest reruns its config, so a rejected config gets none."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert run(subcommand, "--config", cfg, "--n", 16, "--symbols", 5, *flags,
+                   "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_output_under_regular_file_is_an_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"

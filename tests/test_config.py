@@ -44,9 +44,10 @@ class TestRoundTrip:
         assert v.parse_config(cfg.to_text()) == cfg
 
     @pytest.mark.parametrize("output_dir", ["run#1", "a\nb", "a\r\nb", "a\x0bb", "a\u2028b",
-                                            "run\n"])
+                                            "run\n", " x ", "x\t", " runs/a"])
     def test_output_dir_no_manifest_can_hold_is_rejected(self, output_dir):
-        """'#' would start a comment and a line break would end the line."""
+        """'#' would start a comment, a line break would end the line, and
+        surrounding whitespace would be stripped when the line is read back."""
         cfg = v.ExperimentConfig(output_dir=output_dir)
         for call in (cfg.validate, cfg.to_text):
             with pytest.raises(ConfigError) as err:

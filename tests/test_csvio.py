@@ -86,3 +86,25 @@ def test_text_comes_in_chunks_of_chunk_rows():
     chunks = list(csvio._chunks([range(rows), np.arange(rows) / 7.0]))
     assert len(chunks) == 3
     assert [chunk.count("\n") for chunk in chunks] == [CHUNK, CHUNK, 1]
+
+
+@pytest.mark.parametrize("cuts", [[], [CHUNK - 1], [CHUNK + 1, 2 * CHUNK + 1], [1, 2, 3 * CHUNK]])
+def test_blocks_write_the_bytes_of_the_whole_table(tmp_path, cuts):
+    rows = 3 * CHUNK + 17
+    current = np.random.default_rng(7).uniform(-1.0, 1.0, rows)
+    edges = [0, *cuts, rows]
+    blocks = [[range(a, b), current[a:b], current[a:b] * 1e-7] for a, b in zip(edges, edges[1:])]
+    csvio.write_blocks(tmp_path / "blocks.csv", ["i", "current", "scaled"], iter(blocks))
+    reference_csv(tmp_path / "reference.csv", ["i", "current", "scaled"],
+                  [range(rows), current, current * 1e-7])
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_a_table_that_fails_part_way_leaves_no_file(tmp_path):
+    def blocks():
+        yield [range(3), np.ones(3)]
+        raise RuntimeError("the second block failed")
+
+    with pytest.raises(RuntimeError, match="second block"):
+        csvio.write_blocks(tmp_path / "t.csv", ["i", "x"], blocks())
+    assert list(tmp_path.iterdir()) == []

@@ -1,15 +1,18 @@
 """Tests for brightness folding, duty cycling, and waveform assembly."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 import vlcsim as v
+from vlcsim.cli import _symbol_blocks
 from vlcsim.errors import CurrentRangeError, DutyCycleError
 
 LED = v.LedModel()
+LED_I_LOW = v.LedModel(0.2, 1.5, 2.0)
 
 
 def make_symbols(count, n=64, oversample=4, seed=1):
@@ -203,6 +206,56 @@ class TestWaveformCsv:
         assert len(rows) == len(wave) + 1
         assert float(rows[1][1]) == wave[0]
         assert float(rows[1][2]) == v.optical_output(wave[0], LED)
+
+    @pytest.mark.parametrize("brightness, gamma, led", [
+        (0.25, 0.4, LED), (0.7, None, LED), (0.7, 0.4, LED), (0.3, None, LED_I_LOW)],
+        ids=["pwm", "mirrored-biasing", "mirrored-pwm", "i_low-biasing"])
+    @pytest.mark.parametrize("count", ["one", "block-1", "block+1"])
+    def test_blocks_write_the_bytes_of_the_whole_array(self, tmp_path, brightness, gamma, led,
+                                                       count):
+        scheme = v.Scheme.BIASING_ADJUSTMENT if gamma is None else v.Scheme.PWM
+        spec = v.DimmingSpec(brightness=brightness, scheme=scheme, dnr=1.0, forward_ratio=gamma)
+        probe = make_symbols(64)
+        rows = len(_symbol_blocks(probe, spec)[0])  # symbols per block
+        assert 1 < rows < len(probe)
+        symbols = probe[:{"one": 1, "block-1": rows - 1, "block+1": rows + 1}[count]]
+        runs = _symbol_blocks(symbols, spec)
+        assert len(runs) == (2 if count == "block+1" else 1)
+        whole = v.assemble_waveform(symbols, spec, led)
+        blocks = [v.assemble_waveform(run, spec, led) for run in runs]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        v.write_waveform_csv(tmp_path / "array.csv", whole, led)
+        v.write_waveform_csv(tmp_path / "list.csv", blocks, led)
+        v.write_waveform_csv(tmp_path / "generator.csv",
+                             (v.assemble_waveform(run, spec, led) for run in runs), led)
+        expected = (tmp_path / "array.csv").read_bytes()
+        assert expected.count(b"\n") == len(whole) + 1
+        for name in ("list.csv", "generator.csv"):
+            assert (tmp_path / name).read_bytes() == expected
+
+    def test_streamed_write_holds_one_block(self, tmp_path):
+        """2000 N = 64 PWM symbols: the whole waveform's write peaks at about 14 MB traced."""
+        symbols = make_symbols(2000)
+        spec = v.DimmingSpec(brightness=0.25, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.4)
+        blocks = (v.assemble_waveform(run, spec, LED) for run in _symbol_blocks(symbols, spec))
+        tracemalloc.start()
+        try:
+            v.write_waveform_csv(tmp_path / "wave.csv", blocks, LED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        with open(tmp_path / "wave.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == 2000 * 410 + 1
+
+    @pytest.mark.parametrize("blocks", ["array", "second block"])
+    def test_an_unreachable_current_leaves_no_file(self, tmp_path, blocks):
+        wave = np.array([0.0, 0.5, 1.0, 1.5])
+        currents = wave if blocks == "array" else iter([wave[:2], wave[2:]])
+        path = tmp_path / "wave.csv"
+        with pytest.raises(CurrentRangeError, match="current 1.5 outside"):
+            v.write_waveform_csv(path, currents, LED)
+        assert not path.exists()
 
 
 def concatenated_waveform(symbols, spec, led):
