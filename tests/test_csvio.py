@@ -108,3 +108,120 @@ def test_a_table_that_fails_part_way_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError, match="second block"):
         csvio.write_blocks(tmp_path / "t.csv", ["i", "x"], blocks())
     assert list(tmp_path.iterdir()) == []
+
+
+def column_text(values):
+    """The column formatter's text of one float column: one line per value."""
+    return "".join(csvio._chunks([values]))
+
+
+def assert_repr(values):
+    """The formatter writes repr(float(x)) for every value, in order, and leaves the values be."""
+    doubles = np.asarray(values, dtype=np.float64)
+    expected = "".join(map("{!r}\n".format, doubles.tolist()))
+    before = doubles.copy()
+    text = column_text(values)
+    assert doubles.tobytes() == before.tobytes()  # the column is read, never written
+    if text != expected:
+        got = text.splitlines()
+        first = next(i for i, (a, b) in enumerate(zip(got, expected.splitlines())) if a != b)
+        bits = doubles[first:first + 1].view(np.uint64)[0]
+        raise AssertionError(f"{float(doubles[first])!r} (bits {bits:#x}) written as {got[first]!r}")
+
+
+def with_neighbours(values):
+    """The doubles, and one ulp below and above each."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def test_random_bit_patterns_match_repr():
+    bits = np.random.default_rng(20201030).integers(0, 2 ** 64, 1_001_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert len(values) >= 1_000_000
+    assert_repr(values)
+
+
+def test_subnormal_edges_match_repr():
+    # 5e-324, the largest subnormal and the smallest normal
+    assert_repr(with_neighbours([5e-324, 1e-323, 2.225073858507201e-308,
+                                 2.2250738585072014e-308, -2.2250738585072014e-308]))
+
+
+def test_special_values_match_repr():
+    largest = np.finfo(np.float64).max
+    assert_repr([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, largest, -largest,
+                 np.nextafter(largest, 0.0), 1.0, -1.0, 0.1])
+
+
+def test_powers_of_two_match_repr():
+    # a power of two has the closer lower end: its lower neighbour is half as far
+    assert_repr(with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))))
+
+
+def test_powers_of_ten_match_repr():
+    assert_repr(with_neighbours([float(f"1e{k}") for k in range(-323, 309)]))
+
+
+def test_integers_near_2_to_53_match_repr():
+    near = np.arange(2 ** 53 - 3000, 2 ** 53 + 3000, dtype=np.int64)
+    assert_repr(np.concatenate([near, -near]).astype(np.float64))
+    assert_repr(np.arange(-5000, 5000, dtype=np.float64) * 1e3)
+
+
+def test_notation_switches_match_repr():
+    # repr turns scientific below 1e-4 and from 1e16 on
+    switches = np.array([1e-4, 1e16, 1e-5, 1e15, 9.999999999999999e-05, 9999999999999998.0])
+    assert_repr(with_neighbours(np.concatenate([switches, -switches])))
+
+
+def test_halfway_digits_match_repr():
+    # 1 + 2**-17 lies halfway between two 17-digit decimals: repr rounds to even
+    odd = np.arange(1, 2 ** 10, 2, dtype=np.float64)
+    values = np.concatenate([np.ldexp(odd, -shift) for shift in range(1, 64)])
+    assert_repr(np.concatenate([values, values * 1e8, values * 1e-8]))
+    assert column_text(np.array([1 + 2 ** -17])) == "1.0000076293945312\n"
+
+
+def test_short_decimals_match_repr():
+    rng = np.random.default_rng(7)
+    assert_repr(rng.integers(-10 ** 9, 10 ** 9, 100_000) / 10.0 ** rng.integers(0, 12, 100_000))
+    assert_repr(rng.uniform(0.0, 1.0, 100_000) * 10.0 ** rng.integers(-320, 300, 100_000))
+
+
+def test_other_dtypes_and_layouts_match_repr():
+    rng = np.random.default_rng(11)
+    f32 = rng.integers(0, 2 ** 32, 100_000, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    assert_repr(f32[np.isfinite(f32)])
+    assert_repr(rng.integers(-2 ** 63, 2 ** 63 - 1, 100_000, dtype=np.int64))
+    doubles = rng.standard_normal((3 * CHUNK + 5, 2))
+    assert_repr(doubles[::-1, 1])
+    assert_repr(list(doubles[:, 0]))
+
+
+@pytest.mark.parametrize("index", [
+    range(-3 * CHUNK, 3 * CHUNK, 7), range(10 ** 12, -10 ** 12, -10 ** 9 + 7),
+    range(-2 ** 40, -2 ** 40 + CHUNK), range(9, 12), range(2 ** 63 - 4, 2 ** 63 - 1),
+    range(-2 ** 63, -2 ** 63 + 3)],
+    ids=["negative-stepped", "descending-large", "negative-large", "one-digit-rollover",
+         "int64-max", "int64-min"])
+def test_index_columns_match_str(tmp_path, index):
+    assert_same_bytes(tmp_path, ["i", "x"], [index, np.arange(len(index)) / 3.0])
+
+
+def test_exponent_tables_are_exact():
+    """The multiply-shift forms of k and h equal their exact values on every exponent."""
+    _, k_row, h_row = csvio._tables()
+    for closer in (0, 1):
+        for biased in range(2 if closer else 0, 2047):
+            q = max(biased, 1) - 1075
+            # 10**k <= 2**q, or 3 * 2**(q-2), < 10**(k+1)
+            num, den = (3 << max(q - 2, 0), 1 << max(2 - q, 0)) if closer else \
+                (1 << max(q, 0), 1 << max(-q, 0))
+            k = len(str(num // den)) - 1 if num >= den else -len(str((den - 1) // num))
+            assert k_row[2048 * closer + biased] == k - csvio._K_MIN, (closer, biased)
+            # h = q + floor(log2(10**-k)) + 2, and 4c << h stays below 2**60
+            beta = (10 ** -k).bit_length() - 1 if k <= 0 else -(10 ** k).bit_length()
+            assert h_row[2048 * closer + biased] == q + beta + 2
+            assert 2 <= q + beta + 2 <= 5

@@ -233,6 +233,26 @@ class TestWaveformCsv:
         for name in ("list.csv", "generator.csv"):
             assert (tmp_path / name).read_bytes() == expected
 
+    @pytest.mark.parametrize("brightness, gamma, led", [
+        (0.3, None, LED_I_LOW), (0.7, None, LED), (0.25, 0.4, LED)],
+        ids=["i_low-biasing", "mirrored-biasing", "pwm"])
+    def test_bytes_equal_a_row_by_row_reference(self, tmp_path, brightness, gamma, led):
+        scheme = v.Scheme.BIASING_ADJUSTMENT if gamma is None else v.Scheme.PWM
+        spec = v.DimmingSpec(brightness=brightness, scheme=scheme, dnr=1.0, forward_ratio=gamma)
+        symbols = make_symbols(40)
+        wave = v.assemble_waveform(symbols, spec, led)
+        optical = v.optical_output(wave, led)
+        # the optical column equals current only under the default LED
+        assert np.array_equal(optical, wave) == (led is LED)
+        v.write_waveform_csv(tmp_path / "wave.csv", (v.assemble_waveform(run, spec, led)
+                                                     for run in _symbol_blocks(symbols, spec)), led)
+        expected = "sample_index,current,optical\n" + "".join(
+            f"{i},{current!r},{light!r}\n" for i, (current, light)
+            in enumerate(zip(wave.tolist(), optical.tolist())))
+        assert (tmp_path / "wave.csv").read_bytes() == expected.encode()
+        if gamma is not None:
+            assert expected.count(",0.0,0.0\n") > len(wave) // 3  # the off intervals
+
     def test_streamed_write_holds_one_block(self, tmp_path):
         """2000 N = 64 PWM symbols: the whole waveform's write peaks at about 14 MB traced."""
         symbols = make_symbols(2000)
