@@ -24,7 +24,7 @@ from .cache import load_or_build, population_cache_path, resolve_cache_dir, writ
 from .config import ExperimentConfig, config_line, load_config, parse_config
 from .csvio import write_rows
 from .dimming import (DimmingSpec, Scheme, assemble_waveform, check_waveform, duty_cycle,
-                      effective_brightness, write_waveform_csv)
+                      effective_brightness, frame_length, write_waveform_csv)
 from .errors import ConfigError, DutyCycleError, VlcsimError
 from .led import LedModel, compute_alpha, variance_closed_form, variance_factor
 from .ofdm import (Constellation, generate_freq_symbol, papr_of,
@@ -33,8 +33,8 @@ from .rates import (AUTO, sweep_gamma_search, sweep_rates, variance_profile,
                     write_gamma_search_csv, write_rates_csv)
 
 # working memory of one waveform block that waveform-demo assembles and writes:
-# about 32 bytes per sample (currents, optical copy and masks) over whole symbol
-# periods, on samples plus PWM gap, and at least one period
+# about 32 bytes per sample (currents, optical copy and masks) over whole frames
+# (dimming.frame_length), and at least one frame
 _WAVE_BLOCK_BYTES = 256 * 1024
 
 # flags whose argparse dest is the config key they set, in the order they are parsed
@@ -118,17 +118,15 @@ def _population(cfg: ExperimentConfig, n_subcarriers: int):
 
 def _time_symbols(cfg: ExperimentConfig, rngs):
     """The configuration's time-domain symbols, one drawn from each generator."""
-    return [to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation, rng),
+    return (to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation, rng),
                            cfg.oversample_factor)
-            for rng in rngs]
+            for rng in rngs)
 
 
-def _symbol_blocks(symbols, spec: DimmingSpec):
-    """Consecutive runs of symbols whose waveform takes about _WAVE_BLOCK_BYTES."""
-    lam_eff = effective_brightness(spec.brightness)[0]
-    period = len(symbols[0].samples) / duty_cycle(lam_eff, spec.forward_ratio or lam_eff)
-    rows = max(1, int(_WAVE_BLOCK_BYTES // (32 * period)))
-    return [symbols[i:i + rows] for i in range(0, len(symbols), rows)]
+def _symbol_blocks(rows: np.ndarray, spec: DimmingSpec):
+    """Consecutive runs of symbol rows whose waveform takes about _WAVE_BLOCK_BYTES."""
+    per_block = max(1, int(_WAVE_BLOCK_BYTES // (32 * frame_length(spec, rows.shape[1]))))
+    return [rows[i:i + per_block] for i in range(0, len(rows), per_block)]
 
 
 def _cmd_papr_sample(cfg: ExperimentConfig) -> int:
@@ -195,15 +193,18 @@ def _cmd_waveform_demo(cfg: ExperimentConfig) -> int:
     # waveforms are noise-free; any valid DNR budget works
     specs = [DimmingSpec(brightness=lam, scheme=Scheme.BIASING_ADJUSTMENT, dnr=1.0),
              DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=1.0, forward_ratio=cfg.gammas[0])]
-    for spec in specs:  # a rejected spec fails before either CSV is opened
+    for spec in specs:  # a rejected spec fails before a symbol is drawn
         check_waveform(spec, led)
-    symbols = _time_symbols(cfg, symbol_rngs(cfg.seed, cfg.symbol_count))
+        cfg.check_frame_budget(spec)
+    rows = np.empty((cfg.symbol_count, cfg.n_subcarriers * cfg.oversample_factor))
+    for row, sym in zip(rows, _time_symbols(cfg, symbol_rngs(cfg.seed, cfg.symbol_count))):
+        row[:] = sym.samples
     paths = [Path(cfg.output_dir) / f"waveform_{spec.scheme.value}.csv" for spec in specs]
     for spec, path in zip(specs, paths):
-        # gaps are per symbol and mirroring and snapping per sample, so the
+        # gaps are per frame and mirroring and snapping per sample, so the
         # blocks concatenate to the whole waveform's assembly bit for bit
         write_waveform_csv(path, (assemble_waveform(block, spec, led)
-                                  for block in _symbol_blocks(symbols, spec)), led)
+                                  for block in _symbol_blocks(rows, spec)), led)
     _notice(f"wrote {paths[0]} and {paths[1]}")
     return 0
 
@@ -213,7 +214,7 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
     checks: list[tuple[str, bool]] = []
 
     # the reference is NumPy's own per-symbol seeding, not the sampler's batched one
-    symbols = _time_symbols(cfg, (symbol_rng(cfg.seed, i) for i in range(200)))
+    symbols = list(_time_symbols(cfg, (symbol_rng(cfg.seed, i) for i in range(200))))
     pop = sample_papr_population(cfg.n_subcarriers, cfg.constellation, 200, cfg.seed,
                                  cfg.oversample_factor)
     reference = [papr_of(sym) for sym in symbols]
@@ -221,22 +222,21 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
                    np.array_equal(pop.upapr, [s.upapr for s in reference])
                    and np.array_equal(pop.lpapr, [s.lpapr for s in reference])))
 
+    rows = np.stack([sym.samples for sym in symbols])
+    sigma_x2 = np.array([sym.sigma_x2 for sym in symbols])
+    low, high = led.i_low - 1e-9 * led.dynamic_range, led.i_high + 1e-9 * led.dynamic_range
     worst = 0.0
     feasible = True
     maximal = True
-    for sym, papr in zip(symbols, reference):
-        hi = float(np.max(sym.samples))
-        lo = float(np.min(sym.samples))
-        for zeta in np.arange(0.05, 0.951, 0.05):
-            bias = led.i_low + zeta * led.dynamic_range
-            decision = compute_alpha(hi, lo, bias, led, sym.sigma_x2)
-            closed = variance_closed_form(zeta, papr, led)
-            worst = max(worst, abs(closed - decision.sigma_y2) / decision.sigma_y2)
-            y = decision.alpha * sym.samples + bias
-            slack = 1e-9 * led.dynamic_range
-            feasible &= bool(np.all(y >= led.i_low - slack) and np.all(y <= led.i_high + slack))
-            y_over = decision.alpha * (1 + 1e-6) * sym.samples + bias
-            maximal &= bool(np.any(y_over < led.i_low - slack) or np.any(y_over > led.i_high + slack))
+    for zeta in np.arange(0.05, 0.951, 0.05):
+        bias = led.i_low + zeta * led.dynamic_range
+        decision = compute_alpha(rows.max(axis=1), rows.min(axis=1), bias, led, sigma_x2)
+        closed = variance_closed_form(zeta, pop, led)  # pop's PAPRs are the reference's
+        worst = max(worst, float(np.max(np.abs(closed - decision.sigma_y2) / decision.sigma_y2)))
+        y = decision.alpha[:, None] * rows + bias
+        feasible &= bool(np.all((y >= low) & (y <= high)))
+        y_over = decision.alpha[:, None] * (1 + 1e-6) * rows + bias
+        maximal &= bool(np.all(np.any((y_over < low) | (y_over > high), axis=1)))
     checks.append(("closed-form variance matches maximal scaling (rel err < 1e-12)",
                    worst < 1e-12))
     checks.append(("scaled waveforms stay inside the dynamic range", feasible))
@@ -254,8 +254,8 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
     spec_b = DimmingSpec(brightness=0.25, scheme=Scheme.BIASING_ADJUSTMENT, dnr=1.0)
     spec_p = DimmingSpec(brightness=0.25, scheme=Scheme.PWM, dnr=1.0, forward_ratio=0.25)
     checks.append(("PWM at gamma = brightness degenerates to biasing adjustment",
-                   np.array_equal(assemble_waveform(symbols[:5], spec_b, led),
-                                  assemble_waveform(symbols[:5], spec_p, led))))
+                   np.array_equal(assemble_waveform(rows[:5], spec_b, led),
+                                  assemble_waveform(rows[:5], spec_p, led))))
 
     failed = False
     for name, ok in checks:

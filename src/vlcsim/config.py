@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dimming import effective_brightness
+from .dimming import DimmingSpec, effective_brightness, frame_length
 from .errors import ConfigError
 from .led import LedModel
 from .ofdm import Constellation
@@ -19,9 +19,10 @@ from .rates import AUTO, gamma_grid_points, zeta_grid_half
 
 #: most points a grid may have, checked by each run that builds the grid before
 #: building it: the DNR grid in _dnr_points(), the rate table, the forward-ratio
-#: search and the variance profile in the check_*_budget() methods. Runs at the
-#: budget with --quick (1000 symbols, N = 64) and one brightness, measured on
-#: 2 cores with Python 3.11 and NumPy 2.4 (a bare run peaks at 36 MB RSS):
+#: search, the variance profile and a waveform frame's off interval in the
+#: check_*_budget() methods. Runs at the budget with --quick (1000 symbols,
+#: N = 64) and one brightness, measured on 2 cores with Python 3.11 and NumPy
+#: 2.4 (a bare run peaks at 36 MB RSS):
 #:   rate-sweep, 1e6 rows (500k DNR points)    63 s, 336 MB peak RSS
 #:   optimize-gamma, 1e6 search cells           23 s,  64 MB
 #:   rate-sweep --gamma auto, 1e6 search cells  14 s,  64 MB
@@ -33,7 +34,8 @@ GRID_POINTS_MAX = 1_000_000
 
 def _check_budget(key: str, count: float, what: str, hint: str = ""):
     if not count <= GRID_POINTS_MAX:
-        raise ConfigError(key, f"{count:,.0f} {what}, over the budget of {GRID_POINTS_MAX:,}"
+        shown = f"{count:,.0f}" if count < 1e15 else f"{count:.3g}"  # no 300-digit counts
+        raise ConfigError(key, f"{shown} {what}, over the budget of {GRID_POINTS_MAX:,}"
                                + (f"; {hint}" if hint else ""))
 
 
@@ -161,6 +163,15 @@ class ExperimentConfig:
         _check_budget("gamma_step", self._dnr_points() * ratios,
                       "(brightness, ratio, DNR) cells in the forward-ratio search",
                       "raise gamma_step or dnr_db_step")
+
+    def check_frame_budget(self, spec: DimmingSpec):
+        """Raise ConfigError unless the off interval of spec's waveform frames fits the
+        grid budget: every waveform block holds at least one whole frame, a symbol's
+        N*F samples (already held as a row) plus its PWM off interval."""
+        n_samples = self.n_subcarriers * self.oversample_factor
+        _check_budget("lambdas", frame_length(spec, n_samples) - n_samples,
+                      "samples in one PWM off interval",
+                      "move lambdas toward 0.5 or gammas toward the effective brightness")
 
     def led(self) -> LedModel:
         return LedModel(i_low=self.i_low, i_high=self.i_high, o_high=self.o_high)

@@ -18,7 +18,6 @@ import numpy as np
 from .csvio import write_blocks
 from .errors import CurrentRangeError, DutyCycleError
 from .led import LedModel, compute_alpha, optical_output
-from .ofdm import TimeSymbol
 
 
 class Scheme(str, Enum):
@@ -80,17 +79,12 @@ class DimmingSpec:
             raise ValueError("forward_ratio only applies to the PWM scheme")
 
 
-def _alpha(sym: TimeSymbol, bias: float, led: LedModel) -> float:
-    return compute_alpha(float(np.max(sym.samples)), float(np.min(sym.samples)),
-                         bias, led, sym.sigma_x2).alpha
-
-
-def _snap_to_range(wave: np.ndarray, led: LedModel):
-    # scaling and mirroring leave at most 1e-9 * range of rounding dust
-    # outside the rails; snap it back without touching exact off-state zeros
-    slack = 1e-9 * led.dynamic_range
-    np.copyto(wave, led.i_low, where=(wave > led.i_low - slack) & (wave < led.i_low))
-    np.copyto(wave, led.i_high, where=(wave < led.i_high + slack) & (wave > led.i_high))
+def frame_length(spec: DimmingSpec, n_samples: int) -> float:
+    """A symbol's n_samples plus its round(n_samples * (1-d)/d) off samples, d the duty
+    cycle (1 under biasing adjustment); a float, so an uncountable gap reads as inf."""
+    lam_eff = effective_brightness(spec.brightness)[0]
+    d = duty_cycle(lam_eff, spec.forward_ratio or lam_eff)
+    return n_samples + round(n_samples * (1.0 - d) / d, 0)
 
 
 def check_waveform(spec: DimmingSpec, led: LedModel):
@@ -106,48 +100,47 @@ def check_waveform(spec: DimmingSpec, led: LedModel):
 
 
 def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
-    """Concatenate maximally scaled symbols into the LED drive waveform.
+    """Maximally scaled symbols, frame after frame, as the LED drive waveform.
 
-    PWM biases every symbol at i_low + gamma * range and appends zero-current
-    gaps of round(n_samples * (1-d)/d) samples per symbol, d = brightness/gamma.
-    Biasing adjustment is PWM at gamma = brightness, d = 1: no gaps.
-    Mirroring for brightness above 0.5 is applied to the finished waveform.
+    symbols is a 2-D array, one time-domain symbol per row. PWM biases every
+    row at i_low + gamma * range and follows it with frame_length's
+    zero-current gap; biasing adjustment is PWM at gamma = brightness: no
+    gaps. Mirroring for brightness above 0.5 is applied to the finished
+    waveform.
     """
-    symbols = list(symbols)
-    if not symbols:
-        raise ValueError("no symbols to assemble")
+    symbols = np.asarray(symbols, dtype=np.float64)
+    if symbols.ndim != 2 or symbols.size == 0:
+        raise ValueError(f"need a non-empty 2-D array of symbol rows, got shape {symbols.shape}")
     check_waveform(spec, led)
     lam_eff, mirrored = effective_brightness(spec.brightness)
-    gamma = lam_eff if spec.scheme is Scheme.BIASING_ADJUSTMENT else spec.forward_ratio
-    d = duty_cycle(lam_eff, gamma)
-    bias = led.i_low + gamma * led.dynamic_range
-    gaps = [int(round(len(sym.samples) * (1.0 - d) / d)) for sym in symbols]
-    # the zeros left between the symbols are the PWM off intervals
-    wave = np.zeros(sum(len(sym.samples) for sym in symbols) + sum(gaps))
-    start = 0
-    for sym, gap in zip(symbols, gaps):
-        on = wave[start:start + len(sym.samples)]
-        np.multiply(_alpha(sym, bias, led), sym.samples, out=on)
-        on += bias
-        start += len(on) + gap
+    bias = led.i_low + (spec.forward_ratio or lam_eff) * led.dynamic_range
+    alpha = compute_alpha(symbols.max(axis=1), symbols.min(axis=1), bias, led).alpha
+    # one row per frame; the zeros after each symbol are the PWM off intervals
+    frames = np.zeros((len(symbols), int(frame_length(spec, symbols.shape[1]))))
+    frames[:, :symbols.shape[1]] = alpha[:, None] * symbols + bias
+    wave = frames.reshape(-1)
     if mirrored:
         np.subtract(led.i_high + led.i_low, wave, out=wave)
-    _snap_to_range(wave, led)
+    # scaling and mirroring leave at most 1e-9 * range of rounding dust
+    # outside the rails; snap it back without touching exact off-state zeros
+    slack = 1e-9 * led.dynamic_range
+    np.copyto(wave, led.i_low, where=(wave > led.i_low - slack) & (wave < led.i_low))
+    np.copyto(wave, led.i_high, where=(wave < led.i_high + slack) & (wave > led.i_high))
     return wave
 
 
-def write_waveform_csv(path, currents, led: LedModel):
+def write_waveform_csv(path, blocks, led: LedModel):
     """Dump a drive waveform as sample_index,current,optical rows.
 
-    currents is the waveform as one array or as an iterable of its
-    consecutive blocks (assemble_waveform over consecutive runs of symbols,
-    say), read once while the file is written; the optical column is
-    computed block by block, so only one block is held at a time.
+    blocks is an iterable of the waveform's consecutive blocks
+    (assemble_waveform over consecutive runs of symbol rows, say), read once
+    while the file is written; the optical column is computed block by
+    block, so only one block is held at a time.
     """
-    def blocks():
+    def rows():
         start = 0
-        for block in [currents] if isinstance(currents, np.ndarray) else currents:
+        for block in blocks:
             yield [range(start, start + len(block)), block, optical_output(block, led)]
             start += len(block)
 
-    write_blocks(path, ["sample_index", "current", "optical"], blocks())
+    write_blocks(path, ["sample_index", "current", "optical"], rows())

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurrentRangeError, DegenerateSymbolError, InvalidBiasError
-from .ofdm import PaprSample
 
 
 @dataclass(frozen=True)
@@ -45,25 +44,28 @@ class ScalingDecision:
     sigma_y2: float
 
 
-def compute_alpha(max_x: float, min_x: float, bias: float, led: LedModel,
-                  sigma_x2: float = 1.0) -> ScalingDecision:
+def compute_alpha(max_x, min_x, bias: float, led: LedModel, sigma_x2=1.0) -> ScalingDecision:
     """Largest-magnitude scaling factor keeping alpha*x + bias inside the range.
 
     alpha_pos is the tightest positive candidate, alpha_neg the tightest
     negative one; the winner is the one with the larger magnitude, ties going
     to the positive sign. One signal extreme always lands on a range boundary.
+    Elementwise over arrays of per-symbol extremes; scalars give scalars.
     """
-    if not (max_x > 0.0 > min_x):
-        raise DegenerateSymbolError(
-            f"need max_x > 0 > min_x, got max_x={max_x}, min_x={min_x}")
+    max_x, min_x = np.broadcast_arrays(max_x, min_x)
+    bad = np.flatnonzero(~((max_x > 0.0) & (min_x < 0.0)))
+    if bad.size:
+        raise DegenerateSymbolError(f"need max_x > 0 > min_x, got max_x={max_x.flat[bad[0]]}, "
+                                    f"min_x={min_x.flat[bad[0]]}"
+                                    + (f" in row {bad[0]}" if max_x.ndim else ""))
     if not led.i_low < bias < led.i_high:
         raise InvalidBiasError(
             f"bias {bias} outside open range ({led.i_low}, {led.i_high})")
     headroom = led.i_high - bias
     footroom = led.i_low - bias
-    alpha_pos = min(headroom / max_x, footroom / min_x)
-    alpha_neg = max(headroom / min_x, footroom / max_x)
-    alpha = alpha_pos if abs(alpha_pos) >= abs(alpha_neg) else alpha_neg
+    alpha_pos = np.minimum(headroom / max_x, footroom / min_x)
+    alpha_neg = np.maximum(headroom / min_x, footroom / max_x)
+    alpha = np.where(abs(alpha_pos) >= abs(alpha_neg), alpha_pos, alpha_neg)[()]
     return ScalingDecision(alpha_pos=alpha_pos, alpha_neg=alpha_neg, alpha=alpha,
                            sigma_y2=alpha * alpha * sigma_x2)
 
@@ -83,13 +85,17 @@ def variance_factor(zeta, upapr, lpapr):
     return np.minimum(hi * hi / np.maximum(upapr, lpapr), lo * lo / np.minimum(upapr, lpapr))
 
 
-def variance_closed_form(zeta, papr: PaprSample, led: LedModel) -> float:
-    """Variance of the maximally scaled symbol at biasing ratio zeta in (0, 1)."""
-    zeta = float(zeta)
-    if not 0.0 < zeta < 1.0:
+def variance_closed_form(zeta, papr, led: LedModel):
+    """Variance of the maximally scaled symbol at biasing ratio zeta in (0, 1).
+
+    Elementwise over zeta and papr's upapr and lpapr (a PaprPopulation's give
+    one variance per symbol); scalars give a scalar.
+    """
+    zeta = np.asarray(zeta, dtype=np.float64)
+    if not np.all((zeta > 0.0) & (zeta < 1.0)):
         raise ValueError(f"biasing ratio must be in (0, 1), got {zeta}")
     d = led.dynamic_range
-    return float(d * d * variance_factor(zeta, papr.upapr, papr.lpapr))
+    return (d * d * variance_factor(zeta, papr.upapr, papr.lpapr))[()]
 
 
 def optical_output(current, led: LedModel):

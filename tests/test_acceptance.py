@@ -155,13 +155,14 @@ def test_criterion_6_optimized_pwm_dominates(pop64, gamma_search_table):
 
 def test_criterion_7_optical_average_law(symbols64):
     """Assembled waveforms emit brightness * o_high on average, within 1%."""
+    rows = np.stack([s.samples for s in symbols64])
     ok = True
     details = []
     for lam in (0.1, 0.25, 0.5, 0.7):
         gamma = max(0.4, v.effective_brightness(lam)[0])
         for scheme, ratio in ((v.Scheme.BIASING_ADJUSTMENT, None), (v.Scheme.PWM, gamma)):
             spec = v.DimmingSpec(brightness=lam, scheme=scheme, dnr=1.0, forward_ratio=ratio)
-            wave = v.assemble_waveform(symbols64, spec, LED)
+            wave = v.assemble_waveform(rows, spec, LED)
             mean_optical = float(np.mean(v.optical_output(wave, LED)))
             rel = abs(mean_optical - lam * LED.o_high) / (lam * LED.o_high)
             ok &= rel <= 0.01

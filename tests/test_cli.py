@@ -1,9 +1,13 @@
 """Tests for the command-line front end: exit codes, outputs, reproducibility."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import vlcsim as v
+from vlcsim import cli
 from vlcsim.cli import _SUBCOMMANDS, main
 
 
@@ -105,6 +109,18 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, **overrides)
         assert run(subcommand, "--config", cfg, *flags, "--out", tmp_path / "out") == 0
         assert "config error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["1e-300", "5e-324", "1e-12"])
+    def test_tiny_brightness_is_rejected_before_a_csv(self, tmp_path, capsys, lam):
+        """The PWM off interval grows as 1/lambda: over the grid budget it is a
+        config error, not an allocation failure after the biasing CSV."""
+        assert run("waveform-demo", "--n", 4, "--oversample", 1, "--symbols", 1,
+                   "--gamma", 0.4, "--lambda", lam, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "vlcsim: config error: lambdas: " in err and "PWM off interval" in err
+        assert "gammas" in err and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+        assert not list(tmp_path.rglob("*.manifest.txt"))
 
     def test_repeated_n_list_entry_is_a_config_error(self, tmp_path, capsys):
         assert run("variance-sweep", "--n-list", "16,32,16", "--symbols", 5,
@@ -392,6 +408,36 @@ class TestOutputs:
         assert run(*argv, "--out", tmp_path / "out") == 0
         for name in ("waveform_biasing.csv", "waveform_pwm.csv"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_waveform_demo_holds_its_symbols_in_one_row_array(self, tmp_path, monkeypatch):
+        """1000 N = 64, F = 4 symbols peak below 1.25x their 2.05 MB row array;
+        a symbol list stacked into rows peaks above 2x."""
+        written = []
+
+        def consume(path, blocks, led):  # one block at a time, as the CSV writer does
+            total = 0
+            for block in blocks:
+                total += len(block)
+            written.append((total, block[-256:].copy()))
+
+        monkeypatch.setattr(cli, "write_waveform_csv", consume)
+        cfg = v.ExperimentConfig(lambdas=(0.25,), gammas=(0.4,), output_dir=str(tmp_path))
+        cli._cmd_waveform_demo(replace(cfg, symbol_count=2))  # warm lazily built caches
+        written.clear()
+        tracemalloc.start()
+        try:
+            cli._cmd_waveform_demo(replace(cfg, symbol_count=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 1000 * 256 * 8
+        # the waveforms come from rows of all 1000 symbols
+        assert [total for total, _ in written] == [256_000, 410_000]
+        last = v.to_time_domain(v.generate_freq_symbol(64, cfg.constellation,
+                                                       v.symbol_rng(cfg.seed, 999)), 4)
+        spec = v.DimmingSpec(0.25, v.Scheme.BIASING_ADJUSTMENT, dnr=1.0)
+        assert written[0][1].tobytes() == v.assemble_waveform(last.samples[None, :], spec,
+                                                               cfg.led()).tobytes()
 
     def test_decimal_complement_of_a_mirrored_brightness_runs(self, tmp_path):
         """gamma 0.3 reaches lambda 0.7, whose mirror 1.0 - 0.7 rounds above 0.3."""

@@ -16,10 +16,11 @@ LED_I_LOW = v.LedModel(0.2, 1.5, 2.0)
 
 
 def make_symbols(count, n=64, oversample=4, seed=1):
-    return [v.to_time_domain(
-                v.generate_freq_symbol(n, v.Constellation.QPSK, v.symbol_rng(seed, i)),
-                oversample)
-            for i in range(count)]
+    """count seeded time-domain symbols, one per row."""
+    return np.stack([v.to_time_domain(
+                         v.generate_freq_symbol(n, v.Constellation.QPSK, v.symbol_rng(seed, i)),
+                         oversample).samples
+                     for i in range(count)])
 
 
 class TestEffectiveBrightness:
@@ -199,7 +200,7 @@ class TestWaveformCsv:
         spec = v.DimmingSpec(brightness=0.25, scheme=v.Scheme.BIASING_ADJUSTMENT, dnr=1.0)
         wave = v.assemble_waveform(symbols, spec, LED)
         path = tmp_path / "wave.csv"
-        v.write_waveform_csv(path, wave, LED)
+        v.write_waveform_csv(path, [wave], LED)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["sample_index", "current", "optical"]
@@ -224,7 +225,7 @@ class TestWaveformCsv:
         whole = v.assemble_waveform(symbols, spec, led)
         blocks = [v.assemble_waveform(run, spec, led) for run in runs]
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
-        v.write_waveform_csv(tmp_path / "array.csv", whole, led)
+        v.write_waveform_csv(tmp_path / "array.csv", [whole], led)
         v.write_waveform_csv(tmp_path / "list.csv", blocks, led)
         v.write_waveform_csv(tmp_path / "generator.csv",
                              (v.assemble_waveform(run, spec, led) for run in runs), led)
@@ -271,7 +272,7 @@ class TestWaveformCsv:
     @pytest.mark.parametrize("blocks", ["array", "second block"])
     def test_an_unreachable_current_leaves_no_file(self, tmp_path, blocks):
         wave = np.array([0.0, 0.5, 1.0, 1.5])
-        currents = wave if blocks == "array" else iter([wave[:2], wave[2:]])
+        currents = [wave] if blocks == "array" else iter([wave[:2], wave[2:]])
         path = tmp_path / "wave.csv"
         with pytest.raises(CurrentRangeError, match="current 1.5 outside"):
             v.write_waveform_csv(path, currents, LED)
@@ -286,9 +287,8 @@ def concatenated_waveform(symbols, spec, led):
     bias = led.i_low + ratio * led.dynamic_range
     blocks = []
     for sym in symbols:
-        alpha = v.compute_alpha(float(np.max(sym.samples)), float(np.min(sym.samples)),
-                                bias, led, sym.sigma_x2).alpha
-        on = alpha * sym.samples + bias
+        alpha = v.compute_alpha(float(np.max(sym)), float(np.min(sym)), bias, led).alpha
+        on = alpha * sym + bias
         blocks.append(on)
         off_count = int(round(len(on) * (1.0 - d) / d))
         if off_count:
@@ -320,10 +320,15 @@ class TestInPlaceAssembly:
         assert wave.tobytes() == concatenated_waveform(symbols, spec, LED).tobytes()
         assert np.any(wave == LED.i_high)  # the mirrored off intervals
 
+    @pytest.mark.parametrize("shape", [(0,), (64,), (0, 64), (3, 0)])
+    def test_rejects_anything_but_nonempty_rows(self, shape):
+        spec = v.DimmingSpec(brightness=0.25, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.4)
+        with pytest.raises(ValueError, match="2-D array of symbol rows"):
+            v.assemble_waveform(np.ones(shape), spec, LED)
+
     def test_leaves_symbols_unchanged(self):
         symbols = make_symbols(3, n=16, oversample=2, seed=7)
-        before = [sym.samples.copy() for sym in symbols]
+        before = symbols.copy()
         v.assemble_waveform(symbols, v.DimmingSpec(brightness=0.8, scheme=v.Scheme.PWM,
                                                    dnr=1.0, forward_ratio=0.3), LED)
-        for sym, samples in zip(symbols, before):
-            assert sym.samples.tobytes() == samples.tobytes()
+        assert symbols.tobytes() == before.tobytes()

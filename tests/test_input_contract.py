@@ -25,15 +25,17 @@ GRID_BUILDERS = {
     "dnr_db_stop": {"rate-sweep", "optimize-gamma"},  # a last point that overflows
     "zeta_step": {"variance-sweep"},
     "gamma_step": {"rate-sweep", "optimize-gamma"},  # rate-sweep under gammas auto
+    "lambdas": {"waveform-demo"},  # the PWM off interval of a waveform frame
 }
 
-# tiny steps and an overflowing DNR: each is a config error only for the runs
-# that build that grid
+# tiny steps, an overflowing DNR and a tiny brightness: each is a config error
+# only for the runs that build that grid
 GRID_EDGES = [
     {"dnr_db_start": -10.0, "dnr_db_stop": 60.0, "dnr_db_step": 1e-9},
     {"dnr_db_start": 0.0, "dnr_db_stop": 4000.0, "dnr_db_step": 1000.0},
     {"zeta_step": 1e-12},
     {"gamma_step": 1e-12},
+    {"lambdas": "1e-300", "gammas": "0.4"},
 ]
 EDGES = [
     {"seed": 0},

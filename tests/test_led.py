@@ -97,6 +97,49 @@ class TestComputeAlpha:
                 v.compute_alpha(1.0, -1.0, bias, v.LedModel())
 
 
+class TestComputeAlphaOnArrays:
+    """One call over rows of extremes equals one scalar call per row, bit for bit."""
+
+    @staticmethod
+    def extremes():
+        rng = np.random.default_rng(17)
+        hi = rng.uniform(0.1, 5.0, 300)
+        lo = -rng.uniform(0.1, 5.0, 300)
+        lo[:20] = -hi[:20]  # symmetric rows: |alpha_pos| == |alpha_neg| at any bias
+        return hi, lo
+
+    @pytest.mark.parametrize("bias", [0.5, 0.2, 0.85])
+    def test_matches_scalar_calls(self, bias):
+        led = v.LedModel()
+        hi, lo = self.extremes()
+        sigma_x2 = np.random.default_rng(18).uniform(0.5, 2.0, len(hi))
+        rows = v.compute_alpha(hi, lo, bias, led, sigma_x2)
+        for field in ("alpha_pos", "alpha_neg", "alpha", "sigma_y2"):
+            want = [getattr(v.compute_alpha(float(h), float(l), bias, led, float(s)), field)
+                    for h, l, s in zip(hi, lo, sigma_x2)]
+            assert np.array_equal(getattr(rows, field).view(np.uint64),
+                                  np.array(want).view(np.uint64)), field
+        assert np.all(abs(rows.alpha_pos[:20]) == abs(rows.alpha_neg[:20]))
+        assert np.all(rows.alpha[:20] == rows.alpha_pos[:20])  # ties go positive
+        # off mid-range the negative sign wins for some rows
+        assert np.any(rows.alpha < 0) == (bias != 0.5) and np.any(rows.alpha > 0)
+
+    def test_scalars_give_scalars(self):
+        d = v.compute_alpha(3.0, -2.0, 0.2, v.LedModel(), sigma_x2=2.0)
+        for value in (d.alpha_pos, d.alpha_neg, d.alpha, d.sigma_y2):
+            assert isinstance(value, float) and np.ndim(value) == 0
+
+    @pytest.mark.parametrize("row, hi, lo", [(2, 0.0, -1.0), (3, 1.0, 0.0), (4, -1.0, 2.0)])
+    def test_degenerate_row_is_named(self, row, hi, lo):
+        his = np.ones(6)
+        los = -np.ones(6)
+        his[row], los[row] = hi, lo
+        his[5] = -1.0  # a later degenerate row is not the one named
+        with pytest.raises(DegenerateSymbolError,
+                           match=f"got max_x={hi}, min_x={lo} in row {row}$"):
+            v.compute_alpha(his, los, 0.5, v.LedModel())
+
+
 def four_term_variance_factor(zeta, upapr, lpapr):
     """The paper's form, max{min((1-z)^2/U, z^2/L), min((1-z)^2/L, z^2/U)}."""
     zeta = np.asarray(zeta, dtype=np.float64)
@@ -156,6 +199,20 @@ class TestVarianceClosedForm:
             assert np.array_equal(got.view(np.uint64), want), zeta
             swapped = v.variance_factor(zeta, pop.lpapr, pop.upapr)
             assert np.array_equal(swapped.view(np.uint64), want), zeta
+
+    def test_population_gives_the_per_symbol_values(self, pop64):
+        led = v.LedModel(0.2, 1.5, 2.0)
+        for zeta in (0.05, 0.3, 0.5, 0.9):
+            got = v.variance_closed_form(zeta, pop64, led)
+            want = [v.variance_closed_form(zeta, v.PaprSample(float(u), float(l)), led)
+                    for u, l in zip(pop64.upapr[:500], pop64.lpapr[:500])]
+            assert np.array_equal(got[:500], want) and got.shape == pop64.upapr.shape
+        zetas = np.array([0.05, 0.3, 0.5, 0.9])
+        papr = v.PaprSample(7.3, 2.9)
+        assert np.array_equal(v.variance_closed_form(zetas, papr, led),
+                              [v.variance_closed_form(z, papr, led) for z in zetas])
+        with pytest.raises(ValueError):
+            v.variance_closed_form(np.array([0.5, 1.0]), papr, led)
 
     def test_scales_with_squared_dynamic_range(self):
         papr = v.PaprSample(6.0, 5.0)
