@@ -24,7 +24,7 @@ from .cache import load_or_build, population_cache_path, resolve_cache_dir, writ
 from .config import ExperimentConfig, config_line, load_config, parse_config
 from .csvio import write_rows
 from .dimming import (DimmingSpec, Scheme, assemble_waveform, check_waveform, duty_cycle,
-                      effective_brightness, frame_length, write_waveform_csv)
+                      effective_brightness, off_interval, write_waveform_csv)
 from .errors import ConfigError, DutyCycleError, VlcsimError
 from .led import LedModel, compute_alpha, variance_closed_form, variance_factor
 from .ofdm import (Constellation, generate_freq_symbol, papr_of,
@@ -33,8 +33,8 @@ from .rates import (AUTO, sweep_gamma_search, sweep_rates, variance_profile,
                     write_gamma_search_csv, write_rates_csv)
 
 # working memory of one waveform block that waveform-demo assembles and writes:
-# about 32 bytes per sample (currents, optical copy and masks) over whole frames
-# (dimming.frame_length), and at least one frame
+# about 32 bytes per sample (currents, optical copy and masks) over whole frames,
+# a symbol's samples plus its dimming.off_interval, and at least one frame
 _WAVE_BLOCK_BYTES = 256 * 1024
 
 # flags whose argparse dest is the config key they set, in the order they are parsed
@@ -125,7 +125,8 @@ def _time_symbols(cfg: ExperimentConfig, rngs):
 
 def _symbol_blocks(rows: np.ndarray, spec: DimmingSpec):
     """Consecutive runs of symbol rows whose waveform takes about _WAVE_BLOCK_BYTES."""
-    per_block = max(1, int(_WAVE_BLOCK_BYTES // (32 * frame_length(spec, rows.shape[1]))))
+    frame = rows.shape[1] + off_interval(rows.shape[1], spec.brightness, spec.forward_ratio)
+    per_block = max(1, int(_WAVE_BLOCK_BYTES // (32 * frame)))
     return [rows[i:i + per_block] for i in range(0, len(rows), per_block)]
 
 
@@ -193,9 +194,9 @@ def _cmd_waveform_demo(cfg: ExperimentConfig) -> int:
     # waveforms are noise-free; any valid DNR budget works
     specs = [DimmingSpec(brightness=lam, scheme=Scheme.BIASING_ADJUSTMENT, dnr=1.0),
              DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=1.0, forward_ratio=cfg.gammas[0])]
-    for spec in specs:  # a rejected spec fails before a symbol is drawn
+    for spec in specs:  # a rejected spec or frame fails before a symbol is drawn
         check_waveform(spec, led)
-        cfg.check_frame_budget(spec)
+    cfg.check_frame_budget()
     rows = np.empty((cfg.symbol_count, cfg.n_subcarriers * cfg.oversample_factor))
     for row, sym in zip(rows, _time_symbols(cfg, symbol_rngs(cfg.seed, cfg.symbol_count))):
         row[:] = sym.samples
@@ -214,28 +215,29 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
     checks: list[tuple[str, bool]] = []
 
     # the reference is NumPy's own per-symbol seeding, not the sampler's batched one
-    symbols = list(_time_symbols(cfg, (symbol_rng(cfg.seed, i) for i in range(200))))
+    rows = np.empty((200, cfg.n_subcarriers * cfg.oversample_factor))
+    sigma_x2, upapr, lpapr = np.empty(200), np.empty(200), np.empty(200)
+    for i, sym in enumerate(_time_symbols(cfg, (symbol_rng(cfg.seed, i) for i in range(200)))):
+        papr = papr_of(sym)
+        rows[i], sigma_x2[i], upapr[i], lpapr[i] = sym.samples, sym.sigma_x2, papr.upapr, papr.lpapr
     pop = sample_papr_population(cfg.n_subcarriers, cfg.constellation, 200, cfg.seed,
                                  cfg.oversample_factor)
-    reference = [papr_of(sym) for sym in symbols]
+    reference = replace(pop, upapr=upapr, lpapr=lpapr)  # the closed form's own input
     checks.append(("block sampler equals symbol_rng draws and one-row synthesis",
-                   np.array_equal(pop.upapr, [s.upapr for s in reference])
-                   and np.array_equal(pop.lpapr, [s.lpapr for s in reference])))
+                   np.array_equal(pop.upapr, upapr) and np.array_equal(pop.lpapr, lpapr)))
 
-    rows = np.stack([sym.samples for sym in symbols])
-    sigma_x2 = np.array([sym.sigma_x2 for sym in symbols])
+    # alpha * x + bias is monotone in x, rounding included: a row's extremes bound it
+    extremes = np.stack([rows.max(axis=1), rows.min(axis=1)], axis=1)
     low, high = led.i_low - 1e-9 * led.dynamic_range, led.i_high + 1e-9 * led.dynamic_range
-    worst = 0.0
-    feasible = True
-    maximal = True
+    worst, feasible, maximal = 0.0, True, True
     for zeta in np.arange(0.05, 0.951, 0.05):
         bias = led.i_low + zeta * led.dynamic_range
-        decision = compute_alpha(rows.max(axis=1), rows.min(axis=1), bias, led, sigma_x2)
-        closed = variance_closed_form(zeta, pop, led)  # pop's PAPRs are the reference's
+        decision = compute_alpha(extremes[:, 0], extremes[:, 1], bias, led, sigma_x2)
+        closed = variance_closed_form(zeta, reference, led)
         worst = max(worst, float(np.max(np.abs(closed - decision.sigma_y2) / decision.sigma_y2)))
-        y = decision.alpha[:, None] * rows + bias
+        y = decision.alpha[:, None] * extremes + bias
         feasible &= bool(np.all((y >= low) & (y <= high)))
-        y_over = decision.alpha[:, None] * (1 + 1e-6) * rows + bias
+        y_over = decision.alpha[:, None] * (1 + 1e-6) * extremes + bias
         maximal &= bool(np.all(np.any((y_over < low) | (y_over > high), axis=1)))
     checks.append(("closed-form variance matches maximal scaling (rel err < 1e-12)",
                    worst < 1e-12))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dimming import DimmingSpec, effective_brightness, frame_length
+from .dimming import effective_brightness, off_interval
 from .errors import ConfigError
 from .led import LedModel
 from .ofdm import Constellation
@@ -164,12 +164,12 @@ class ExperimentConfig:
                       "(brightness, ratio, DNR) cells in the forward-ratio search",
                       "raise gamma_step or dnr_db_step")
 
-    def check_frame_budget(self, spec: DimmingSpec):
-        """Raise ConfigError unless the off interval of spec's waveform frames fits the
-        grid budget: every waveform block holds at least one whole frame, a symbol's
-        N*F samples (already held as a row) plus its PWM off interval."""
-        n_samples = self.n_subcarriers * self.oversample_factor
-        _check_budget("lambdas", frame_length(spec, n_samples) - n_samples,
+    def check_frame_budget(self):
+        """Raise ConfigError unless waveform-demo's PWM off interval (first lambda and
+        gamma) fits the grid budget: every waveform block holds at least one whole
+        frame, a symbol's N*F samples (already held as a row) plus that interval."""
+        _check_budget("lambdas", off_interval(self.n_subcarriers * self.oversample_factor,
+                                              self.lambdas[0], self.gammas[0]),
                       "samples in one PWM off interval",
                       "move lambdas toward 0.5 or gammas toward the effective brightness")
 

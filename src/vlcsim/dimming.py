@@ -79,12 +79,12 @@ class DimmingSpec:
             raise ValueError("forward_ratio only applies to the PWM scheme")
 
 
-def frame_length(spec: DimmingSpec, n_samples: int) -> float:
-    """A symbol's n_samples plus its round(n_samples * (1-d)/d) off samples, d the duty
-    cycle (1 under biasing adjustment); a float, so an uncountable gap reads as inf."""
-    lam_eff = effective_brightness(spec.brightness)[0]
-    d = duty_cycle(lam_eff, spec.forward_ratio or lam_eff)
-    return n_samples + round(n_samples * (1.0 - d) / d, 0)
+def off_interval(n_samples: int, brightness: float, forward_ratio=None) -> float:
+    """round(n_samples * (1-d)/d) PWM off samples after a symbol, d the duty cycle (1 without
+    a forward ratio: no gap); a float, so an uncountable gap reads as inf."""
+    lam_eff = effective_brightness(brightness)[0]
+    d = duty_cycle(lam_eff, forward_ratio or lam_eff)
+    return round(n_samples * (1.0 - d) / d, 0)
 
 
 def check_waveform(spec: DimmingSpec, led: LedModel):
@@ -103,8 +103,8 @@ def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
     """Maximally scaled symbols, frame after frame, as the LED drive waveform.
 
     symbols is a 2-D array, one time-domain symbol per row. PWM biases every
-    row at i_low + gamma * range and follows it with frame_length's
-    zero-current gap; biasing adjustment is PWM at gamma = brightness: no
+    row at i_low + gamma * range and follows it with off_interval's
+    zero-current samples; biasing adjustment is PWM at gamma = brightness: no
     gaps. Mirroring for brightness above 0.5 is applied to the finished
     waveform.
     """
@@ -116,8 +116,9 @@ def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
     bias = led.i_low + (spec.forward_ratio or lam_eff) * led.dynamic_range
     alpha = compute_alpha(symbols.max(axis=1), symbols.min(axis=1), bias, led).alpha
     # one row per frame; the zeros after each symbol are the PWM off intervals
-    frames = np.zeros((len(symbols), int(frame_length(spec, symbols.shape[1]))))
-    frames[:, :symbols.shape[1]] = alpha[:, None] * symbols + bias
+    n = symbols.shape[1]
+    frames = np.zeros((len(symbols), n + int(off_interval(n, spec.brightness, spec.forward_ratio))))
+    frames[:, :n] = alpha[:, None] * symbols + bias
     wave = frames.reshape(-1)
     if mirrored:
         np.subtract(led.i_high + led.i_low, wave, out=wave)

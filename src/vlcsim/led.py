@@ -86,11 +86,8 @@ def variance_factor(zeta, upapr, lpapr):
 
 
 def variance_closed_form(zeta, papr, led: LedModel):
-    """Variance of the maximally scaled symbol at biasing ratio zeta in (0, 1).
-
-    Elementwise over zeta and papr's upapr and lpapr (a PaprPopulation's give
-    one variance per symbol); scalars give a scalar.
-    """
+    """Variance of the maximally scaled symbol at biasing ratio zeta in (0, 1), elementwise
+    over zeta and papr.upapr/lpapr (one per symbol of a PaprPopulation; scalars give a scalar)."""
     zeta = np.asarray(zeta, dtype=np.float64)
     if not np.all((zeta > 0.0) & (zeta < 1.0)):
         raise ValueError(f"biasing ratio must be in (0, 1), got {zeta}")

@@ -216,15 +216,15 @@ class TestValidation:
     def test_off_interval_at_the_budget_is_valid(self):
         """4 samples at duty 4 / (4 + budget) leave exactly budget off samples."""
         budget = v.config.GRID_POINTS_MAX
-        cfg = v.ExperimentConfig(n_subcarriers=4, oversample_factor=1).validate()
         gamma = 0.5
         lam = gamma * 4 / (4 + budget)
-        spec = v.DimmingSpec(lam, v.Scheme.PWM, dnr=1.0, forward_ratio=gamma)
-        assert v.dimming.frame_length(spec, 4) == 4 + budget
-        cfg.check_frame_budget(spec)
-        cfg.check_frame_budget(v.DimmingSpec(lam, v.Scheme.BIASING_ADJUSTMENT, dnr=1.0))
+        cfg = v.ExperimentConfig(n_subcarriers=4, oversample_factor=1, lambdas=(lam,),
+                                 gammas=(gamma,)).validate()
+        assert v.dimming.off_interval(4, lam, gamma) == budget
+        assert v.dimming.off_interval(4, lam) == 0  # biasing adjustment: no gap
+        cfg.check_frame_budget()
         with pytest.raises(ConfigError, match="2,000,000 samples in one PWM off interval") as err:
-            replace(cfg, oversample_factor=2).check_frame_budget(spec)
+            replace(cfg, oversample_factor=2).check_frame_budget()
         assert err.value.key == "lambdas"
 
     def test_grids_at_the_budget_are_valid(self):
