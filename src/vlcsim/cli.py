@@ -173,6 +173,9 @@ def _cmd_rate_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_optimize_gamma(cfg: ExperimentConfig) -> int:
+    if cfg.gammas and cfg.gammas != AUTO:
+        _notice(f"optimize-gamma searches every forward ratio; "
+                f"ignoring gammas {', '.join(map(str, cfg.gammas))}")
     cfg.check_search_budget()
     pop = _population(cfg, cfg.n_subcarriers)
     cells = sweep_gamma_search(cfg.lambdas, cfg.dnr_db_grid(), pop, cfg.gamma_step)

@@ -8,7 +8,7 @@ noisy estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +19,10 @@ from .ofdm import PaprPopulation
 
 #: sentinel for "search for the best forward ratio in every cell"
 AUTO = "auto"
+
+# byte budget of one log2 block: max(1, _LOG2_BLOCK_BYTES // (8 * len(pop))) DNRs
+# at a time, 4 at 10k symbols; small so the buffer stays cache-resident
+_LOG2_BLOCK_BYTES = 320 * 1024
 
 
 @dataclass(frozen=True)
@@ -56,25 +60,52 @@ def _db(linear: float) -> float:
         return float(10.0 * np.log10(linear))
 
 
-def _rate_grid(lambda_effective: float, ratios, dnrs, pop: PaprPopulation,
+def _log2_means(factor: np.ndarray, dnrs) -> np.ndarray:
+    """E[log2(1 + dnr * factor)] over the population for each DNR.
+
+    The DNRs go through one (DNRs, population) buffer of about _LOG2_BLOCK_BYTES
+    at a time. Each block row's sum over the contiguous last axis is the
+    pairwise sum np.mean takes, and mean is that sum divided by n, so every
+    entry has the bits of np.mean(np.log2(1.0 + dnr * factor)).
+    """
+    n = len(factor)
+    column = np.asarray(dnrs, dtype=np.float64)[:, None]
+    per_block = max(1, _LOG2_BLOCK_BYTES // (8 * n))
+    buffer = np.empty((min(per_block, len(column)), n))
+    means = np.empty(len(column))
+    for start in range(0, len(column), per_block):
+        part = column[start:start + per_block]
+        block = buffer[:len(part)]
+        np.multiply(part, factor, out=block)
+        block += 1.0
+        np.log2(block, out=block)
+        means[start:start + len(part)] = np.add.reduce(block, axis=1) / n
+    return means
+
+
+def _rate_grid(lambda_effective: float, ratios, dnrs, pop: PaprPopulation, log2_rows: dict,
                with_snr: bool = False):
     """Rates (ratios x DNRs) at one effective brightness, plus mean SNRs if with_snr.
 
     Row k is PWM at forward ratio ratios[k], duty lambda/ratios[k]; at ratio
-    lambda the duty is exactly 1, which is biasing adjustment. Each
-    variance-factor row is computed once and reused for every DNR.
+    lambda the duty is exactly 1, which is biasing adjustment. E[log2(1 + dnr * f)]
+    depends on the ratio and the DNR, not on the brightness: log2_rows maps a
+    ratio to its _log2_means over dnrs, belongs to one sweep over dnrs and pop,
+    and gets a ratio's row the first time the ratio is seen. Each brightness
+    scales that row by 0.5 * duty, the scalar product done elementwise.
     """
     if len(pop) == 0:
         raise ValueError("population is empty")
     rates, snrs = np.empty((2, len(ratios), len(dnrs)))
     for k, ratio in enumerate(map(float, ratios)):
         duty = duty_cycle(lambda_effective, ratio)
-        factor = variance_factor(ratio, pop.upapr, pop.lpapr)
-        for j, dnr in enumerate(dnrs):
-            snr = dnr * factor
-            rates[k, j] = 0.5 * duty * float(np.mean(np.log2(1.0 + snr)))
+        if with_snr or ratio not in log2_rows:
+            factor = variance_factor(ratio, pop.upapr, pop.lpapr)
+            if ratio not in log2_rows:
+                log2_rows[ratio] = _log2_means(factor, dnrs)
             if with_snr:
-                snrs[k, j] = np.mean(snr)
+                snrs[k] = [np.mean(dnr * factor) for dnr in dnrs]
+        rates[k] = 0.5 * duty * log2_rows[ratio]
     return (rates, snrs) if with_snr else rates
 
 
@@ -92,11 +123,12 @@ def _linear(dnrs_db) -> list[float]:
     return dnrs
 
 
-def _estimates(brightness: float, gammas, dnrs, pop: PaprPopulation) -> list[list[RateEstimate]]:
+def _estimates(brightness: float, gammas, dnrs, pop: PaprPopulation,
+               log2_rows: dict) -> list[list[RateEstimate]]:
     """Estimates per (gamma, DNR) from one rate grid; gamma None is biasing, PWM at duty 1."""
     lam_eff, _ = effective_brightness(brightness)
     rates, snrs = _rate_grid(lam_eff, [lam_eff if g is None else g for g in gammas], dnrs, pop,
-                             with_snr=True)
+                             log2_rows, with_snr=True)
     return [[RateEstimate(rate=float(rates[k, j]),
                           avg_snr_db=_db(float(snrs[k, j])),
                           n_samples=len(pop),
@@ -115,7 +147,7 @@ def estimate_rate(spec: DimmingSpec, pop: PaprPopulation) -> RateEstimate:
     PWM duty cycle; biasing adjustment is gamma = brightness, d = 1. The 1/2 is
     the Hermitian-symmetry overhead of real-valued OFDM.
     """
-    return _estimates(spec.brightness, [spec.forward_ratio], [spec.dnr], pop)[0][0]
+    return _estimates(spec.brightness, [spec.forward_ratio], [spec.dnr], pop, {})[0][0]
 
 
 def gamma_grid_points(lambda_effective: float, grid_step: float) -> float:
@@ -136,14 +168,14 @@ def gamma_grid(lambda_effective: float, grid_step: float) -> np.ndarray:
     return np.minimum(lambda_effective + grid_step * np.arange(count), 0.5)
 
 
-def _search(lambda_effective: float, dnrs, pop: PaprPopulation,
-            grid_step: float) -> list[GammaSearchResult]:
+def _search(lambda_effective: float, dnrs, pop: PaprPopulation, grid_step: float,
+            log2_rows: dict) -> list[GammaSearchResult]:
     """One forward-ratio search per DNR, all read from one shared rate grid."""
     if not 0.0 < lambda_effective <= 0.5:
         raise ValueError(
             f"effective brightness must be in (0, 0.5]; mirror first (got {lambda_effective})")
     gammas = gamma_grid(lambda_effective, grid_step)
-    rates = _rate_grid(lambda_effective, gammas, dnrs, pop)
+    rates = _rate_grid(lambda_effective, gammas, dnrs, pop, log2_rows)
     return [GammaSearchResult(gamma_star=float(gammas[best]),
                               rate_at_star=float(rates[best, j]),
                               grid=np.column_stack([gammas, rates[:, j]]))
@@ -158,16 +190,21 @@ def optimize_gamma(lambda_effective: float, dnr: float, pop: PaprPopulation,
     gamma = brightness, the winner never loses to biasing adjustment.
     """
     check_dnr(dnr)
-    return _search(lambda_effective, [dnr], pop, grid_step)[0]
+    return _search(lambda_effective, [dnr], pop, grid_step, {})[0]
 
 
 def sweep_gamma_search(lambdas, dnrs_db, pop: PaprPopulation, gamma_step: float = 0.005
                        ) -> list[tuple[float, float, GammaSearchResult]]:
-    """(brightness, dnr_db, result) per cell, brightness outermost; one grid per brightness."""
+    """(brightness, dnr_db, result) per cell, brightness outermost; one grid per brightness.
+
+    The grids share one table of log2 rows, so a ratio on several
+    brightnesses' grids is evaluated once.
+    """
     dnrs = _linear(dnrs_db)
+    log2_rows: dict = {}
     cells = []
     for lam in lambdas:
-        results = _search(effective_brightness(lam)[0], dnrs, pop, gamma_step)
+        results = _search(effective_brightness(lam)[0], dnrs, pop, gamma_step, log2_rows)
         cells.extend((lam, float(dnr_db), result) for dnr_db, result in zip(dnrs_db, results))
     return cells
 
@@ -211,25 +248,31 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
 
     gammas is a sequence of forward ratios or AUTO, in which case each
     (brightness, DNR) cell gets its own optimized ratio, searched once per
-    brightness. With explicit ratios, a brightness's biasing and PWM rows
-    come from one rate grid over all DNRs. Row order: brightness outermost,
-    then DNR, then schemes.
+    brightness: the PWM row's rate is the search's rate at the optimum and
+    the biasing row is the grid's first point, ratio = brightness. With
+    explicit ratios, a brightness's biasing and PWM rows come from one rate
+    grid over all DNRs. Every grid reads one table of log2 rows per call.
+    Row order: brightness outermost, then DNR, then schemes.
     """
     if not len(lambdas) or not len(dnrs_db):
         raise ValueError("lambdas and dnrs_db must be non-empty")
     if isinstance(gammas, str) and gammas != AUTO:
         raise ValueError(f"gammas must be a sequence of ratios or {AUTO!r}")
     dnrs = _linear(dnrs_db)
+    log2_rows: dict = {}
     rows: list[RateEstimate] = []
     for lam in lambdas:
         # cells[j]: the rows of DNR column j, biasing first
         if isinstance(gammas, str):
-            biasing = _estimates(lam, [None], dnrs, pop)[0]
-            searches = _search(effective_brightness(lam)[0], dnrs, pop, gamma_step)
-            cells = [[row, _estimates(lam, [search.gamma_star], [dnr], pop)[0][0]]
-                     for row, dnr, search in zip(biasing, dnrs, searches)]
+            biasing = _estimates(lam, [None], dnrs, pop, log2_rows)[0]
+            searches = _search(effective_brightness(lam)[0], dnrs, pop, gamma_step, log2_rows)
+            cells = []
+            for row, dnr, search in zip(biasing, dnrs, searches):
+                snr = np.mean(dnr * variance_factor(search.gamma_star, pop.upapr, pop.lpapr))
+                cells.append([row, replace(row, rate=search.rate_at_star, scheme=Scheme.PWM,
+                                           gamma=search.gamma_star, avg_snr_db=_db(float(snr)))])
         else:
-            cells = zip(*_estimates(lam, [None, *map(float, gammas)], dnrs, pop))
+            cells = zip(*_estimates(lam, [None, *map(float, gammas)], dnrs, pop, log2_rows))
         rows.extend(row for cell in cells for row in cell)
     return rows
 

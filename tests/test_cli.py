@@ -371,6 +371,38 @@ class TestOutputs:
         stars = [line for line in lines if line.endswith(",*")]
         assert len(stars) == 3  # one per DNR point
 
+    def test_optimize_gamma_names_the_gammas_it_ignores(self, tmp_path, capsys):
+        argv = ["optimize-gamma", "--config", write_cfg(tmp_path)]
+        assert run(*argv, "--gamma", "0.3,0.4", "--out", tmp_path / "list") == 0
+        notices = [line for line in capsys.readouterr().err.splitlines() if "ignoring" in line]
+        assert notices == ["[vlcsim] optimize-gamma searches every forward ratio; "
+                           "ignoring gammas 0.3, 0.4"]
+        assert run(*argv, "--gamma", "auto", "--out", tmp_path / "auto") == 0
+        assert "ignoring" not in capsys.readouterr().err
+        assert ((tmp_path / "list" / "gamma_search.csv").read_bytes()
+                == (tmp_path / "auto" / "gamma_search.csv").read_bytes())
+
+    def test_auto_rate_sweep_rows_are_the_search_grid_rows(self, tmp_path):
+        """Each cell's PWM row is its starred row and its biasing row the grid's first row,
+        with shared (0.05, 0.2, 0.35) and mirrored (0.7) brightness grids."""
+        argv = ["--quick", "--lambda", "0.05,0.2,0.35,0.7", "--out", tmp_path]
+        assert run("rate-sweep", "--gamma", "auto", *argv) == 0
+        assert run("optimize-gamma", *argv) == 0
+        rates = [line.split(",") for line in (tmp_path / "rates.csv").read_text().splitlines()[1:]]
+        cells, grid = [], []
+        for line in (tmp_path / "gamma_search.csv").read_text().splitlines()[1:]:
+            lam, _, gamma, rate, star = line.split(",")
+            grid.append((lam, gamma, rate))
+            if star:
+                cells.append((grid[0], grid[-1]))
+                grid = []
+        assert len(cells) == 4 * 31 and len(rates) == 2 * len(cells)
+        for (biasing, pwm), (first, starred) in zip(zip(rates[::2], rates[1::2]), cells):
+            assert (biasing[0], pwm[0]) == ("biasing", "pwm")
+            assert biasing[1] == pwm[1] == first[0] == starred[0]
+            assert biasing[4] == first[2]
+            assert (pwm[2], pwm[4]) == starred[1:]
+
     def test_waveform_demo_writes_both_schemes(self, tmp_path):
         out = tmp_path / "out"
         assert run("waveform-demo", "--n", 16, "--symbols", 4, "--oversample", 2,

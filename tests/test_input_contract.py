@@ -77,15 +77,24 @@ def _draw_keys(rng: random.Random) -> dict:
     return keys
 
 
-def _draw_cases(seed: int = 20240601) -> list[tuple[str, dict, bool]]:
-    """(subcommand, config keys, whether the DNR range goes through --dnr-db=...)."""
+def _edge_id(edge: dict) -> str:
+    return "-".join(f"{key}={value}".replace(" ", "") for key, value in edge.items())
+
+
+def _draw_cases(seed: int = 20240601) -> tuple[list[str], list[tuple[str, dict, bool]]]:
+    """Ids, and (subcommand, config keys, whether the DNR range goes through --dnr-db=...).
+
+    An id names the subcommand and the edge's keys, not a position, so adding
+    an edge renames no other case.
+    """
     rng = random.Random(seed)
     pairs = [(sub, edge) for edge in GRID_EDGES for sub in SUBCOMMANDS]
     pairs += [(sub, edge) for edge in EDGES for sub in rng.sample(SUBCOMMANDS, 3)]
-    return [(sub, {**_draw_keys(rng), **edge}, rng.random() < 0.5) for sub, edge in pairs]
+    return ([f"{sub}-{_edge_id(edge)}" for sub, edge in pairs],
+            [(sub, {**_draw_keys(rng), **edge}, rng.random() < 0.5) for sub, edge in pairs])
 
 
-CASES = _draw_cases()
+IDS, CASES = _draw_cases()
 
 
 def _run(argv, cache_dir, monkeypatch, capsys) -> tuple[int, str]:
@@ -107,8 +116,11 @@ def test_cases_cover_every_edge_and_subcommand():
     assert any(flag and keys["dnr_db_start"] < 0 for _, keys, flag in CASES)
 
 
-@pytest.mark.parametrize("subcommand,keys,dnr_flag", CASES,
-                         ids=[f"{i:02d}-{sub}" for i, (sub, _, _) in enumerate(CASES)])
+def test_case_ids_are_unique():
+    assert len(set(IDS)) == len(IDS) == len(CASES)
+
+
+@pytest.mark.parametrize("subcommand,keys,dnr_flag", CASES, ids=IDS)
 def test_accepted_input_gives_a_result_or_a_typed_error(tmp_path, monkeypatch, capsys,
                                                         subcommand, keys, dnr_flag):
     config = dict(keys)

@@ -323,19 +323,118 @@ class TestBiasingIsPwmAtDutyOne:
         assert pwm.scheme is v.Scheme.PWM
 
     def test_auto_sweep_counts_variance_factor_rows(self, pop64, monkeypatch):
-        """Per brightness: the search grid, one biasing row, one PWM row per DNR."""
-        calls = []
+        """One log2 row per distinct ratio of the sweep, one SNR factor per biasing row
+        and per PWM cell; a biasing row's factor also fills its ratio's log2 row if new."""
+        calls, log2_rows = [], []
 
         def counted(*args):
             calls.append(args[0])
             return v.led.variance_factor(*args)
 
+        def counted_rows(factor, dnrs):
+            log2_rows.append(factor)
+            return log2_means(factor, dnrs)
+
+        log2_means = v.rates._log2_means
         monkeypatch.setattr(v.rates, "variance_factor", counted)
+        monkeypatch.setattr(v.rates, "_log2_means", counted_rows)
         lambdas, dnrs_db, step = [0.1, 0.3, 0.7, 0.5], [0.0, 7.5, 20.0], 0.05
         rows = v.sweep_rates(lambdas, dnrs_db, v.AUTO, pop64, gamma_step=step)
         assert len(rows) == 2 * len(lambdas) * len(dnrs_db)
-        assert len(calls) == sum(len(v.gamma_grid(v.effective_brightness(lam)[0], step))
-                                 + 1 + len(dnrs_db) for lam in lambdas)
+        grids = [set(map(float, v.gamma_grid(v.effective_brightness(lam)[0], step)))
+                 for lam in lambdas]
+        # 0.7's grid starts at 0.30000000000000004, a point of 0.1's grid, and
+        # 0.5's grid is the 0.5 the other three share: 20 grid points, 12 ratios
+        assert [len(grid) for grid in grids] == [9, 5, 5, 1]
+        assert len(log2_rows) == len(set().union(*grids)) == 12
+        # 12 rows, plus 4 biasing and 12 PWM SNR factors, less the biasing rows
+        # of 0.1 and 0.3, whose SNR factor also fills their new log2 row
+        assert len(calls) == 12 + len(lambdas) * (1 + len(dnrs_db)) - 2 == 26
+
+
+def paper_rate(duty, dnr, gamma, pop):
+    """The paper's PWM rate (1/2) d E[log2(1 + DNR f(gamma))], one mean per cell."""
+    return 0.5 * duty * float(np.mean(np.log2(1.0 + dnr * v.variance_factor(gamma, pop.upapr,
+                                                                              pop.lpapr))))
+
+
+def first_symbols(pop, n):
+    return dataclasses.replace(pop, upapr=pop.upapr[:n], lpapr=pop.lpapr[:n])
+
+
+def grid_bits(cells):
+    return [(lam, db, bits(result.gamma_star), bits(result.rate_at_star),
+             result.grid.tobytes()) for lam, db, result in cells]
+
+
+class TestLog2RowTable:
+    """Each distinct ratio's log2 row is evaluated once per sweep, in DNR blocks,
+    with the bits of the paper's formula evaluated cell by cell."""
+
+    LAMBDAS = [0.05, 0.2, 0.35, 0.7]  # shared grid points, and 0.7 mirrored to 0.3 + ulp
+
+    def assert_grids_are_the_formula(self, cells, pop):
+        for lam, dnr_db, result in cells:
+            lam_eff = v.effective_brightness(lam)[0]
+            dnr = float(10.0 ** (dnr_db / 10.0))
+            expected = [paper_rate(v.dimming.duty_cycle(lam_eff, gamma), dnr, gamma, pop)
+                        for gamma in map(float, result.grid[:, 0])]
+            assert result.grid[:, 1].tobytes() == np.array(expected).tobytes(), (lam, dnr_db)
+
+    @pytest.mark.parametrize("symbols", [1, 7, 10000])
+    @pytest.mark.parametrize("dnr_count", [1, 3, 4, 5, 8, 31])
+    def test_block_edges_match_the_formula(self, pop64, monkeypatch, symbols, dnr_count):
+        """4 DNRs per block at every population size: the last block is short or full."""
+        monkeypatch.setattr(v.rates, "_LOG2_BLOCK_BYTES", 4 * 8 * symbols)
+        pop = first_symbols(pop64, symbols)
+        cells = v.sweep_gamma_search([0.2, 0.7], 2.0 * np.arange(dnr_count), pop, 0.05)
+        self.assert_grids_are_the_formula(cells, pop)
+
+    def test_default_blocks_match_the_formula(self, pop64):
+        cells = v.sweep_gamma_search(self.LAMBDAS, 2.0 * np.arange(31), pop64, 0.01)
+        self.assert_grids_are_the_formula(cells, pop64)
+
+    def test_shared_ratios_match_one_sweep_per_brightness(self, pop64):
+        dnrs_db = [0.0, 2.0, 14.0, 30.0, 60.0]
+        together = v.sweep_gamma_search(self.LAMBDAS, dnrs_db, pop64, 0.005)
+        alone = [cell for lam in self.LAMBDAS
+                 for cell in v.sweep_gamma_search([lam], dnrs_db, pop64, 0.005)]
+        assert grid_bits(together) == grid_bits(alone)
+        for gammas in (v.AUTO, [0.35, 0.4, 0.5]):
+            rows = v.sweep_rates(self.LAMBDAS, dnrs_db, gammas, pop64)
+            alone = [row for lam in self.LAMBDAS
+                     for row in v.sweep_rates([lam], dnrs_db, gammas, pop64)]
+            assert [repr(dataclasses.astuple(row)) for row in rows] == \
+                   [repr(dataclasses.astuple(row)) for row in alone]
+
+    def test_auto_rows_are_the_formula(self, pop64):
+        dnrs_db = [0.0, 10.0, 26.0]
+        rows = v.sweep_rates(self.LAMBDAS, dnrs_db, v.AUTO, pop64, gamma_step=0.01)
+        for biasing, pwm in zip(rows[::2], rows[1::2]):
+            lam_eff = v.effective_brightness(biasing.brightness)[0]
+            dnr = float(10.0 ** (biasing.dnr_db / 10.0))
+            assert bits(biasing.rate) == bits(paper_rate(1.0, dnr, lam_eff, pop64))
+            duty = v.dimming.duty_cycle(lam_eff, pwm.gamma)
+            assert bits(pwm.rate) == bits(paper_rate(duty, dnr, pwm.gamma, pop64))
+
+    def test_estimate_rate_is_the_formula(self, pop64):
+        for lam, gamma in [(0.05, 0.05), (0.2, 0.31), (0.7, 0.45), (0.95, 0.5)]:
+            for dnr in (0.0, 1.0, 10.0 ** 2.35, 1e6):
+                est = v.estimate_rate(pwm_spec(lam, gamma, dnr), pop64)
+                duty = v.dimming.duty_cycle(v.effective_brightness(lam)[0], gamma)
+                assert bits(est.rate) == bits(paper_rate(duty, dnr, gamma, pop64))
+
+    def test_two_populations_in_one_process(self, pop64, pop256):
+        """No row outlives its sweep: each population reads only its own rows."""
+        dnrs_db = [0.0, 20.0, 40.0]
+        first = v.sweep_gamma_search(self.LAMBDAS, dnrs_db, pop64, 0.05)
+        other = v.sweep_gamma_search(self.LAMBDAS, dnrs_db, pop256, 0.05)
+        self.assert_grids_are_the_formula(first, pop64)
+        self.assert_grids_are_the_formula(other, pop256)
+        assert grid_bits(v.sweep_gamma_search(self.LAMBDAS, dnrs_db, pop64, 0.05)) == \
+               grid_bits(first)
+        assert ([row.rate for row in v.sweep_rates(self.LAMBDAS, dnrs_db, v.AUTO, pop256)]
+                != [row.rate for row in v.sweep_rates(self.LAMBDAS, dnrs_db, v.AUTO, pop64)])
 
 
 class TestGridPointCounts:
