@@ -358,6 +358,12 @@ def paper_rate(duty, dnr, gamma, pop):
                                                                               pop.lpapr))))
 
 
+def paper_snr_db(dnr, gamma, pop):
+    """The paper's average SNR DNR E[f(gamma)] in dB, one mean per cell."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(np.mean(dnr * v.variance_factor(gamma, pop.upapr, pop.lpapr)))
+
+
 def first_symbols(pop, n):
     return dataclasses.replace(pop, upapr=pop.upapr[:n], lpapr=pop.lpapr[:n])
 
@@ -414,8 +420,23 @@ class TestLog2RowTable:
             lam_eff = v.effective_brightness(biasing.brightness)[0]
             dnr = float(10.0 ** (biasing.dnr_db / 10.0))
             assert bits(biasing.rate) == bits(paper_rate(1.0, dnr, lam_eff, pop64))
+            assert bits(biasing.avg_snr_db) == bits(paper_snr_db(dnr, lam_eff, pop64))
             duty = v.dimming.duty_cycle(lam_eff, pwm.gamma)
             assert bits(pwm.rate) == bits(paper_rate(duty, dnr, pwm.gamma, pop64))
+            assert bits(pwm.avg_snr_db) == bits(paper_snr_db(dnr, pwm.gamma, pop64))
+
+    def test_explicit_rows_are_the_formula(self, pop64):
+        dnrs_db = [0.0, 10.0, 26.0]
+        gammas = [0.3, 0.4, 0.5]
+        rows = v.sweep_rates([0.05, 0.2, 0.7], dnrs_db, gammas, pop64)
+        assert len(rows) == 3 * len(dnrs_db) * (1 + len(gammas))
+        for row in rows:
+            lam_eff = v.effective_brightness(row.brightness)[0]
+            gamma = lam_eff if row.gamma is None else row.gamma
+            dnr = float(10.0 ** (row.dnr_db / 10.0))
+            duty = v.dimming.duty_cycle(lam_eff, gamma)
+            assert bits(row.rate) == bits(paper_rate(duty, dnr, gamma, pop64))
+            assert bits(row.avg_snr_db) == bits(paper_snr_db(dnr, gamma, pop64))
 
     def test_estimate_rate_is_the_formula(self, pop64):
         for lam, gamma in [(0.05, 0.05), (0.2, 0.31), (0.7, 0.45), (0.95, 0.5)]:
@@ -423,6 +444,7 @@ class TestLog2RowTable:
                 est = v.estimate_rate(pwm_spec(lam, gamma, dnr), pop64)
                 duty = v.dimming.duty_cycle(v.effective_brightness(lam)[0], gamma)
                 assert bits(est.rate) == bits(paper_rate(duty, dnr, gamma, pop64))
+                assert bits(est.avg_snr_db) == bits(paper_snr_db(dnr, gamma, pop64))
 
     def test_two_populations_in_one_process(self, pop64, pop256):
         """No row outlives its sweep: each population reads only its own rows."""
