@@ -39,6 +39,12 @@ def _check_budget(key: str, count: float, what: str, hint: str = ""):
                                + (f"; {hint}" if hint else ""))
 
 
+def _check_distinct(key: str, entries: tuple):
+    # a repeated entry would only repeat its rows or runs
+    if len(set(entries)) < len(entries):
+        raise ConfigError(key, f"entries must not repeat, got {entries}")
+
+
 def config_line(key: str, value: str) -> str:
     """One key = value line that parse_config reads back as value."""
     if "#" in value or "".join(value.splitlines()) != value:
@@ -98,6 +104,7 @@ class ExperimentConfig:
         for lam in self.lambdas:
             if not 0.0 < lam < 1.0:
                 raise ConfigError("lambdas", f"brightness factors must be in (0, 1), got {lam}")
+        _check_distinct("lambdas", self.lambdas)
         if isinstance(self.gammas, str):
             if self.gammas != AUTO:
                 raise ConfigError("gammas", f"must be a ratio list or '{AUTO}', got {self.gammas!r}")
@@ -105,6 +112,7 @@ class ExperimentConfig:
             for gamma in self.gammas:
                 if not 0.0 < gamma < 1.0:
                     raise ConfigError("gammas", f"forward ratios must be in (0, 1), got {gamma}")
+            _check_distinct("gammas", self.gammas)
         if not self.dnr_db_step > 0:
             raise ConfigError("dnr_db_step", f"must be positive, got {self.dnr_db_step}")
         if self.dnr_db_stop < self.dnr_db_start:
@@ -119,8 +127,7 @@ class ExperimentConfig:
             for n in self.n_list:
                 if n % 2 != 0 or n < 4:
                     raise ConfigError("n_list", f"entries must be even and >= 4, got {n}")
-            if len(set(self.n_list)) < len(self.n_list):
-                raise ConfigError("n_list", f"entries must not repeat, got {self.n_list}")
+            _check_distinct("n_list", self.n_list)
         return self
 
     def _dnr_points(self) -> float:

@@ -8,7 +8,7 @@ noisy estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,30 +83,37 @@ def _log2_means(factor: np.ndarray, dnrs) -> np.ndarray:
     return means
 
 
-def _rate_grid(lambda_effective: float, ratios, dnrs, pop: PaprPopulation, log2_rows: dict,
-               with_snr: bool = False):
-    """Rates (ratios x DNRs) at one effective brightness, plus mean SNRs if with_snr.
+class _Rows:
+    """One sweep call's means E[log2(1 + dnr * f)] and E[dnr * f] per forward ratio and DNR.
 
-    Row k is PWM at forward ratio ratios[k], duty lambda/ratios[k]; at ratio
-    lambda the duty is exactly 1, which is biasing adjustment. E[log2(1 + dnr * f)]
-    depends on the ratio and the DNR, not on the brightness: log2_rows maps a
-    ratio to its _log2_means over dnrs, belongs to one sweep over dnrs and pop,
-    and gets a ratio's row the first time the ratio is seen. Each brightness
-    scales that row by 0.5 * duty, the scalar product done elementwise.
+    Neither depends on the brightness; each is computed when first read. An SNR entry
+    reuses the factor of the ratio read last, so rows are best read a ratio at a time.
     """
-    if len(pop) == 0:
-        raise ValueError("population is empty")
-    rates, snrs = np.empty((2, len(ratios), len(dnrs)))
-    for k, ratio in enumerate(map(float, ratios)):
-        duty = duty_cycle(lambda_effective, ratio)
-        if with_snr or ratio not in log2_rows:
-            factor = variance_factor(ratio, pop.upapr, pop.lpapr)
-            if ratio not in log2_rows:
-                log2_rows[ratio] = _log2_means(factor, dnrs)
-            if with_snr:
-                snrs[k] = [np.mean(dnr * factor) for dnr in dnrs]
-        rates[k] = 0.5 * duty * log2_rows[ratio]
-    return (rates, snrs) if with_snr else rates
+
+    def __init__(self, pop: PaprPopulation, dnrs):
+        if len(pop) == 0:
+            raise ValueError("population is empty")
+        self.pop, self.dnrs = pop, dnrs
+        self._log2, self._snr, self._last = {}, {}, (None, None)
+
+    def rates(self, lambda_effective: float, ratios) -> np.ndarray:
+        """Rates (ratios x DNRs): each ratio's log2 row times 0.5 * duty, duty 1 at lambda."""
+        rates = np.empty((len(ratios), len(self.dnrs)))
+        for k, ratio in enumerate(map(float, ratios)):
+            duty = duty_cycle(lambda_effective, ratio)
+            if ratio not in self._log2:
+                factor = variance_factor(ratio, self.pop.upapr, self.pop.lpapr)
+                self._log2[ratio] = _log2_means(factor, self.dnrs)
+            rates[k] = 0.5 * duty * self._log2[ratio]
+        return rates
+
+    def snr(self, ratio: float, j: int) -> float:
+        """Mean SNR E[dnr * f] at the forward ratio and DNR j."""
+        if (ratio, j) not in self._snr:
+            if self._last[0] != ratio:
+                self._last = ratio, variance_factor(ratio, self.pop.upapr, self.pop.lpapr)
+            self._snr[ratio, j] = float(np.mean(self.dnrs[j] * self._last[1]))
+        return self._snr[ratio, j]
 
 
 def _linear(dnrs_db) -> list[float]:
@@ -123,21 +130,12 @@ def _linear(dnrs_db) -> list[float]:
     return dnrs
 
 
-def _estimates(brightness: float, gammas, dnrs, pop: PaprPopulation,
-               log2_rows: dict) -> list[list[RateEstimate]]:
-    """Estimates per (gamma, DNR) from one rate grid; gamma None is biasing, PWM at duty 1."""
-    lam_eff, _ = effective_brightness(brightness)
-    rates, snrs = _rate_grid(lam_eff, [lam_eff if g is None else g for g in gammas], dnrs, pop,
-                             log2_rows, with_snr=True)
-    return [[RateEstimate(rate=float(rates[k, j]),
-                          avg_snr_db=_db(float(snrs[k, j])),
-                          n_samples=len(pop),
-                          scheme=Scheme.BIASING_ADJUSTMENT if gamma is None else Scheme.PWM,
-                          brightness=brightness,
-                          gamma=gamma,
-                          dnr_db=_db(dnr))
-             for j, dnr in enumerate(dnrs)]
-            for k, gamma in enumerate(gammas)]
+def _estimate(table: _Rows, brightness: float, lam_eff: float, gamma, j: int, rate):
+    """The row at DNR j; gamma None is biasing, PWM at forward ratio lam_eff."""
+    return RateEstimate(rate=float(rate), n_samples=len(table.pop), brightness=brightness,
+                        avg_snr_db=_db(table.snr(lam_eff if gamma is None else gamma, j)),
+                        scheme=Scheme.BIASING_ADJUSTMENT if gamma is None else Scheme.PWM,
+                        gamma=gamma, dnr_db=_db(table.dnrs[j]))
 
 
 def estimate_rate(spec: DimmingSpec, pop: PaprPopulation) -> RateEstimate:
@@ -147,7 +145,10 @@ def estimate_rate(spec: DimmingSpec, pop: PaprPopulation) -> RateEstimate:
     PWM duty cycle; biasing adjustment is gamma = brightness, d = 1. The 1/2 is
     the Hermitian-symmetry overhead of real-valued OFDM.
     """
-    return _estimates(spec.brightness, [spec.forward_ratio], [spec.dnr], pop, {})[0][0]
+    lam_eff, _ = effective_brightness(spec.brightness)
+    table, gamma = _Rows(pop, [spec.dnr]), spec.forward_ratio
+    rate = table.rates(lam_eff, [lam_eff if gamma is None else gamma])[0, 0]
+    return _estimate(table, spec.brightness, lam_eff, gamma, 0, rate)
 
 
 def gamma_grid_points(lambda_effective: float, grid_step: float) -> float:
@@ -168,14 +169,13 @@ def gamma_grid(lambda_effective: float, grid_step: float) -> np.ndarray:
     return np.minimum(lambda_effective + grid_step * np.arange(count), 0.5)
 
 
-def _search(lambda_effective: float, dnrs, pop: PaprPopulation, grid_step: float,
-            log2_rows: dict) -> list[GammaSearchResult]:
+def _search(lambda_effective: float, grid_step: float, table: _Rows) -> list[GammaSearchResult]:
     """One forward-ratio search per DNR, all read from one shared rate grid."""
     if not 0.0 < lambda_effective <= 0.5:
         raise ValueError(
             f"effective brightness must be in (0, 0.5]; mirror first (got {lambda_effective})")
     gammas = gamma_grid(lambda_effective, grid_step)
-    rates = _rate_grid(lambda_effective, gammas, dnrs, pop, log2_rows)
+    rates = table.rates(lambda_effective, gammas)
     return [GammaSearchResult(gamma_star=float(gammas[best]),
                               rate_at_star=float(rates[best, j]),
                               grid=np.column_stack([gammas, rates[:, j]]))
@@ -190,21 +190,20 @@ def optimize_gamma(lambda_effective: float, dnr: float, pop: PaprPopulation,
     gamma = brightness, the winner never loses to biasing adjustment.
     """
     check_dnr(dnr)
-    return _search(lambda_effective, [dnr], pop, grid_step, {})[0]
+    return _search(lambda_effective, grid_step, _Rows(pop, [dnr]))[0]
 
 
 def sweep_gamma_search(lambdas, dnrs_db, pop: PaprPopulation, gamma_step: float = 0.005
                        ) -> list[tuple[float, float, GammaSearchResult]]:
     """(brightness, dnr_db, result) per cell, brightness outermost; one grid per brightness.
 
-    The grids share one table of log2 rows, so a ratio on several
-    brightnesses' grids is evaluated once.
+    The grids share one table of rows, so a ratio on several brightnesses'
+    grids is evaluated once.
     """
-    dnrs = _linear(dnrs_db)
-    log2_rows: dict = {}
+    table = _Rows(pop, _linear(dnrs_db))
     cells = []
     for lam in lambdas:
-        results = _search(effective_brightness(lam)[0], dnrs, pop, gamma_step, log2_rows)
+        results = _search(effective_brightness(lam)[0], gamma_step, table)
         cells.extend((lam, float(dnr_db), result) for dnr_db, result in zip(dnrs_db, results))
     return cells
 
@@ -251,29 +250,29 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
     brightness: the PWM row's rate is the search's rate at the optimum and
     the biasing row is the grid's first point, ratio = brightness. With
     explicit ratios, a brightness's biasing and PWM rows come from one rate
-    grid over all DNRs. Every grid reads one table of log2 rows per call.
+    grid over all DNRs. Every rate and SNR comes from one table of rows per call.
     Row order: brightness outermost, then DNR, then schemes.
     """
     if not len(lambdas) or not len(dnrs_db):
         raise ValueError("lambdas and dnrs_db must be non-empty")
     if isinstance(gammas, str) and gammas != AUTO:
         raise ValueError(f"gammas must be a sequence of ratios or {AUTO!r}")
-    dnrs = _linear(dnrs_db)
-    log2_rows: dict = {}
+    table = _Rows(pop, _linear(dnrs_db))
     rows: list[RateEstimate] = []
     for lam in lambdas:
-        # cells[j]: the rows of DNR column j, biasing first
+        lam_eff, _ = effective_brightness(lam)
+        # grid[k][j]: the (gamma, rate) of scheme row k at DNR j, biasing first
         if isinstance(gammas, str):
-            biasing = _estimates(lam, [None], dnrs, pop, log2_rows)[0]
-            searches = _search(effective_brightness(lam)[0], dnrs, pop, gamma_step, log2_rows)
-            cells = []
-            for row, dnr, search in zip(biasing, dnrs, searches):
-                snr = np.mean(dnr * variance_factor(search.gamma_star, pop.upapr, pop.lpapr))
-                cells.append([row, replace(row, rate=search.rate_at_star, scheme=Scheme.PWM,
-                                           gamma=search.gamma_star, avg_snr_db=_db(float(snr)))])
+            searches = _search(lam_eff, gamma_step, table)
+            grid = [[(None, search.grid[0, 1]) for search in searches],
+                    [(search.gamma_star, search.rate_at_star) for search in searches]]
         else:
-            cells = zip(*_estimates(lam, [None, *map(float, gammas)], dnrs, pop, log2_rows))
-        rows.extend(row for cell in cells for row in cell)
+            ratios = [float(g) for g in gammas]
+            rates = table.rates(lam_eff, [lam_eff, *ratios])
+            grid = [[(gamma, rate) for rate in row] for gamma, row in zip([None, *ratios], rates)]
+        estimates = [[_estimate(table, lam, lam_eff, gamma, j, rate)
+                      for j, (gamma, rate) in enumerate(row)] for row in grid]
+        rows.extend(row for cell in zip(*estimates) for row in cell)
     return rows
 
 

@@ -259,27 +259,45 @@ class TestCsvWriters:
             assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
 
 
+def count_factor_calls(monkeypatch):
+    """Count rates.variance_factor's calls. The returned function splits the ratios
+    called so far into those whose factor filled a log2 row and the others, SNR rows."""
+    calls, log2_factors = [], []
+
+    def counted(*args):
+        calls.append((args[0], v.led.variance_factor(*args)))
+        return calls[-1][1]
+
+    def counted_rows(factor, dnrs):
+        log2_factors.append(factor)
+        return log2_means(factor, dnrs)
+
+    def split():
+        fills_log2 = [any(factor is f for f in log2_factors) for _, factor in calls]
+        return ([ratio for (ratio, _), log2 in zip(calls, fills_log2) if log2],
+                [ratio for (ratio, _), log2 in zip(calls, fills_log2) if not log2])
+
+    log2_means = v.rates._log2_means
+    monkeypatch.setattr(v.rates, "variance_factor", counted)
+    monkeypatch.setattr(v.rates, "_log2_means", counted_rows)
+    return split
+
+
 class TestSweepRatesGrid:
     LAMBDAS = [0.1, 0.3, 0.7]
     DNRS_DB = [0.0, 7.5, 20.0, 45.0]
     GAMMAS = [0.35, 0.4, 0.45]
 
-    def count_variance_factor_calls(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args[0])
-            return v.led.variance_factor(*args)
-
-        monkeypatch.setattr(v.rates, "variance_factor", counted)
-        return calls
-
-    def test_one_variance_factor_row_per_brightness_and_ratio(self, pop64, monkeypatch):
-        calls = self.count_variance_factor_calls(monkeypatch)
+    def test_one_log2_and_one_snr_factor_per_distinct_ratio(self, pop64, monkeypatch):
+        """The biasing ratios 0.1, 0.3 and 0.7's 0.30000000000000004 and the three PWM
+        ratios are six distinct ratios; each needs a log2 row and an SNR row."""
+        split = count_factor_calls(monkeypatch)
         rows = v.sweep_rates(self.LAMBDAS, self.DNRS_DB, self.GAMMAS, pop64)
         lam, dnr, gam = len(self.LAMBDAS), len(self.DNRS_DB), len(self.GAMMAS)
         assert len(rows) == lam * dnr * (1 + gam)
-        assert len(calls) == lam * (1 + gam)
+        log2, snr = split()
+        ratios = [0.1, 0.3, 0.30000000000000004, 0.35, 0.4, 0.45]
+        assert sorted(log2) == sorted(snr) == ratios
 
     @pytest.mark.parametrize("gammas", [GAMMAS, v.AUTO])
     def test_rows_equal_per_row_estimates_bit_for_bit(self, pop64, gammas):
@@ -323,33 +341,27 @@ class TestBiasingIsPwmAtDutyOne:
         assert pwm.scheme is v.Scheme.PWM
 
     def test_auto_sweep_counts_variance_factor_rows(self, pop64, monkeypatch):
-        """One log2 row per distinct ratio of the sweep, one SNR factor per biasing row
-        and per PWM cell; a biasing row's factor also fills its ratio's log2 row if new."""
-        calls, log2_rows = [], []
-
-        def counted(*args):
-            calls.append(args[0])
-            return v.led.variance_factor(*args)
-
-        def counted_rows(factor, dnrs):
-            log2_rows.append(factor)
-            return log2_means(factor, dnrs)
-
-        log2_means = v.rates._log2_means
-        monkeypatch.setattr(v.rates, "variance_factor", counted)
-        monkeypatch.setattr(v.rates, "_log2_means", counted_rows)
+        """One log2 factor per distinct grid ratio of the sweep, one SNR factor per
+        distinct reported ratio: the biasing rows' lambda_eff and the optima."""
+        split = count_factor_calls(monkeypatch)
         lambdas, dnrs_db, step = [0.1, 0.3, 0.7, 0.5], [0.0, 7.5, 20.0], 0.05
         rows = v.sweep_rates(lambdas, dnrs_db, v.AUTO, pop64, gamma_step=step)
         assert len(rows) == 2 * len(lambdas) * len(dnrs_db)
+        log2, snr = split()
         grids = [set(map(float, v.gamma_grid(v.effective_brightness(lam)[0], step)))
                  for lam in lambdas]
         # 0.7's grid starts at 0.30000000000000004, a point of 0.1's grid, and
         # 0.5's grid is the 0.5 the other three share: 20 grid points, 12 ratios
         assert [len(grid) for grid in grids] == [9, 5, 5, 1]
-        assert len(log2_rows) == len(set().union(*grids)) == 12
-        # 12 rows, plus 4 biasing and 12 PWM SNR factors, less the biasing rows
-        # of 0.1 and 0.3, whose SNR factor also fills their new log2 row
-        assert len(calls) == 12 + len(lambdas) * (1 + len(dnrs_db)) - 2 == 26
+        assert sorted(log2) == sorted(set().union(*grids)) == [
+            0.1, 0.15000000000000002, 0.2, 0.25, 0.3, 0.30000000000000004, 0.35,
+            0.35000000000000003, 0.4, 0.45, 0.45000000000000007, 0.5]
+        # biasing at 0.1, 0.3, 0.30000000000000004 and 0.5; 12 optima, 4 distinct
+        reported = {row.gamma for row in rows if row.scheme is v.Scheme.PWM}
+        assert sorted(reported) == [0.4, 0.45, 0.45000000000000007, 0.5]
+        assert sorted(snr) == [0.1, 0.3, 0.30000000000000004, 0.4, 0.45, 0.45000000000000007,
+                               0.5]
+        assert len(log2) + len(snr) == 19
 
 
 def paper_rate(duty, dnr, gamma, pop):
