@@ -28,7 +28,7 @@ from .dimming import (DimmingSpec, Scheme, assemble_waveform, check_waveform, du
 from .errors import ConfigError, DutyCycleError, VlcsimError
 from .led import LedModel, compute_alpha, variance_closed_form, variance_factor
 from .ofdm import (Constellation, generate_freq_symbol, papr_of,
-                   sample_papr_population, symbol_rng, symbol_rngs, to_time_domain)
+                   sample_papr_population, symbol_rng, to_time_domain)
 from .rates import (AUTO, sweep_gamma_search, sweep_rates, variance_profile,
                     write_gamma_search_csv, write_rates_csv)
 
@@ -116,13 +116,6 @@ def _population(cfg: ExperimentConfig, n_subcarriers: int):
     return pop
 
 
-def _time_symbols(cfg: ExperimentConfig, rngs):
-    """The configuration's time-domain symbols, one drawn from each generator."""
-    return (to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation, rng),
-                           cfg.oversample_factor)
-            for rng in rngs)
-
-
 def _symbol_blocks(rows: np.ndarray, spec: DimmingSpec):
     """Consecutive runs of symbol rows whose waveform takes about _WAVE_BLOCK_BYTES."""
     frame = rows.shape[1] + off_interval(rows.shape[1], spec.brightness, spec.forward_ratio)
@@ -200,9 +193,11 @@ def _cmd_waveform_demo(cfg: ExperimentConfig) -> int:
     for spec in specs:  # a rejected spec or frame fails before a symbol is drawn
         check_waveform(spec, led)
     cfg.check_frame_budget()
+    # the sampler writes each symbol's time-domain samples into its row; the
+    # population it returns is not needed here
     rows = np.empty((cfg.symbol_count, cfg.n_subcarriers * cfg.oversample_factor))
-    for row, sym in zip(rows, _time_symbols(cfg, symbol_rngs(cfg.seed, cfg.symbol_count))):
-        row[:] = sym.samples
+    sample_papr_population(cfg.n_subcarriers, cfg.constellation, cfg.symbol_count, cfg.seed,
+                           cfg.oversample_factor, samples=rows)
     paths = [Path(cfg.output_dir) / f"waveform_{spec.scheme.value}.csv" for spec in specs]
     for spec, path in zip(specs, paths):
         # gaps are per frame and mirroring and snapping per sample, so the
@@ -220,14 +215,18 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
     # the reference is NumPy's own per-symbol seeding, not the sampler's batched one
     rows = np.empty((200, cfg.n_subcarriers * cfg.oversample_factor))
     sigma_x2, upapr, lpapr = np.empty(200), np.empty(200), np.empty(200)
-    for i, sym in enumerate(_time_symbols(cfg, (symbol_rng(cfg.seed, i) for i in range(200)))):
+    for i in range(200):
+        sym = to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation,
+                                                  symbol_rng(cfg.seed, i)), cfg.oversample_factor)
         papr = papr_of(sym)
         rows[i], sigma_x2[i], upapr[i], lpapr[i] = sym.samples, sym.sigma_x2, papr.upapr, papr.lpapr
+    sampled = np.empty_like(rows)
     pop = sample_papr_population(cfg.n_subcarriers, cfg.constellation, 200, cfg.seed,
-                                 cfg.oversample_factor)
+                                 cfg.oversample_factor, samples=sampled)
     reference = replace(pop, upapr=upapr, lpapr=lpapr)  # the closed form's own input
-    checks.append(("block sampler equals symbol_rng draws and one-row synthesis",
-                   np.array_equal(pop.upapr, upapr) and np.array_equal(pop.lpapr, lpapr)))
+    checks.append(("block sampler rows and PAPRs equal symbol_rng draws' one-row synthesis",
+                   np.array_equal(sampled.view(np.uint64), rows.view(np.uint64))
+                   and np.array_equal(pop.upapr, upapr) and np.array_equal(pop.lpapr, lpapr)))
 
     # alpha * x + bias is monotone in x, rounding included: a row's extremes bound it
     extremes = np.stack([rows.max(axis=1), rows.min(axis=1)], axis=1)

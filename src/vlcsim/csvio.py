@@ -8,9 +8,10 @@ blocks of columns (write_blocks) or as rows (write_rows); either way the
 text is built piecewise and streamed to the file.
 
 Column tables are formatted _CHUNK_ROWS rows at a time, whole columns at
-once. A float column's shortest digits come from the Schubfach algorithm
-(R. Giulietti, "The Schubfach way to render doubles", 2020) in uint64
-arithmetic, and its text is laid out by repr's rules; a float column whose
+once. The shortest digits of a float column's finite nonzero doubles come
+from the Schubfach algorithm (R. Giulietti, "The Schubfach way to render
+doubles", 2020) in uint64 arithmetic, +-0.0, inf and nan take fixed text,
+and every field is laid out by repr's rules; a float column whose
 bits equal an earlier column's in the chunk reuses its text, and an index
 range is written as str writes it. Each chunk's fields are placed in
 fixed-width slots of one uint8 buffer padded with NUL bytes, which are then
@@ -25,10 +26,10 @@ import numpy as np
 
 # rows formatted and written per write call by write_csv and write_blocks. A
 # three-column chunk's text takes about 50 bytes a row and each scratch array
-# 8, so at 2048 rows every buffer stays under the C allocator's 128 KiB mmap
-# threshold, and formatting adds about 0.8 MB to waveform-demo's peak RSS;
-# 4096 rows ran it about 6% faster but added 1.4 MB
-_CHUNK_ROWS = 2048
+# 8. Against 2048 rows, 4096 ran waveform-demo (1000 N = 64 symbols) about 5%
+# faster and raised its peak RSS from 39.07 to 39.69 MB (median of 12 runs
+# each, 2-core Xeon, Python 3.11.7, NumPy 2.4.6)
+_CHUNK_ROWS = 4096
 
 # the one float format: float.__repr__ is repr(float(x)) for a float x
 _float_text = float.__repr__
@@ -294,7 +295,6 @@ class _Formatter:
         self.sources = np.zeros((_SOURCES, self.rows), dtype=np.uint8)
         self.sources[:_DIGITS] = np.frombuffer(_FIXED_CHARS, dtype=np.uint8)[:, None]
         self.flat_sources = self.sources.reshape(-1)
-        self.offsets = np.arange(self.rows, dtype=np.intp)
         self.gather = np.empty(self.rows, dtype=np.intp)  # flat positions in sources
         self.text = np.empty((0, self.rows), dtype=np.uint8)  # one line per character place
 
@@ -347,43 +347,55 @@ class _Formatter:
         return negative + count
 
     def _floats(self, bits, line: int) -> int:
-        """Write repr of each double from text line line on; returns the lines taken."""
-        sources, lengths, classes, exp_digits = _layouts()
+        """Write repr of each double from text line line on; returns the lines taken.
+
+        Only finite nonzero doubles get digits, compacted into the first
+        columns of sources; the layouts of +-0.0, inf and nan read only fixed
+        characters, which every column holds, so they gather from column 0.
+        """
+        sources, lengths = _layouts()[:2]
         rows = len(bits)
         top = bits >> 52
         negative = top > 0x7FF
         top &= np.uint64(0x7FF)
         mantissa = bits & np.uint64(2 ** 52 - 1)
         nonfinite = top == 0x7FF
-        nan = nonfinite & (mantissa != 0)
         zero = (top == 0) & (mantissa == 0)
-        special = zero | nonfinite
-        top[special] = 1023  # the special values take the digits of 1.0, which
-        mantissa[special] = 0  # their layouts ignore
-        f, e10 = _shortest(top, mantissa)
-        count = np.searchsorted(_POWERS[1:17], f, side="right")  # digits - 1
-        f *= _POWERS.take(16 - count)  # the digits left-aligned in 17 places
-        count += e10  # the leading digit's exponent
-        count -= _E_MIN
-        chars = self.sources[:, :rows]
-        _digit_planes(f, 17, chars[_DIGITS:_EXP])
-        chars[_EXP:] = exp_digits.take(count, axis=1)
-        key = classes.take(count)
-        key[zero] = _ZERO_CLASS
-        key[nonfinite] = _INF_CLASS
-        key[nan] = _NAN_CLASS
-        key[negative] += _CLASSES
-        key *= 17
-        key += 16  # 17 digits less the trailing zeros
-        key -= np.argmax(chars[_EXP - 1:_DIGITS - 1:-1] != ord("0"), axis=0)
+        which = np.flatnonzero(~(zero | nonfinite))
+        key = np.empty(rows, dtype=np.intp)
+        key[which] = self._digits(top[which], mantissa[which])
+        key[zero] = _ZERO_CLASS * 17
+        key[nonfinite] = _INF_CLASS * 17
+        key[nonfinite & (mantissa != 0)] = _NAN_CLASS * 17
+        key[negative] += _CLASSES * 17
+        offsets = np.zeros(rows, dtype=np.intp)
+        offsets[which] = np.arange(len(which))
         width = int(lengths.take(key).max())
         out = self._lines(line, width, rows)
         gather = self.gather[:rows]
         for j in range(width):
             np.multiply(sources[j].take(key), np.intp(self.rows), out=gather)
-            gather += self.offsets[:rows]
+            gather += offsets
             self.flat_sources.take(gather, out=out[j], mode="clip")
         return width
+
+    def _digits(self, biased, mantissa):
+        """Fill the first len(biased) columns of sources with the digits and exponent of
+        finite nonzero doubles; returns each one's unsigned layout key."""
+        _, _, classes, exp_digits = _layouts()
+        f, e10 = _shortest(biased, mantissa)
+        count = np.searchsorted(_POWERS[1:17], f, side="right")  # digits - 1
+        f *= _POWERS.take(16 - count)  # the digits left-aligned in 17 places
+        count += e10  # the leading digit's exponent
+        count -= _E_MIN
+        chars = self.sources[:, :len(f)]
+        _digit_planes(f, 17, chars[_DIGITS:_EXP])
+        chars[_EXP:] = exp_digits.take(count, axis=1)
+        key = classes.take(count)
+        key *= 17
+        key += 16  # 17 digits less the trailing zeros
+        key -= np.argmax(chars[_EXP - 1:_DIGITS - 1:-1] != ord("0"), axis=0)
+        return key
 
 
 def _chunks(columns, formatter=None):

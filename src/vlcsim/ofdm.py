@@ -4,14 +4,15 @@ Symbols are built in the frequency domain with null DC/Nyquist bins and
 Hermitian symmetry, transformed to a real oversampled time-domain signal,
 and reduced to per-symbol (UPAPR, LPAPR) pairs. One synthesis kernel does
 the Hermitian check, the inverse FFT and the residual check for a block of
-symbols: the population sampler runs it on fixed-size blocks, and
-to_time_domain on a one-row block. Symbols are seeded per index, so results
-never depend on block size; symbol_rngs seeds them in chunks with one
-vectorized SeedSequence pass each. The sampler draws a block's QPSK and
-16-QAM points from PCG64.random_raw words, the very indices
-Generator.integers would draw. symbol_rng(seed, i), NumPy's own
-default_rng([seed, i]), is the one reference: a canary compares the first
-drawn row of every seed chunk, for every constellation, with its draw.
+symbols: to_time_domain runs it on a one-row block, and the population
+sampler on fixed-size blocks, whose time-domain rows it can also write into
+a caller's array. Symbols are seeded per index, so results never depend on
+block size; the sampler seeds them in chunks with one vectorized
+SeedSequence pass each and draws a block's QPSK and 16-QAM points from
+PCG64.random_raw words, the very indices Generator.integers would draw.
+symbol_rng(seed, i), NumPy's own default_rng([seed, i]), is the one
+reference: a canary compares the first drawn row of every seed chunk, for
+every constellation, with its draw.
 """
 
 from __future__ import annotations
@@ -260,12 +261,6 @@ def _state_blocks(seed: int, count: int, rows: int = _SEED_CHUNK):
             yield chunk + first, states[first:first + rows]
 
 
-def symbol_rngs(seed: int, count: int):
-    """symbol_rng(seed, i) for i = 0..count-1, seeded _SEED_CHUNK indices at a time."""
-    for _, states in _state_blocks(seed, count):
-        yield from (np.random.Generator(_pcg64(state)) for state in states)
-
-
 def _draw_rows(constellation: Constellation, states: np.ndarray, out: np.ndarray):
     """out[r] = _draw_constellation(constellation, out.shape[1], Generator(_pcg64(states[r]))).
 
@@ -340,7 +335,8 @@ def papr_of(sym: TimeSymbol) -> PaprSample:
 
 
 def sample_papr_population(n_subcarriers: int, constellation: Constellation, count: int,
-                           seed: int, oversample_factor: int = 4) -> PaprPopulation:
+                           seed: int, oversample_factor: int = 4,
+                           samples: np.ndarray | None = None) -> PaprPopulation:
     """Monte Carlo (UPAPR, LPAPR) population, bit-reproducible from the seed.
 
     The pair at index i depends only on (seed, i) and equals
@@ -350,21 +346,33 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
     _BLOCK_BYTES, and no block crosses a seed chunk, whose first row the
     _check_reference canary compares with symbol_rng's draw. Sampling runs on
     the calling thread and starts no threads.
+
+    samples, if given, is a writeable C-contiguous float64 array of shape
+    (count, N*F); the kernel writes symbol i's time-domain samples, those of
+    to_time_domain, straight into row i. It is checked before any draw.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _check_sizes(n_subcarriers, oversample_factor)
     half = n_subcarriers // 2
     m = n_subcarriers * oversample_factor
+    if samples is not None and not (
+            isinstance(samples, np.ndarray) and samples.dtype == np.float64
+            and samples.shape == (count, m) and samples.flags.c_contiguous
+            and samples.flags.writeable):
+        raise ValueError(f"samples must be a writeable C-contiguous float64 array of shape "
+                         f"({count}, {m})")
     rows = max(1, _BLOCK_BYTES // (16 * m))
     buf = np.empty((rows, m), dtype=np.complex128)
-    re, sq = np.empty((2, rows, m))
+    sq = np.empty((rows, m))
+    re = np.empty((rows, m)) if samples is None else None  # real rows, unless samples holds them
     upapr = np.empty(count)
     lpapr = np.empty(count)
 
     for start, states in _state_blocks(seed, count, rows):
         stop = start + len(states)
-        blk, x = buf[:len(states)], re[:len(states)]
+        blk = buf[:len(states)]
+        x = re[:len(states)] if samples is None else samples[start:stop]
         blk.fill(0)
         _draw_rows(constellation, states, blk[:, 1:half])
         if start % _SEED_CHUNK == 0:

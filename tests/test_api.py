@@ -21,6 +21,7 @@ REMOVED = [
     (v, "PwmFrame"), (dimming, "PwmFrame"), (v, "pwm_frame"), (dimming, "pwm_frame"),
     (v, "snr_sample"), (dimming, "snr_sample"),
     (dimming, "_alpha"), (dimming, "TimeSymbol"), (led, "PaprSample"),
+    (ofdm, "symbol_rngs"),
 ]
 
 

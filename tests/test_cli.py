@@ -428,16 +428,24 @@ class TestOutputs:
             assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
     def test_waveform_demo_seeds_no_symbol_one_at_a_time(self, tmp_path, monkeypatch):
+        """symbol_rng seeds only the sampler canary's reference, at each chunk's first index."""
         argv = ["waveform-demo", "--n", 16, "--symbols", 600, "--oversample", 2,
                 "--lambda", "0.25", "--gamma", "0.4", "--seed", 3]
         assert run(*argv, "--out", tmp_path / "ref") == 0
+        default_rng = np.random.default_rng
+        seeded = []
+
+        def chunk_starts_only(seed, index):
+            seeded.append(index)
+            return default_rng([seed, index])
 
         def refuse(*args, **kwargs):
             raise AssertionError("waveform-demo seeded a symbol one at a time")
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        monkeypatch.setattr(v.ofdm, "symbol_rng", refuse)
+        monkeypatch.setattr(v.ofdm, "symbol_rng", chunk_starts_only)
         assert run(*argv, "--out", tmp_path / "out") == 0
+        assert seeded == [0, v.ofdm._SEED_CHUNK]
         for name in ("waveform_biasing.csv", "waveform_pwm.csv"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 

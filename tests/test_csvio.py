@@ -46,6 +46,34 @@ def test_special_values(tmp_path):
     assert_same_bytes(tmp_path, ["i", "x"], [range(len(col)), col])
 
 
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+SPECIAL_RUNS = {"zeros": [0.0], "negative-zeros": [-0.0], "nans": NANS,
+                "infinities": [np.inf, -np.inf, -np.inf]}
+
+
+@pytest.mark.parametrize("run", SPECIAL_RUNS.values(), ids=SPECIAL_RUNS.keys())
+def test_whole_chunks_of_special_values(tmp_path, run):
+    """Columns with no finite nonzero double, whole chunks and a short last one."""
+    rows = 2 * CHUNK + 5
+    col = np.resize(np.asarray(run, dtype=np.float64), rows)
+    regular = np.linspace(-1.0, 1.0, rows)
+    assert_same_bytes(tmp_path, ["i", "x", "y", "z"], [range(rows), col, regular, col[::-1]])
+
+
+@pytest.mark.parametrize("run", SPECIAL_RUNS.values(), ids=SPECIAL_RUNS.keys())
+def test_special_and_regular_runs_across_chunk_edges(tmp_path, run):
+    """Runs that end at, just before and just after a chunk edge, both ways round."""
+    rng = np.random.default_rng(21)
+    lengths = [CHUNK, CHUNK - 3, 6, CHUNK - 3, 1, CHUNK + 2, CHUNK - 2]
+    pieces = []
+    for k, length in enumerate(lengths):
+        special = np.resize(np.asarray(run, dtype=np.float64), length)
+        pieces.append(special if k % 2 == 0 else rng.uniform(-1e3, 1e3, length))
+    col = np.concatenate(pieces)
+    assert_same_bytes(tmp_path, ["i", "x", "y"], [range(len(col)), col, col[::-1].copy()])
+
+
 def test_value_repeated_across_columns(tmp_path):
     col = np.linspace(0.0, 1.0, 2 * CHUNK + 3)
     assert_same_bytes(tmp_path, ["i", "a", "b", "c"], [range(len(col)), col, col.copy(), col[::-1]])

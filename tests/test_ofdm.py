@@ -279,6 +279,51 @@ class TestBatchedSampler:
             v.sample_papr_population(**args)
 
 
+class TestSampledRows:
+    """The sampler's samples= rows are the one-row synthesis of symbol_rng's draws."""
+
+    @pytest.mark.parametrize("n,factor", [(4, 1), (64, 4)])
+    @pytest.mark.parametrize("constellation", list(v.Constellation))
+    def test_rows_equal_one_row_synthesis(self, n, factor, constellation):
+        count = v.ofdm._SEED_CHUNK + 1  # crosses a seed chunk
+        rows = np.empty((count, n * factor))
+        v.sample_papr_population(n, constellation, count, 7, factor, samples=rows)
+        ref = np.array([v.to_time_domain(v.generate_freq_symbol(n, constellation,
+                                                                v.symbol_rng(7, i)),
+                                         factor).samples
+                        for i in range(count)])
+        assert_array_equal(rows.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("constellation", list(v.Constellation))
+    def test_population_is_the_same_with_rows(self, constellation):
+        count = v.ofdm._SEED_CHUNK + 1
+        plain = v.sample_papr_population(16, constellation, count, 3, 2)
+        with_rows = v.sample_papr_population(16, constellation, count, 3, 2,
+                                             samples=np.empty((count, 32)))
+        assert_array_equal(with_rows.upapr.view(np.uint64), plain.upapr.view(np.uint64))
+        assert_array_equal(with_rows.lpapr.view(np.uint64), plain.lpapr.view(np.uint64))
+
+    @pytest.mark.parametrize("samples", [
+        np.empty((5, 32)), np.empty((4, 16)), np.empty((4, 32), dtype=np.float32),
+        np.empty((4, 32), dtype=np.complex128), np.empty((4, 64))[:, ::2],
+        np.empty((32, 4)).T, np.empty((4, 32)).tolist()],
+        ids=["rows", "columns", "float32", "complex", "strided", "fortran", "list"])
+    def test_rejects_bad_rows_before_any_draw(self, monkeypatch, samples):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampler drew before checking samples")
+
+        monkeypatch.setattr(v.ofdm, "symbol_rng", refuse)
+        monkeypatch.setattr(v.ofdm, "_draw_rows", refuse)
+        with pytest.raises(ValueError, match=r"samples must be .* of shape \(4, 32\)"):
+            v.sample_papr_population(16, v.Constellation.QPSK, 4, 1, 2, samples=samples)
+
+    def test_rejects_read_only_rows(self):
+        rows = np.empty((4, 32))
+        rows.setflags(write=False)
+        with pytest.raises(ValueError):
+            v.sample_papr_population(16, v.Constellation.QPSK, 4, 1, 2, samples=rows)
+
+
 def _numpy_seed_states(seed, start, stop):
     return np.array([np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
                      for i in range(start, stop)])
