@@ -15,14 +15,13 @@ from .dimming import effective_brightness, off_interval
 from .errors import ConfigError
 from .led import LedModel
 from .ofdm import Constellation
-from .rates import AUTO, gamma_grid_points, zeta_grid_half
+from .rates import AUTO, dnr_linear, grid, grid_points
 
-#: most points a grid may have, checked by each run that builds the grid before
-#: building it: the DNR grid in _dnr_points(), the rate table, the forward-ratio
-#: search, the variance profile and a waveform frame's off interval in the
-#: check_*_budget() methods. Runs at the budget with --quick (1000 symbols,
-#: N = 64) and one brightness, measured on 2 cores with Python 3.11 and NumPy
-#: 2.4 (a bare run peaks at 36 MB RSS):
+#: most points a grid may have, checked before building it by each run that builds
+#: it: the DNR grid, rate table, forward-ratio search and variance profile, counted
+#: by rates.grid_points(), and a waveform frame's off interval, in the check_*_budget()
+#: methods. Runs at the budget with --quick (1000 symbols, N = 64) and one brightness,
+#: measured on 2 cores with Python 3.11 and NumPy 2.4 (a bare run peaks at 36 MB RSS):
 #:   rate-sweep, 1e6 rows (500k DNR points)    63 s, 336 MB peak RSS
 #:   optimize-gamma, 1e6 search cells           23 s,  64 MB
 #:   rate-sweep --gamma auto, 1e6 search cells  14 s,  64 MB
@@ -131,21 +130,23 @@ class ExperimentConfig:
         return self
 
     def _dnr_points(self) -> float:
-        """The DNR grid's point count, after checking the grid against the budget."""
-        # a float, so a span that overflows reads as inf, not an error
-        points = np.floor((self.dnr_db_stop - self.dnr_db_start) / self.dnr_db_step + 1e-9) + 1
+        """The DNR grid's point count, after checking the budget and its last point's overflow."""
+        points = grid_points(self.dnr_db_start, self.dnr_db_stop, self.dnr_db_step)
         _check_budget("dnr_db_step", points, "points in the DNR grid")
         last_db = float(self.dnr_db_start + self.dnr_db_step * (points - 1))
-        with np.errstate(over="ignore"):
-            if not np.isfinite(10.0 ** (np.float64(last_db) / 10.0)):
-                raise ConfigError("dnr_db_stop", f"the DNR grid reaches {last_db!r} dB, "
-                                                 "whose linear DNR overflows a double")
+        try:
+            dnr_linear(last_db)
+        except ValueError as exc:
+            raise ConfigError("dnr_db_stop", f"the DNR grid reaches {last_db!r} dB, "
+                                             "whose linear DNR overflows a double") from exc
         return points
 
     def check_profile_budget(self):
         """Raise ConfigError unless variance-sweep's profile fits the grid budget:
         rates.zeta_grid's points, once per subcarrier count."""
-        _check_budget("zeta_step", 2 * zeta_grid_half(self.zeta_step) * len(self.subcarrier_counts()),
+        half = grid_points(0.0, 0.5, self.zeta_step) - 1  # the points past 0, capped at 0.5,
+        points = 2 * half - (self.zeta_step * half >= 0.5)  # and the mirrors of those below it
+        _check_budget("zeta_step", points * len(self.subcarrier_counts()),
                       "(subcarrier count, biasing ratio) rows in the variance profile")
 
     def check_rate_table_budget(self):
@@ -165,7 +166,7 @@ class ExperimentConfig:
         For the runs that search (optimize-gamma, rate-sweep with gammas auto):
         the (brightness, ratio, DNR) cells, counted as rates.gamma_grid does.
         """
-        ratios = sum(gamma_grid_points(effective_brightness(lam)[0], self.gamma_step)
+        ratios = sum(grid_points(effective_brightness(lam)[0], 0.5, self.gamma_step)
                      for lam in self.lambdas)
         _check_budget("gamma_step", self._dnr_points() * ratios,
                       "(brightness, ratio, DNR) cells in the forward-ratio search",
@@ -184,7 +185,8 @@ class ExperimentConfig:
         return LedModel(i_low=self.i_low, i_high=self.i_high, o_high=self.o_high)
 
     def dnr_db_grid(self) -> np.ndarray:
-        return self.dnr_db_start + self.dnr_db_step * np.arange(int(self._dnr_points()))
+        self._dnr_points()
+        return grid(self.dnr_db_start, self.dnr_db_stop, self.dnr_db_step)
 
     def subcarrier_counts(self) -> tuple[int, ...]:
         return self.n_list if self.n_list else (self.n_subcarriers,)

@@ -74,14 +74,12 @@ def _tables():
         beta = p.bit_length() - 1 if k <= 0 else -p.bit_length()  # floor(log2(10**-k))
         g = (p << 125 >> beta if k <= 0 else (1 << 125 - beta) // p) + 1
         g_words[:, i] = g & 2 ** 64 - 1, g >> 64
-    k_row = np.empty(4096, dtype=np.int16)
-    h_row = np.empty(4096, dtype=np.uint8)
-    for row in range(4096):
-        closer, biased = divmod(row, 2048)
-        q = max(biased, 1) - 1075  # 2047 (inf, nan) gets a row that is never read
-        k = (q * 661971961083 - closer * 274743187321) >> 41
-        k_row[row] = k - _K_MIN
-        h_row[row] = q + (-k * 913124641741 >> 38) + 2
+    # int64 products stay below 2**50, and >> rounds toward -inf as on Python ints
+    closer, biased = np.divmod(np.arange(4096, dtype=np.int64), 2048)
+    q = np.maximum(biased, 1) - 1075  # 2047 (inf, nan) gets a row that is never read
+    k = (q * 661971961083 - closer * 274743187321) >> 41
+    k_row = (k - _K_MIN).astype(np.int16)
+    h_row = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint8)
     for table in (g_words, k_row, h_row):
         table.setflags(write=False)
     return g_words, k_row, h_row

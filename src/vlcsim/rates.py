@@ -116,18 +116,16 @@ class _Rows:
         return self._snr[ratio, j]
 
 
-def _linear(dnrs_db) -> list[float]:
-    # scalar powers: the vectorized 10 ** (grid / 10) differs in the last bit
-    dnrs = []
-    for dnr_db in dnrs_db:
-        try:
-            dnr = float(10.0 ** (dnr_db / 10.0))
-        except OverflowError:  # plain floats raise where NumPy floats give inf
-            dnr = math.inf
-        if not math.isfinite(dnr):
-            raise ValueError(f"dnr_db {float(dnr_db)!r} gives a non-finite linear DNR")
-        dnrs.append(dnr)
-    return dnrs
+def dnr_linear(dnr_db) -> float:
+    """10 ** (dnr_db / 10) on a Python float, a ValueError unless finite: NumPy floats
+    warn on overflow, and the vectorized 10 ** (grid / 10) differs in the last bit."""
+    try:
+        dnr = 10.0 ** (float(dnr_db) / 10.0)
+    except OverflowError:
+        dnr = math.inf
+    if not math.isfinite(dnr):
+        raise ValueError(f"dnr_db {float(dnr_db)!r} gives a non-finite linear DNR")
+    return dnr
 
 
 def _estimate(table: _Rows, brightness: float, lam_eff: float, gamma, j: int, rate):
@@ -151,9 +149,19 @@ def estimate_rate(spec: DimmingSpec, pop: PaprPopulation) -> RateEstimate:
     return _estimate(table, spec.brightness, lam_eff, gamma, 0, rate)
 
 
-def gamma_grid_points(lambda_effective: float, grid_step: float) -> float:
-    """gamma_grid's point count as a float, so an overflowing count reads as inf."""
-    return np.floor((0.5 - lambda_effective) / grid_step + 1e-9) + 1
+def grid_points(start: float, stop: float, step: float) -> float:
+    """grid(start, stop, step)'s point count as a float, so an overflowing count reads as inf."""
+    return np.floor((stop - start) / step + 1e-9) + 1
+
+
+def grid(start: float, stop: float, step: float) -> np.ndarray:
+    """{start, start + step, ...} up to stop, which the count's 1e-9 slack can pass."""
+    if not step > 0.0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    count = grid_points(start, stop, step)
+    if not count < np.iinfo(np.intp).max:
+        raise ValueError(f"grid step {step!r} gives {count:.3g} points, too many to count")
+    return start + step * np.arange(int(count))
 
 
 def gamma_grid(lambda_effective: float, grid_step: float) -> np.ndarray:
@@ -163,10 +171,7 @@ def gamma_grid(lambda_effective: float, grid_step: float) -> np.ndarray:
     duty-cycle factor only degrades beyond; the first grid point is exactly
     the effective brightness.
     """
-    if not grid_step > 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
-    count = int(gamma_grid_points(lambda_effective, grid_step))
-    return np.minimum(lambda_effective + grid_step * np.arange(count), 0.5)
+    return np.minimum(grid(lambda_effective, 0.5, grid_step), 0.5)
 
 
 def _search(lambda_effective: float, grid_step: float, table: _Rows) -> list[GammaSearchResult]:
@@ -200,7 +205,7 @@ def sweep_gamma_search(lambdas, dnrs_db, pop: PaprPopulation, gamma_step: float 
     The grids share one table of rows, so a ratio on several brightnesses'
     grids is evaluated once.
     """
-    table = _Rows(pop, _linear(dnrs_db))
+    table = _Rows(pop, [dnr_linear(dnr_db) for dnr_db in dnrs_db])
     cells = []
     for lam in lambdas:
         results = _search(effective_brightness(lam)[0], gamma_step, table)
@@ -208,19 +213,13 @@ def sweep_gamma_search(lambdas, dnrs_db, pop: PaprPopulation, gamma_step: float 
     return cells
 
 
-def zeta_grid_half(grid_step: float) -> float:
-    """zeta_grid's points up to 0.5 as a float, so an overflowing count reads as inf."""
-    return np.floor(0.5 / grid_step + 1e-9)
-
-
 def zeta_grid(grid_step: float) -> np.ndarray:
     """Biasing-ratio grid built as exact floating-point mirror pairs."""
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid_step must be in (0, 0.5], got {grid_step}")
     # capped at 0.5, which the count's slack can pass; 0.5 is its own mirror, kept once
-    lower = np.minimum(grid_step * np.arange(1, int(zeta_grid_half(grid_step)) + 1), 0.5)
-    mirrored = (1.0 - lower)[::-1]
-    return np.concatenate([lower, mirrored[1:] if lower[-1] == mirrored[0] else mirrored])
+    lower = np.minimum(grid(0.0, 0.5, grid_step)[1:], 0.5)
+    return np.concatenate([lower, (1.0 - lower[lower < 0.5])[::-1]])
 
 
 def variance_profile(pop: PaprPopulation, grid_step: float = 0.01) -> VarianceProfile:
@@ -257,7 +256,7 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
         raise ValueError("lambdas and dnrs_db must be non-empty")
     if isinstance(gammas, str) and gammas != AUTO:
         raise ValueError(f"gammas must be a sequence of ratios or {AUTO!r}")
-    table = _Rows(pop, _linear(dnrs_db))
+    table = _Rows(pop, [dnr_linear(dnr_db) for dnr_db in dnrs_db])
     rows: list[RateEstimate] = []
     for lam in lambdas:
         lam_eff, _ = effective_brightness(lam)

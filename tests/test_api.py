@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vlcsim as v
-from vlcsim import config, dimming, led, ofdm
+from vlcsim import config, dimming, led, ofdm, rates
 
 # (owner, name) pairs removed in favour of one spelling per model quantity; a
 # module entry whose name stays public in vlcsim (TimeSymbol, PaprSample) marks
@@ -21,7 +21,7 @@ REMOVED = [
     (v, "PwmFrame"), (dimming, "PwmFrame"), (v, "pwm_frame"), (dimming, "pwm_frame"),
     (v, "snr_sample"), (dimming, "snr_sample"),
     (dimming, "_alpha"), (dimming, "TimeSymbol"), (led, "PaprSample"),
-    (ofdm, "symbol_rngs"),
+    (ofdm, "symbol_rngs"), (rates, "gamma_grid_points"), (rates, "zeta_grid_half"),
 ]
 
 

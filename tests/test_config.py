@@ -169,6 +169,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="variance profile"):
             replace(cfg, n_list=(64, 256)).check_profile_budget()
 
+    def test_profile_counts_half_once(self):
+        # three 333,333-point grids are 999,999 rows; counting 0.5 twice made 1,000,002
+        cfg = v.ExperimentConfig(zeta_step=0.5 / 166667, n_list=(64, 256, 1024)).validate()
+        assert len(v.zeta_grid(cfg.zeta_step)) == 333_333
+        cfg.check_profile_budget()
+
     @pytest.mark.parametrize("text", [
         "gamma_step = 1e-12",
         "gamma_step = 5e-324",

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -122,14 +123,18 @@ class TestOptimizeGamma:
         with pytest.raises(ValueError, match="dnr"):
             v.optimize_gamma(0.2, dnr, pop64)
 
-    def test_sweep_rejects_a_dnr_db_that_overflows(self, pop64):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="dnr_db"):
-            v.sweep_gamma_search([0.2], np.array([0.0, 4000.0]), pop64)
-        # plain floats overflow with OverflowError rather than to inf
-        with pytest.raises(ValueError, match="dnr_db"):
-            v.sweep_gamma_search([0.2], [4000.0], pop64)
-        with pytest.raises(ValueError, match="dnr_db"):
-            v.sweep_rates([0.2], [0.0, 4000.0], [0.3], pop64)
+    @pytest.mark.parametrize("dnrs_db", [[0.0, 4000.0], np.array([0.0, 4000.0]),
+                                         [0.0, np.float64(4000.0)]],
+                             ids=["list", "ndarray", "float64"])
+    def test_sweeps_reject_a_dnr_db_that_overflows_without_a_warning(self, pop64, dnrs_db):
+        """Every input type gets the same ValueError, with no overflow warning first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sweep in (lambda: v.sweep_gamma_search([0.2], dnrs_db, pop64),
+                          lambda: v.sweep_rates([0.2], dnrs_db, v.AUTO, pop64),
+                          lambda: v.sweep_rates([0.2], dnrs_db, [0.3], pop64)):
+                with pytest.raises(ValueError, match="dnr_db 4000.0 gives a non-finite"):
+                    sweep()
 
     def test_sweep_matches_one_search_per_cell(self, pop64):
         cells = v.sweep_gamma_search([0.2, 0.7], [0.0, 14.0, 30.0], pop64, 0.01)
@@ -471,23 +476,50 @@ class TestLog2RowTable:
                 != [row.rate for row in v.sweep_rates(self.LAMBDAS, dnrs_db, v.AUTO, pop64)])
 
 
+# steps just above 0.5 / k, whose k-th point rounded past 0.5 before the cap
+JUST_ABOVE = [0.10000000000010001, *(0.5 / k * (1 + 1e-12) for k in (2, 3, 7, 50, 999))]
+ZETA_STEPS = [0.5, 0.3, 0.1, 0.07, 0.01, 0.005, *JUST_ABOVE]
+
+
+# each case gives (a budget check, the config key it counts under, the grid it bounds)
+def dnr_case(start, stop, step):
+    cfg = v.ExperimentConfig(dnr_db_start=start, dnr_db_stop=stop, dnr_db_step=step)
+    return cfg.check_rate_table_budget, "dnr_db_step", cfg.dnr_db_grid
+
+
+def gamma_case(lam, step):
+    # one brightness over a one-point DNR grid: the search's cells are the ratio grid's points
+    cfg = v.ExperimentConfig(lambdas=(lam,), dnr_db_stop=0.0, gamma_step=step)
+    return cfg.check_search_budget, "gamma_step", lambda: v.gamma_grid(lam, step)
+
+
+def zeta_case(step):
+    cfg = v.ExperimentConfig(zeta_step=step)
+    return cfg.check_profile_budget, "zeta_step", lambda: v.zeta_grid(step)
+
+
+# (start, stop, step): a negative start, and steps just above a divisor of the span
+DNR_GRIDS = [(0.0, 60.0, 2.0), (0.0, 60.0, 0.1), (-10.0, 60.0, 0.5), (-10.0, 60.0, 0.3),
+             (5.0, 5.0, 1.0), (0.0, 60.0, 60.0 / 7 * (1 + 1e-12)),
+             (-3.5, 7.25, 10.75 / 3 * (1 + 1e-12)), (-40.0, -0.1, 39.9 / 3 * (1 + 1e-12))]
+GRID_CASES = [*((dnr_case, args) for args in DNR_GRIDS),
+              *((gamma_case, (lam, step)) for lam in (0.05, 0.2, 1.0 / 7.0, 0.35, 0.5)
+                for step in (0.005, 0.01, 0.05, 0.3, 0.5, 1.0)),
+              *((zeta_case, (step,)) for step in ZETA_STEPS)]
+
+
 class TestGridPointCounts:
-    @pytest.mark.parametrize("lam", [0.05, 0.2, 1.0 / 7.0, 0.35, 0.5])
-    @pytest.mark.parametrize("step", [0.005, 0.01, 0.05, 0.3, 0.5, 1.0])
-    def test_gamma_points_match_the_grid(self, lam, step):
-        count = v.rates.gamma_grid_points(lam, step)
-        assert isinstance(count, float)
-        assert count == len(v.gamma_grid(lam, step))
-
-    # steps just above 0.5 / k, whose k-th point rounded past 0.5 before the cap
-    JUST_ABOVE = [0.10000000000010001, *(0.5 / k * (1 + 1e-12) for k in (2, 3, 7, 50, 999))]
-    ZETA_STEPS = [0.5, 0.3, 0.1, 0.07, 0.01, 0.005, *JUST_ABOVE]
-
-    @pytest.mark.parametrize("step", ZETA_STEPS)
-    def test_zeta_half_counts_the_lower_half(self, step):
-        half = v.rates.zeta_grid_half(step)
-        assert isinstance(half, float)
-        assert half == np.count_nonzero(v.zeta_grid(step) <= 0.5)
+    @pytest.mark.parametrize("case, args", GRID_CASES,
+                             ids=[f"{case.__name__[:-5]}{args}" for case, args in GRID_CASES])
+    def test_budget_counts_the_built_grid(self, monkeypatch, case, args):
+        """The count each budget check bounds is a float equal to the built grid's length."""
+        check, key, build = case(*args)
+        counts = {}  # the first count per key; the DNR grid's comes before the table's
+        monkeypatch.setattr(v.config, "_check_budget",
+                            lambda budget_key, count, *_: counts.setdefault(budget_key, count))
+        check()
+        assert isinstance(counts[key], float)
+        assert counts[key] == len(build())
 
     @pytest.mark.parametrize("step", ZETA_STEPS)
     def test_zeta_grid_is_sorted_with_mirror_pairs(self, step):
@@ -496,9 +528,12 @@ class TestGridPointCounts:
         assert np.all(np.diff(grid) > 0)
         lower = grid[grid < 0.5]
         assert np.array_equal(grid[grid > 0.5], (1.0 - lower)[::-1])
-        if step in self.JUST_ABOVE:
+        if step in JUST_ABOVE:
             assert 0.5 in grid
 
-    def test_overflowing_counts_read_as_inf(self):
-        assert v.rates.gamma_grid_points(0.1, 5e-324) == np.inf
-        assert v.rates.zeta_grid_half(5e-324) == np.inf
+    def test_overflowing_counts_read_as_inf_and_build_nothing(self):
+        assert v.rates.grid_points(0.1, 0.5, 5e-324) == np.inf
+        assert v.rates.grid_points(0.0, 0.5, 5e-324) == np.inf
+        for build in (lambda: v.gamma_grid(0.1, 5e-324), lambda: v.zeta_grid(5e-324)):
+            with pytest.raises(ValueError, match="grid step 5e-324 gives inf points"):
+                build()
