@@ -23,7 +23,7 @@ from . import __version__
 from .cache import load_or_build, population_cache_path, resolve_cache_dir, write_population_csv
 from .config import ExperimentConfig, config_line, load_config, parse_config
 from .csvio import write_rows
-from .dimming import (DimmingSpec, Scheme, assemble_waveform, check_waveform, duty_cycle,
+from .dimming import (DimmingSpec, assemble_waveform, check_waveform, duty_cycle,
                       effective_brightness, off_interval, write_waveform_csv)
 from .errors import ConfigError, DutyCycleError, VlcsimError
 from .led import LedModel, compute_alpha, variance_closed_form, variance_factor
@@ -166,7 +166,7 @@ def _cmd_rate_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_optimize_gamma(cfg: ExperimentConfig) -> int:
-    if cfg.gammas and cfg.gammas != AUTO:
+    if cfg.gammas != AUTO:
         _notice(f"optimize-gamma searches every forward ratio; "
                 f"ignoring gammas {', '.join(map(str, cfg.gammas))}")
     cfg.check_search_budget()
@@ -179,7 +179,7 @@ def _cmd_optimize_gamma(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_waveform_demo(cfg: ExperimentConfig) -> int:
-    if isinstance(cfg.gammas, str) or not cfg.gammas:
+    if cfg.gammas == AUTO:
         raise ConfigError("gammas", f"waveform-demo needs a forward ratio, got {cfg.gammas!r}")
     lam = cfg.lambdas[0]
     ignored = [f"{key} {', '.join(map(str, values[1:]))}"
@@ -187,9 +187,7 @@ def _cmd_waveform_demo(cfg: ExperimentConfig) -> int:
     if ignored:
         _notice(f"waveform-demo uses the first lambda and gamma; ignoring {' and '.join(ignored)}")
     led = cfg.led()
-    # waveforms are noise-free; any valid DNR budget works
-    specs = [DimmingSpec(brightness=lam, scheme=Scheme.BIASING_ADJUSTMENT, dnr=1.0),
-             DimmingSpec(brightness=lam, scheme=Scheme.PWM, dnr=1.0, forward_ratio=cfg.gammas[0])]
+    specs = [DimmingSpec(lam), DimmingSpec(lam, cfg.gammas[0])]
     for spec in specs:  # a rejected spec or frame fails before a symbol is drawn
         check_waveform(spec, led)
     cfg.check_frame_budget()
@@ -234,12 +232,13 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
     worst, feasible, maximal = 0.0, True, True
     for zeta in np.arange(0.05, 0.951, 0.05):
         bias = led.i_low + zeta * led.dynamic_range
-        decision = compute_alpha(extremes[:, 0], extremes[:, 1], bias, led, sigma_x2)
+        alpha = compute_alpha(extremes[:, 0], extremes[:, 1], bias, led)
+        sigma_y2 = alpha * alpha * sigma_x2
         closed = variance_closed_form(zeta, reference, led)
-        worst = max(worst, float(np.max(np.abs(closed - decision.sigma_y2) / decision.sigma_y2)))
-        y = decision.alpha[:, None] * extremes + bias
+        worst = max(worst, float(np.max(np.abs(closed - sigma_y2) / sigma_y2)))
+        y = alpha[:, None] * extremes + bias
         feasible &= bool(np.all((y >= low) & (y <= high)))
-        y_over = decision.alpha[:, None] * (1 + 1e-6) * extremes + bias
+        y_over = alpha[:, None] * (1 + 1e-6) * extremes + bias
         maximal &= bool(np.all(np.any((y_over < low) | (y_over > high), axis=1)))
     checks.append(("closed-form variance matches maximal scaling (rel err < 1e-12)",
                    worst < 1e-12))
@@ -255,11 +254,9 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
         sym_ok &= bool(np.array_equal(f, variance_factor(zeta, pop.lpapr, pop.upapr)))
     checks.append(("variance factor exactly symmetric (mirror and swap)", sym_ok))
 
-    spec_b = DimmingSpec(brightness=0.25, scheme=Scheme.BIASING_ADJUSTMENT, dnr=1.0)
-    spec_p = DimmingSpec(brightness=0.25, scheme=Scheme.PWM, dnr=1.0, forward_ratio=0.25)
     checks.append(("PWM at gamma = brightness degenerates to biasing adjustment",
-                   np.array_equal(assemble_waveform(rows[:5], spec_b, led),
-                                  assemble_waveform(rows[:5], spec_p, led))))
+                   np.array_equal(assemble_waveform(rows[:5], DimmingSpec(0.25), led),
+                                  assemble_waveform(rows[:5], DimmingSpec(0.25, 0.25), led))))
 
     failed = False
     for name, ok in checks:

@@ -107,6 +107,8 @@ class ExperimentConfig:
         if isinstance(self.gammas, str):
             if self.gammas != AUTO:
                 raise ConfigError("gammas", f"must be a ratio list or '{AUTO}', got {self.gammas!r}")
+        elif not self.gammas:
+            raise ConfigError("gammas", f"must list at least one forward ratio or be '{AUTO}'")
         else:
             for gamma in self.gammas:
                 if not 0.0 < gamma < 1.0:

@@ -49,34 +49,21 @@ def duty_cycle(lambda_effective: float, gamma: float) -> float:
     return 1.0 if gamma <= lambda_effective + window else lambda_effective / gamma
 
 
-def check_dnr(dnr: float):
-    """Raise ValueError unless the linear DNR is finite and >= 0."""
-    if not (dnr >= 0.0 and math.isfinite(dnr)):
-        raise ValueError(f"dnr must be finite and >= 0, got {dnr}")
-
-
 @dataclass(frozen=True)
 class DimmingSpec:
-    """Brightness target, scheme selection, and the link's DNR budget.
-
-    dnr is the linear dynamic-range-to-noise power ratio G^2 D^2 / sigma_N^2;
-    channel gain and noise variance only ever appear through it.
-    """
+    """Brightness target and, for PWM, the forward ratio; without one, biasing adjustment."""
 
     brightness: float
-    scheme: Scheme
-    dnr: float
     forward_ratio: float | None = None
 
     def __post_init__(self):
         lam_eff, _ = effective_brightness(self.brightness)
-        check_dnr(self.dnr)
-        if self.scheme is Scheme.PWM:
-            if self.forward_ratio is None:
-                raise ValueError("PWM requires a forward_ratio")
+        if self.forward_ratio is not None:
             duty_cycle(lam_eff, self.forward_ratio)
-        elif self.forward_ratio is not None:
-            raise ValueError("forward_ratio only applies to the PWM scheme")
+
+    @property
+    def scheme(self) -> Scheme:
+        return Scheme.BIASING_ADJUSTMENT if self.forward_ratio is None else Scheme.PWM
 
 
 def off_interval(n_samples: int, brightness: float, forward_ratio=None) -> float:
@@ -114,7 +101,7 @@ def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
     check_waveform(spec, led)
     lam_eff, mirrored = effective_brightness(spec.brightness)
     bias = led.i_low + (spec.forward_ratio or lam_eff) * led.dynamic_range
-    alpha = compute_alpha(symbols.max(axis=1), symbols.min(axis=1), bias, led).alpha
+    alpha = compute_alpha(symbols.max(axis=1), symbols.min(axis=1), bias, led)
     # one row per frame; the zeros after each symbol are the PWM off intervals
     n = symbols.shape[1]
     frames = np.zeros((len(symbols), n + int(off_interval(n, spec.brightness, spec.forward_ratio))))

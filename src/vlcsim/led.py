@@ -34,23 +34,13 @@ class LedModel:
         return self.i_high - self.i_low
 
 
-@dataclass(frozen=True)
-class ScalingDecision:
-    """Chosen per-symbol scaling factor and the variance it yields."""
+def compute_alpha(max_x, min_x, bias: float, led: LedModel):
+    """Largest-magnitude scaling factor alpha keeping alpha*x + bias inside the range.
 
-    alpha_pos: float
-    alpha_neg: float
-    alpha: float
-    sigma_y2: float
-
-
-def compute_alpha(max_x, min_x, bias: float, led: LedModel, sigma_x2=1.0) -> ScalingDecision:
-    """Largest-magnitude scaling factor keeping alpha*x + bias inside the range.
-
-    alpha_pos is the tightest positive candidate, alpha_neg the tightest
-    negative one; the winner is the one with the larger magnitude, ties going
-    to the positive sign. One signal extreme always lands on a range boundary.
-    Elementwise over arrays of per-symbol extremes; scalars give scalars.
+    Of the tightest positive candidate and the tightest negative one, alpha is
+    the one with the larger magnitude, ties going to the positive sign. One
+    signal extreme always lands on a range boundary. Elementwise over arrays
+    of per-symbol extremes; scalars give a scalar.
     """
     max_x, min_x = np.broadcast_arrays(max_x, min_x)
     bad = np.flatnonzero(~((max_x > 0.0) & (min_x < 0.0)))
@@ -65,9 +55,7 @@ def compute_alpha(max_x, min_x, bias: float, led: LedModel, sigma_x2=1.0) -> Sca
     footroom = led.i_low - bias
     alpha_pos = np.minimum(headroom / max_x, footroom / min_x)
     alpha_neg = np.maximum(headroom / min_x, footroom / max_x)
-    alpha = np.where(abs(alpha_pos) >= abs(alpha_neg), alpha_pos, alpha_neg)[()]
-    return ScalingDecision(alpha_pos=alpha_pos, alpha_neg=alpha_neg, alpha=alpha,
-                           sigma_y2=alpha * alpha * sigma_x2)
+    return np.where(abs(alpha_pos) >= abs(alpha_neg), alpha_pos, alpha_neg)[()]
 
 
 def variance_factor(zeta, upapr, lpapr):

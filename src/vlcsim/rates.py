@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_rows
-from .dimming import DimmingSpec, Scheme, check_dnr, duty_cycle, effective_brightness
+from .dimming import Scheme, duty_cycle, effective_brightness
 from .led import variance_factor
 from .ofdm import PaprPopulation
 
@@ -118,13 +118,18 @@ class _Rows:
 
 def dnr_linear(dnr_db) -> float:
     """10 ** (dnr_db / 10) on a Python float, a ValueError unless finite: NumPy floats
-    warn on overflow, and the vectorized 10 ** (grid / 10) differs in the last bit."""
+    warn on overflow, and the vectorized 10 ** (grid / 10) differs in the last bit.
+    -inf dB, a zero budget, gives 0.0. The library's one check of a DNR."""
     try:
-        dnr = 10.0 ** (float(dnr_db) / 10.0)
+        dnr_db = float(dnr_db)
+    except OverflowError:  # an int beyond every double
+        dnr_db = math.inf if dnr_db > 0 else -math.inf
+    try:
+        dnr = 10.0 ** (dnr_db / 10.0)
     except OverflowError:
         dnr = math.inf
     if not math.isfinite(dnr):
-        raise ValueError(f"dnr_db {float(dnr_db)!r} gives a non-finite linear DNR")
+        raise ValueError(f"dnr_db {dnr_db!r} gives a non-finite linear DNR")
     return dnr
 
 
@@ -134,19 +139,6 @@ def _estimate(table: _Rows, brightness: float, lam_eff: float, gamma, j: int, ra
                         avg_snr_db=_db(table.snr(lam_eff if gamma is None else gamma, j)),
                         scheme=Scheme.BIASING_ADJUSTMENT if gamma is None else Scheme.PWM,
                         gamma=gamma, dnr_db=_db(table.dnrs[j]))
-
-
-def estimate_rate(spec: DimmingSpec, pop: PaprPopulation) -> RateEstimate:
-    """Monte Carlo ergodic rate (1/2) d E[log2(1 + SNR)] in bits per channel use.
-
-    The SNR is taken at the forward ratio gamma and d = brightness/gamma is the
-    PWM duty cycle; biasing adjustment is gamma = brightness, d = 1. The 1/2 is
-    the Hermitian-symmetry overhead of real-valued OFDM.
-    """
-    lam_eff, _ = effective_brightness(spec.brightness)
-    table, gamma = _Rows(pop, [spec.dnr]), spec.forward_ratio
-    rate = table.rates(lam_eff, [lam_eff if gamma is None else gamma])[0, 0]
-    return _estimate(table, spec.brightness, lam_eff, gamma, 0, rate)
 
 
 def grid_points(start: float, stop: float, step: float) -> float:
@@ -176,9 +168,6 @@ def gamma_grid(lambda_effective: float, grid_step: float) -> np.ndarray:
 
 def _search(lambda_effective: float, grid_step: float, table: _Rows) -> list[GammaSearchResult]:
     """One forward-ratio search per DNR, all read from one shared rate grid."""
-    if not 0.0 < lambda_effective <= 0.5:
-        raise ValueError(
-            f"effective brightness must be in (0, 0.5]; mirror first (got {lambda_effective})")
     gammas = gamma_grid(lambda_effective, grid_step)
     rates = table.rates(lambda_effective, gammas)
     return [GammaSearchResult(gamma_star=float(gammas[best]),
@@ -187,23 +176,14 @@ def _search(lambda_effective: float, grid_step: float, table: _Rows) -> list[Gam
             for j, best in enumerate(np.argmax(rates, axis=0))]
 
 
-def optimize_gamma(lambda_effective: float, dnr: float, pop: PaprPopulation,
-                   grid_step: float = 0.005) -> GammaSearchResult:
-    """Exhaustive forward-ratio search on a shared population.
-
-    Ties resolve to the smallest gamma. Because the grid contains
-    gamma = brightness, the winner never loses to biasing adjustment.
-    """
-    check_dnr(dnr)
-    return _search(lambda_effective, grid_step, _Rows(pop, [dnr]))[0]
-
-
 def sweep_gamma_search(lambdas, dnrs_db, pop: PaprPopulation, gamma_step: float = 0.005
                        ) -> list[tuple[float, float, GammaSearchResult]]:
-    """(brightness, dnr_db, result) per cell, brightness outermost; one grid per brightness.
+    """Exhaustive forward-ratio search: (brightness, dnr_db, result) per cell, brightness
+    outermost; one grid per brightness.
 
-    The grids share one table of rows, so a ratio on several brightnesses'
-    grids is evaluated once.
+    Ties resolve to the smallest gamma. Because each grid starts at gamma =
+    brightness, the winner never loses to biasing adjustment. The grids share
+    one table of rows, so a ratio on several brightnesses' grids is evaluated once.
     """
     table = _Rows(pop, [dnr_linear(dnr_db) for dnr_db in dnrs_db])
     cells = []
@@ -243,6 +223,11 @@ def variance_profile(pop: PaprPopulation, grid_step: float = 0.01) -> VariancePr
 def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
                 gamma_step: float = 0.005) -> list[RateEstimate]:
     """Cross-product rate table: biasing adjustment plus PWM per cell.
+
+    A rate is (1/2) d E[log2(1 + SNR)] bits per channel use, the SNR taken at
+    the forward ratio gamma and d = brightness/gamma the PWM duty cycle;
+    biasing adjustment is gamma = brightness, d = 1. The 1/2 is the
+    Hermitian-symmetry overhead of real-valued OFDM.
 
     gammas is a sequence of forward ratios or AUTO, in which case each
     (brightness, DNR) cell gets its own optimized ratio, searched once per

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vlcsim as v
@@ -22,6 +23,9 @@ REMOVED = [
     (v, "snr_sample"), (dimming, "snr_sample"),
     (dimming, "_alpha"), (dimming, "TimeSymbol"), (led, "PaprSample"),
     (ofdm, "symbol_rngs"), (rates, "gamma_grid_points"), (rates, "zeta_grid_half"),
+    (v, "estimate_rate"), (rates, "estimate_rate"), (v, "optimize_gamma"),
+    (rates, "optimize_gamma"), (v, "ScalingDecision"), (led, "ScalingDecision"),
+    (v, "check_dnr"), (dimming, "check_dnr"),
 ]
 
 
@@ -46,15 +50,30 @@ def test_removed_names_are_gone(owner, name):
     assert name in {"TimeSymbol", "PaprSample"} or name not in v.__all__
 
 
-def test_scaling_decision_does_not_echo_the_bias():
-    assert "bias" not in {f.name for f in dataclasses.fields(v.ScalingDecision)}
+def test_dimming_spec_has_the_paper_parameters_only():
+    """A scheme is the brightness and, for PWM, the forward ratio; the DNR belongs to the link."""
+    assert tuple(f.name for f in dataclasses.fields(v.DimmingSpec)) == (
+        "brightness", "forward_ratio")
 
 
 def test_dnr_check_is_one_helper_outside_the_public_list():
-    assert "check_dnr" not in v.__all__
-    for call in (lambda: v.DimmingSpec(0.2, v.Scheme.BIASING_ADJUSTMENT, dnr=-1.0),
-                 lambda: v.optimize_gamma(0.2, -1.0, v.sample_papr_population(
-                     16, v.Constellation.QPSK, 5, seed=1)),
-                 lambda: dimming.check_dnr(-1.0)):
-        with pytest.raises(ValueError, match="dnr must be finite and >= 0, got -1.0"):
+    assert "dnr_linear" not in v.__all__
+    pop = v.sample_papr_population(16, v.Constellation.QPSK, 5, seed=1)
+    for call in (lambda: v.sweep_rates([0.2], [np.nan], v.AUTO, pop),
+                 lambda: v.sweep_gamma_search([0.2], [np.nan], pop),
+                 lambda: rates.dnr_linear(np.nan)):
+        with pytest.raises(ValueError, match="dnr_db nan gives a non-finite linear DNR"):
             call()
+
+
+def test_readme_library_example_runs():
+    """The README's Library code block runs as written, with warnings as errors."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("\n## Library\n"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("\n```", start)]
+    src = Path(v.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=src,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -140,12 +140,14 @@ class TestExitCodes:
                    "--lambda", "0.25", "--gamma", "auto", "--out", tmp_path / "out") == 2
         assert "gammas" in capsys.readouterr().err
 
-    def test_waveform_demo_rejects_an_empty_ratio_list(self, tmp_path, capsys):
-        assert run("waveform-demo", "--gamma", ",", "--symbols", 5,
-                   "--out", tmp_path / "out") == 2
+    @pytest.mark.parametrize("subcommand", ["rate-sweep", "optimize-gamma", "waveform-demo"])
+    @pytest.mark.parametrize("gammas", ["", ","])
+    def test_empty_ratio_list_is_a_config_error(self, tmp_path, capsys, subcommand, gammas):
+        assert run(subcommand, "--quick", "--gamma", gammas, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert "config error: gammas" in err
+        assert "config error: gammas: must list at least one forward ratio or be 'auto'" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unreachable_ratio_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -475,7 +477,7 @@ class TestOutputs:
         assert [total for total, _ in written] == [256_000, 410_000]
         last = v.to_time_domain(v.generate_freq_symbol(64, cfg.constellation,
                                                        v.symbol_rng(cfg.seed, 999)), 4)
-        spec = v.DimmingSpec(0.25, v.Scheme.BIASING_ADJUSTMENT, dnr=1.0)
+        spec = v.DimmingSpec(0.25)
         assert written[0][1].tobytes() == v.assemble_waveform(last.samples[None, :], spec,
                                                                cfg.led()).tobytes()
 

@@ -65,7 +65,7 @@ class TestDutyCycle:
         duties = [v.duty_cycle(v.effective_brightness(k / 1000)[0], (1000 - k) / 1000)
                   for k in range(501, 1000)]
         assert len(duties) == 499 and set(duties) == {1.0}
-        v.DimmingSpec(0.7, v.Scheme.PWM, dnr=1.0, forward_ratio=0.3)
+        v.DimmingSpec(0.7, 0.3)
 
     def test_rounding_slack_admits_no_decimal_below_the_target(self):
         with pytest.raises(DutyCycleError):
@@ -88,36 +88,29 @@ class TestDutyCycle:
 
 
 class TestDimmingSpec:
-    def test_pwm_requires_forward_ratio(self):
-        with pytest.raises(ValueError):
-            v.DimmingSpec(brightness=0.2, scheme=v.Scheme.PWM, dnr=1.0)
-
-    def test_biasing_rejects_forward_ratio(self):
-        with pytest.raises(ValueError):
-            v.DimmingSpec(brightness=0.2, scheme=v.Scheme.BIASING_ADJUSTMENT, dnr=1.0,
-                          forward_ratio=0.4)
+    def test_scheme_follows_the_forward_ratio(self):
+        assert v.DimmingSpec(0.2).scheme is v.Scheme.BIASING_ADJUSTMENT
+        assert v.DimmingSpec(0.2, 0.4).scheme is v.Scheme.PWM
+        with pytest.raises(AttributeError):
+            v.DimmingSpec(0.2).scheme = v.Scheme.PWM
 
     def test_pwm_ratio_checked_against_effective_brightness(self):
         # brightness 0.7 mirrors to 0.3, so 0.4 is feasible
-        v.DimmingSpec(brightness=0.7, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.4)
+        v.DimmingSpec(brightness=0.7, forward_ratio=0.4)
         with pytest.raises(DutyCycleError):
-            v.DimmingSpec(brightness=0.45, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.4)
+            v.DimmingSpec(brightness=0.45, forward_ratio=0.4)
 
-    def test_rejects_negative_dnr(self):
+    @pytest.mark.parametrize("brightness, gamma", [(0.0, None), (1.2, None), (0.2, 1.0)])
+    def test_rejects_brightness_or_ratio_outside_the_unit_interval(self, brightness, gamma):
         with pytest.raises(ValueError):
-            v.DimmingSpec(brightness=0.2, scheme=v.Scheme.BIASING_ADJUSTMENT, dnr=-1.0)
-
-    @pytest.mark.parametrize("dnr", [np.inf, -np.inf, np.nan])
-    def test_rejects_non_finite_dnr(self, dnr):
-        with pytest.raises(ValueError, match="dnr"):
-            v.DimmingSpec(brightness=0.2, scheme=v.Scheme.PWM, dnr=dnr, forward_ratio=0.3)
+            v.DimmingSpec(brightness, gamma)
 
 
 class TestAssembleWaveform:
     def test_five_symbol_demo_layout(self):
         """Five N=256 symbols at brightness 0.25, ratio 0.4: biased blocks and gaps."""
         symbols = make_symbols(5, n=256)
-        spec = v.DimmingSpec(brightness=0.25, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.4)
+        spec = v.DimmingSpec(0.25, 0.4)
         wave = v.assemble_waveform(symbols, spec, LED)
         on_len = 256 * 4
         off_len = round(on_len * (1 - 0.625) / 0.625)
@@ -134,18 +127,14 @@ class TestAssembleWaveform:
 
     def test_biasing_waveform_mean_is_the_bias(self):
         symbols = make_symbols(1)
-        spec = v.DimmingSpec(brightness=0.5, scheme=v.Scheme.BIASING_ADJUSTMENT, dnr=1.0)
+        spec = v.DimmingSpec(0.5)
         wave = v.assemble_waveform(symbols, spec, LED)
         assert abs(float(np.mean(wave)) - 0.5) < 1e-9
 
     def test_pwm_at_gamma_equal_brightness_is_biasing(self):
         symbols = make_symbols(4)
-        biasing = v.assemble_waveform(
-            symbols, v.DimmingSpec(brightness=0.25, scheme=v.Scheme.BIASING_ADJUSTMENT, dnr=1.0),
-            LED)
-        pwm = v.assemble_waveform(
-            symbols, v.DimmingSpec(brightness=0.25, scheme=v.Scheme.PWM, dnr=1.0,
-                                   forward_ratio=0.25), LED)
+        biasing = v.assemble_waveform(symbols, v.DimmingSpec(0.25), LED)
+        pwm = v.assemble_waveform(symbols, v.DimmingSpec(0.25, 0.25), LED)
         assert_array_equal(biasing, pwm)
 
     @pytest.mark.parametrize("scheme,gamma", [(v.Scheme.BIASING_ADJUSTMENT, None),
@@ -153,7 +142,8 @@ class TestAssembleWaveform:
     def test_mirrored_target_meets_requested_brightness(self, scheme, gamma):
         """Brightness 0.7 waveforms average 0.7 of peak output."""
         symbols = make_symbols(300, seed=4)
-        spec = v.DimmingSpec(brightness=0.7, scheme=scheme, dnr=1.0, forward_ratio=gamma)
+        spec = v.DimmingSpec(0.7, gamma)
+        assert spec.scheme is scheme
         wave = v.assemble_waveform(symbols, spec, LED)
         optical = v.optical_output(wave, LED)
         assert float(np.mean(optical)) == pytest.approx(0.7 * LED.o_high, rel=0.01)
@@ -161,26 +151,23 @@ class TestAssembleWaveform:
     def test_mirrored_pwm_needs_grounded_range(self):
         symbols = make_symbols(2)
         led = v.LedModel(0.1, 1.0, 1.0)
-        spec = v.DimmingSpec(brightness=0.7, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.4)
+        spec = v.DimmingSpec(0.7, 0.4)
         with pytest.raises(CurrentRangeError):
             v.assemble_waveform(symbols, spec, led)
         # biasing has no off state, so mirroring works on any range
-        v.assemble_waveform(
-            symbols, v.DimmingSpec(brightness=0.7, scheme=v.Scheme.BIASING_ADJUSTMENT, dnr=1.0),
-            led)
+        v.assemble_waveform(symbols, v.DimmingSpec(0.7), led)
 
     def test_mirrored_pwm_at_duty_one_still_needs_grounded_range(self):
         """PWM at gamma = lambda_eff equals biasing, but keeps PWM's off-state rule."""
         symbols = make_symbols(2)
         led = v.LedModel(0.1, 1.0, 1.0)
-        spec = v.DimmingSpec(brightness=0.7, scheme=v.Scheme.PWM, dnr=1.0,
-                             forward_ratio=v.effective_brightness(0.7)[0])
+        spec = v.DimmingSpec(0.7, v.effective_brightness(0.7)[0])
         with pytest.raises(CurrentRangeError):
             v.assemble_waveform(symbols, spec, led)
 
     def test_on_samples_in_range_off_samples_zero(self):
         symbols = make_symbols(10, seed=9)
-        spec = v.DimmingSpec(brightness=0.1, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.3)
+        spec = v.DimmingSpec(0.1, 0.3)
         wave = v.assemble_waveform(symbols, spec, LED)
         d = 0.1 / 0.3
         on_len = 256
@@ -197,7 +184,7 @@ class TestAssembleWaveform:
 class TestWaveformCsv:
     def test_writes_current_and_optical_columns(self, tmp_path):
         symbols = make_symbols(2)
-        spec = v.DimmingSpec(brightness=0.25, scheme=v.Scheme.BIASING_ADJUSTMENT, dnr=1.0)
+        spec = v.DimmingSpec(0.25)
         wave = v.assemble_waveform(symbols, spec, LED)
         path = tmp_path / "wave.csv"
         v.write_waveform_csv(path, [wave], LED)
@@ -214,8 +201,7 @@ class TestWaveformCsv:
     @pytest.mark.parametrize("count", ["one", "block-1", "block+1"])
     def test_blocks_write_the_bytes_of_the_whole_array(self, tmp_path, brightness, gamma, led,
                                                        count):
-        scheme = v.Scheme.BIASING_ADJUSTMENT if gamma is None else v.Scheme.PWM
-        spec = v.DimmingSpec(brightness=brightness, scheme=scheme, dnr=1.0, forward_ratio=gamma)
+        spec = v.DimmingSpec(brightness, gamma)
         probe = make_symbols(64)
         rows = len(_symbol_blocks(probe, spec)[0])  # symbols per block
         assert 1 < rows < len(probe)
@@ -238,8 +224,7 @@ class TestWaveformCsv:
         (0.3, None, LED_I_LOW), (0.7, None, LED), (0.25, 0.4, LED)],
         ids=["i_low-biasing", "mirrored-biasing", "pwm"])
     def test_bytes_equal_a_row_by_row_reference(self, tmp_path, brightness, gamma, led):
-        scheme = v.Scheme.BIASING_ADJUSTMENT if gamma is None else v.Scheme.PWM
-        spec = v.DimmingSpec(brightness=brightness, scheme=scheme, dnr=1.0, forward_ratio=gamma)
+        spec = v.DimmingSpec(brightness, gamma)
         symbols = make_symbols(40)
         wave = v.assemble_waveform(symbols, spec, led)
         optical = v.optical_output(wave, led)
@@ -257,7 +242,7 @@ class TestWaveformCsv:
     def test_streamed_write_holds_one_block(self, tmp_path):
         """2000 N = 64 PWM symbols: the whole waveform's write peaks at about 14 MB traced."""
         symbols = make_symbols(2000)
-        spec = v.DimmingSpec(brightness=0.25, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.4)
+        spec = v.DimmingSpec(0.25, 0.4)
         blocks = (v.assemble_waveform(run, spec, LED) for run in _symbol_blocks(symbols, spec))
         tracemalloc.start()
         try:
@@ -287,7 +272,7 @@ def concatenated_waveform(symbols, spec, led):
     bias = led.i_low + ratio * led.dynamic_range
     blocks = []
     for sym in symbols:
-        alpha = v.compute_alpha(float(np.max(sym)), float(np.min(sym)), bias, led).alpha
+        alpha = v.compute_alpha(float(np.max(sym)), float(np.min(sym)), bias, led)
         on = alpha * sym + bias
         blocks.append(on)
         off_count = int(round(len(on) * (1.0 - d) / d))
@@ -307,28 +292,26 @@ class TestInPlaceAssembly:
                                                    (0.7, None), (0.5, None), (0.3, 0.45)])
     def test_matches_concatenated_blocks_bit_for_bit(self, led, brightness, gamma):
         symbols = make_symbols(12, n=16, oversample=2, seed=5)
-        scheme = v.Scheme.BIASING_ADJUSTMENT if gamma is None else v.Scheme.PWM
-        spec = v.DimmingSpec(brightness=brightness, scheme=scheme, dnr=1.0, forward_ratio=gamma)
+        spec = v.DimmingSpec(brightness, gamma)
         wave = v.assemble_waveform(symbols, spec, led)
         expected = concatenated_waveform(symbols, spec, led)
         assert wave.dtype == expected.dtype and wave.tobytes() == expected.tobytes()
 
     def test_mirrored_pwm_matches_concatenated_blocks(self):
         symbols = make_symbols(12, n=16, oversample=2, seed=6)
-        spec = v.DimmingSpec(brightness=0.7, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.4)
+        spec = v.DimmingSpec(0.7, 0.4)
         wave = v.assemble_waveform(symbols, spec, LED)
         assert wave.tobytes() == concatenated_waveform(symbols, spec, LED).tobytes()
         assert np.any(wave == LED.i_high)  # the mirrored off intervals
 
     @pytest.mark.parametrize("shape", [(0,), (64,), (0, 64), (3, 0)])
     def test_rejects_anything_but_nonempty_rows(self, shape):
-        spec = v.DimmingSpec(brightness=0.25, scheme=v.Scheme.PWM, dnr=1.0, forward_ratio=0.4)
+        spec = v.DimmingSpec(0.25, 0.4)
         with pytest.raises(ValueError, match="2-D array of symbol rows"):
             v.assemble_waveform(np.ones(shape), spec, LED)
 
     def test_leaves_symbols_unchanged(self):
         symbols = make_symbols(3, n=16, oversample=2, seed=7)
         before = symbols.copy()
-        v.assemble_waveform(symbols, v.DimmingSpec(brightness=0.8, scheme=v.Scheme.PWM,
-                                                   dnr=1.0, forward_ratio=0.3), LED)
+        v.assemble_waveform(symbols, v.DimmingSpec(0.8, 0.3), LED)
         assert symbols.tobytes() == before.tobytes()

@@ -20,6 +20,13 @@ def brute_force_alpha(max_x, min_x, bias, led, steps=2_000_001):
     return float(np.max(candidates[np.abs(candidates) >= top - 1e-9]))
 
 
+def candidates(max_x, min_x, bias, led):
+    """The tightest positive and the tightest negative scaling factor."""
+    headroom, footroom = led.i_high - bias, led.i_low - bias
+    return (np.minimum(headroom / max_x, footroom / min_x),
+            np.maximum(headroom / min_x, footroom / max_x))
+
+
 class TestLedModel:
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
@@ -35,24 +42,24 @@ class TestLedModel:
 
 class TestComputeAlpha:
     def test_symmetric_case_tie_goes_positive(self):
-        d = v.compute_alpha(1.0, -1.0, 0.5, v.LedModel())
-        assert d.alpha_pos == pytest.approx(0.5)
-        assert d.alpha_neg == pytest.approx(-0.5)
-        assert d.alpha == d.alpha_pos > 0
+        alpha_pos, alpha_neg = candidates(1.0, -1.0, 0.5, v.LedModel())
+        assert alpha_pos == pytest.approx(0.5)
+        assert alpha_neg == pytest.approx(-0.5)
+        assert v.compute_alpha(1.0, -1.0, 0.5, v.LedModel()) == alpha_pos > 0
 
     def test_positive_branch_wins(self):
         led = v.LedModel(0.0, 10.0, 1.0)
-        d = v.compute_alpha(4.0, -2.0, 2.0, led)
-        assert d.alpha_pos == pytest.approx(1.0)
-        assert d.alpha_neg == pytest.approx(-0.5)
-        assert d.alpha == pytest.approx(1.0)
+        alpha_pos, alpha_neg = candidates(4.0, -2.0, 2.0, led)
+        assert alpha_pos == pytest.approx(1.0)
+        assert alpha_neg == pytest.approx(-0.5)
+        assert v.compute_alpha(4.0, -2.0, 2.0, led) == alpha_pos
 
     def test_sign_flip_chosen_when_negative_is_larger(self):
         led = v.LedModel(0.0, 10.0, 1.0)
-        d = v.compute_alpha(2.0, -4.0, 2.0, led)
-        assert d.alpha_pos == pytest.approx(0.5)
-        assert d.alpha_neg == pytest.approx(-1.0)
-        assert d.alpha == pytest.approx(-1.0)
+        alpha_pos, alpha_neg = candidates(2.0, -4.0, 2.0, led)
+        assert alpha_pos == pytest.approx(0.5)
+        assert alpha_neg == pytest.approx(-1.0)
+        assert v.compute_alpha(2.0, -4.0, 2.0, led) == alpha_neg
 
     def test_matches_grid_scan_oracle(self):
         led = v.LedModel(0.0, 10.0, 1.0)
@@ -61,7 +68,7 @@ class TestComputeAlpha:
             max_x = rng.uniform(0.5, 5.0)
             min_x = -rng.uniform(0.5, 5.0)
             bias = rng.uniform(0.5, 9.5)
-            got = v.compute_alpha(max_x, min_x, bias, led).alpha
+            got = v.compute_alpha(max_x, min_x, bias, led)
             want = brute_force_alpha(max_x, min_x, bias, led)
             assert got == pytest.approx(want, abs=1e-4)
 
@@ -72,18 +79,18 @@ class TestComputeAlpha:
             max_x = rng.uniform(0.5, 4.0)
             min_x = -rng.uniform(0.5, 4.0)
             bias = rng.uniform(0.05, 0.95)
-            d = v.compute_alpha(max_x, min_x, bias, led)
-            ys = d.alpha * np.array([min_x, max_x]) + bias
+            alpha = v.compute_alpha(max_x, min_x, bias, led)
+            ys = alpha * np.array([min_x, max_x]) + bias
             slack = 1e-9 * led.dynamic_range
             assert np.all(ys >= led.i_low - slack) and np.all(ys <= led.i_high + slack)
             # one extreme lands on a boundary
             assert min(abs(ys - led.i_low).min(), abs(ys - led.i_high).min()) < slack
 
     def test_sign_magnitudes(self):
-        d = v.compute_alpha(3.0, -2.0, 0.2, v.LedModel(), sigma_x2=2.0)
-        assert d.alpha_pos > 0 > d.alpha_neg
-        assert abs(d.alpha) == max(abs(d.alpha_pos), abs(d.alpha_neg))
-        assert d.sigma_y2 == d.alpha * d.alpha * 2.0
+        alpha_pos, alpha_neg = candidates(3.0, -2.0, 0.2, v.LedModel())
+        alpha = v.compute_alpha(3.0, -2.0, 0.2, v.LedModel())
+        assert alpha_pos > 0 > alpha_neg
+        assert abs(alpha) == max(abs(alpha_pos), abs(alpha_neg))
 
     def test_rejects_one_sided_extremes(self):
         with pytest.raises(DegenerateSymbolError):
@@ -112,22 +119,18 @@ class TestComputeAlphaOnArrays:
     def test_matches_scalar_calls(self, bias):
         led = v.LedModel()
         hi, lo = self.extremes()
-        sigma_x2 = np.random.default_rng(18).uniform(0.5, 2.0, len(hi))
-        rows = v.compute_alpha(hi, lo, bias, led, sigma_x2)
-        for field in ("alpha_pos", "alpha_neg", "alpha", "sigma_y2"):
-            want = [getattr(v.compute_alpha(float(h), float(l), bias, led, float(s)), field)
-                    for h, l, s in zip(hi, lo, sigma_x2)]
-            assert np.array_equal(getattr(rows, field).view(np.uint64),
-                                  np.array(want).view(np.uint64)), field
-        assert np.all(abs(rows.alpha_pos[:20]) == abs(rows.alpha_neg[:20]))
-        assert np.all(rows.alpha[:20] == rows.alpha_pos[:20])  # ties go positive
+        alpha = v.compute_alpha(hi, lo, bias, led)
+        want = [v.compute_alpha(float(h), float(l), bias, led) for h, l in zip(hi, lo)]
+        assert np.array_equal(alpha.view(np.uint64), np.array(want).view(np.uint64))
+        alpha_pos, alpha_neg = candidates(hi, lo, bias, led)
+        assert np.all(abs(alpha_pos[:20]) == abs(alpha_neg[:20]))
+        assert np.all(alpha[:20] == alpha_pos[:20])  # ties go positive
         # off mid-range the negative sign wins for some rows
-        assert np.any(rows.alpha < 0) == (bias != 0.5) and np.any(rows.alpha > 0)
+        assert np.any(alpha < 0) == (bias != 0.5) and np.any(alpha > 0)
 
     def test_scalars_give_scalars(self):
-        d = v.compute_alpha(3.0, -2.0, 0.2, v.LedModel(), sigma_x2=2.0)
-        for value in (d.alpha_pos, d.alpha_neg, d.alpha, d.sigma_y2):
-            assert isinstance(value, float) and np.ndim(value) == 0
+        alpha = v.compute_alpha(3.0, -2.0, 0.2, v.LedModel())
+        assert isinstance(alpha, float) and np.ndim(alpha) == 0
 
     @pytest.mark.parametrize("row, hi, lo", [(2, 0.0, -1.0), (3, 1.0, 0.0), (4, -1.0, 2.0)])
     def test_degenerate_row_is_named(self, row, hi, lo):
@@ -162,8 +165,8 @@ class TestVarianceClosedForm:
 
     def test_cross_checks_against_maximal_scaling(self):
         """Synthetic symbol max=3, min=-2, var=1 reproduces the 0.2-bias value."""
-        d = v.compute_alpha(3.0, -2.0, 0.2, v.LedModel(), sigma_x2=1.0)
-        assert d.sigma_y2 == pytest.approx(0.01, rel=1e-12)
+        alpha = v.compute_alpha(3.0, -2.0, 0.2, v.LedModel())
+        assert alpha * alpha * 1.0 == pytest.approx(0.01, rel=1e-12)
 
     def test_rejects_ratio_outside_open_interval(self):
         with pytest.raises(ValueError):
@@ -233,10 +236,9 @@ class TestClosedFormMatchesScaling:
             hi = float(np.max(sym.samples))
             lo = float(np.min(sym.samples))
             for zeta in self.ZETAS:
-                d = v.compute_alpha(hi, lo, led.i_low + zeta * led.dynamic_range, led,
-                                    sym.sigma_x2)
+                alpha = v.compute_alpha(hi, lo, led.i_low + zeta * led.dynamic_range, led)
                 closed = v.variance_closed_form(zeta, papr, led)
-                assert closed == pytest.approx(d.sigma_y2, rel=1e-12)
+                assert closed == pytest.approx(alpha * alpha * sym.sigma_x2, rel=1e-12)
 
     def test_scaled_symbols_cannot_grow(self, symbols64):
         """Adding 1e-6 headroom to |alpha| leaves the dynamic range."""
@@ -247,10 +249,10 @@ class TestClosedFormMatchesScaling:
             lo = float(np.min(sym.samples))
             for zeta in (0.1, 0.3, 0.5):
                 bias = led.i_low + zeta * led.dynamic_range
-                d = v.compute_alpha(hi, lo, bias, led)
-                y = d.alpha * sym.samples + bias
+                alpha = v.compute_alpha(hi, lo, bias, led)
+                y = alpha * sym.samples + bias
                 assert np.all(y >= led.i_low - slack) and np.all(y <= led.i_high + slack)
-                y_over = d.alpha * (1 + 1e-6) * sym.samples + bias
+                y_over = alpha * (1 + 1e-6) * sym.samples + bias
                 assert np.any(y_over < led.i_low - slack) or np.any(y_over > led.i_high + slack)
 
     def test_population_variance_drops_with_subcarriers(self, pop64, pop1024):

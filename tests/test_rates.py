@@ -16,65 +16,75 @@ def single_sample_pop(upapr, lpapr):
                             seed=0, oversample_factor=4)
 
 
-def biasing_spec(lam, dnr):
-    return v.DimmingSpec(brightness=lam, scheme=v.Scheme.BIASING_ADJUSTMENT, dnr=dnr)
+def biasing_row(rows):
+    """The biasing row of a one-cell, one-ratio sweep_rates table."""
+    assert [row.scheme for row in rows] == [v.Scheme.BIASING_ADJUSTMENT, v.Scheme.PWM]
+    return rows[0]
 
 
-def pwm_spec(lam, gamma, dnr):
-    return v.DimmingSpec(brightness=lam, scheme=v.Scheme.PWM, dnr=dnr, forward_ratio=gamma)
+def empty_pop():
+    return v.PaprPopulation(upapr=np.array([]), lpapr=np.array([]),
+                            n_subcarriers=64, constellation=v.Constellation.QPSK,
+                            seed=0, oversample_factor=4)
 
 
-class TestEstimateRate:
-    def test_zero_budget_means_zero_rate(self, pop64):
-        est = v.estimate_rate(biasing_spec(0.3, 0.0), pop64)
-        assert est.rate == 0.0
-        assert est.dnr_db == -np.inf
+class TestRatePerCell:
+    @pytest.mark.parametrize("dnr_db", [-np.inf, -10 ** 400], ids=["-inf", "int"])
+    def test_zero_budget_means_zero_rate(self, pop64, dnr_db):
+        """-inf dB, or an int below every double, is a zero budget: every rate 0 and every
+        average SNR -inf dB."""
+        assert v.rates.dnr_linear(dnr_db) == 0.0
+        rows = v.sweep_rates([0.3], [dnr_db], [0.4], pop64)
+        assert [row.rate for row in rows] == [0.0, 0.0]
+        assert [row.dnr_db for row in rows] == [-np.inf, -np.inf]
+        assert [row.avg_snr_db for row in rows] == [-np.inf, -np.inf]
 
     def test_single_sample_biasing(self):
-        """U=L=4, DNR=16 at half brightness: SNR 1, rate 1/2."""
-        est = v.estimate_rate(biasing_spec(0.5, 16.0), single_sample_pop(4.0, 4.0))
-        assert est.rate == pytest.approx(0.5, rel=1e-12)
-        assert est.avg_snr_db == pytest.approx(0.0, abs=1e-9)
+        """U=L=2.5, DNR=10 at half brightness: f = 0.25/2.5, SNR 1, rate 1/2."""
+        row = biasing_row(v.sweep_rates([0.5], [10.0], [0.5], single_sample_pop(2.5, 2.5)))
+        assert row.rate == pytest.approx(0.5, rel=1e-12)
+        assert row.avg_snr_db == pytest.approx(0.0, abs=1e-9)
 
     def test_single_sample_pwm_pays_duty_cycle(self):
         """Same SNR at gamma=0.5 but only 0.25/0.5 of the time on air."""
-        est = v.estimate_rate(pwm_spec(0.25, 0.5, 16.0), single_sample_pop(4.0, 4.0))
-        assert est.rate == pytest.approx(0.25, rel=1e-12)
+        rows = v.sweep_rates([0.25], [10.0], [0.5], single_sample_pop(2.5, 2.5))
+        assert rows[1].rate == pytest.approx(0.25, rel=1e-12)
+        assert rows[1].avg_snr_db == pytest.approx(0.0, abs=1e-9)
 
-    def test_rejects_empty_population(self):
-        empty = v.PaprPopulation(upapr=np.array([]), lpapr=np.array([]),
-                                 n_subcarriers=64, constellation=v.Constellation.QPSK,
-                                 seed=0, oversample_factor=4)
-        with pytest.raises(ValueError):
-            v.estimate_rate(biasing_spec(0.3, 1.0), empty)
+    @pytest.mark.parametrize("run", [lambda pop: v.sweep_rates([0.3], [0.0], [0.4], pop),
+                                     lambda pop: v.sweep_rates([0.3], [0.0], v.AUTO, pop),
+                                     lambda pop: v.sweep_gamma_search([0.3], [0.0], pop)],
+                             ids=["explicit", "auto", "search"])
+    def test_rejects_empty_population(self, run):
+        with pytest.raises(ValueError, match="population is empty"):
+            run(empty_pop())
 
     def test_strictly_increasing_in_dnr(self, pop64):
-        rates = [v.estimate_rate(biasing_spec(0.2, 10.0 ** (db / 10)), pop64).rate
-                 for db in (0, 10, 20, 30)]
-        assert all(a < b for a, b in zip(rates, rates[1:]))
+        rows = v.sweep_rates([0.2], [0.0, 10.0, 20.0, 30.0], [0.3], pop64)
+        for scheme_rows in (rows[::2], rows[1::2]):
+            rates = [row.rate for row in scheme_rows]
+            assert all(a < b for a, b in zip(rates, rates[1:]))
 
     def test_mirror_brightness_biasing_is_exact(self, pop64):
         for lam in (0.1, 0.25, 0.3, 0.45):
-            a = v.estimate_rate(biasing_spec(lam, 100.0), pop64)
-            b = v.estimate_rate(biasing_spec(1.0 - lam, 100.0), pop64)
+            a = biasing_row(v.sweep_rates([lam], [20.0], [0.5], pop64))
+            b = biasing_row(v.sweep_rates([1.0 - lam], [20.0], [0.5], pop64))
             assert a.rate == b.rate
             assert a.avg_snr_db == b.avg_snr_db
 
     def test_mirror_brightness_pwm(self, pop64):
         # dyadic brightness mirrors exactly; otherwise the duty factor
         # carries one rounding step from 1 - lam
-        a = v.estimate_rate(pwm_spec(0.25, 0.5, 100.0), pop64)
-        b = v.estimate_rate(pwm_spec(0.75, 0.5, 100.0), pop64)
+        a, b, c, d = (v.sweep_rates([lam], [20.0], [0.5], pop64)[1]
+                      for lam in (0.25, 0.75, 0.3, 0.7))
         assert a.rate == b.rate
-        c = v.estimate_rate(pwm_spec(0.3, 0.5, 100.0), pop64)
-        d = v.estimate_rate(pwm_spec(0.7, 0.5, 100.0), pop64)
         assert c.rate == pytest.approx(d.rate, rel=1e-12)
 
     def test_reports_population_size_and_scheme(self, pop64):
-        est = v.estimate_rate(pwm_spec(0.2, 0.4, 10.0), pop64)
-        assert est.n_samples == len(pop64)
-        assert est.scheme is v.Scheme.PWM
-        assert est.gamma == 0.4
+        row = v.sweep_rates([0.2], [10.0], [0.4], pop64)[1]
+        assert row.n_samples == len(pop64)
+        assert row.scheme is v.Scheme.PWM
+        assert row.gamma == 0.4
 
 
 class TestGammaGrid:
@@ -92,66 +102,79 @@ class TestGammaGrid:
             v.gamma_grid(0.2, 0.0)
 
 
-class TestOptimizeGamma:
+def search(lam, dnr_db, pop, step=0.005):
+    """The forward-ratio search of one (brightness, DNR) cell."""
+    [(_, _, result)] = v.sweep_gamma_search([lam], [dnr_db], pop, step)
+    return result
+
+
+class TestGammaSearch:
     def test_never_loses_to_biasing(self, pop64):
-        for db in (0.0, 14.0, 30.0):
-            dnr = 10.0 ** (db / 10)
-            search = v.optimize_gamma(0.2, dnr, pop64)
-            baseline = v.estimate_rate(biasing_spec(0.2, dnr), pop64)
-            assert search.rate_at_star >= baseline.rate
+        dnrs_db = [0.0, 10.0, 30.0]
+        baseline = v.sweep_rates([0.2], dnrs_db, [0.5], pop64)[::2]
+        cells = v.sweep_gamma_search([0.2], dnrs_db, pop64)
+        for (_, _, result), row in zip(cells, baseline):
+            assert row.scheme is v.Scheme.BIASING_ADJUSTMENT
+            assert result.rate_at_star >= row.rate
 
     def test_high_budget_drives_ratio_to_brightness(self, pop64):
-        search = v.optimize_gamma(0.2, 10.0 ** 6, pop64, 0.005)
-        assert abs(search.gamma_star - 0.2) <= 0.005 + 1e-12
+        assert abs(search(0.2, 60.0, pop64).gamma_star - 0.2) <= 0.005 + 1e-12
 
     def test_half_brightness_degenerate_grid(self, pop64):
-        search = v.optimize_gamma(0.5, 100.0, pop64)
-        assert search.gamma_star == 0.5
-        assert search.grid.shape == (1, 2)
+        result = search(0.5, 20.0, pop64)
+        assert result.gamma_star == 0.5
+        assert result.grid.shape == (1, 2)
 
     def test_ties_resolve_to_smallest_gamma(self, pop64):
-        # zero budget makes every rate 0, so the first grid point wins
-        search = v.optimize_gamma(0.3, 0.0, pop64)
-        assert search.gamma_star == 0.3
+        # zero budget (-inf dB) makes every rate 0, so the first grid point wins
+        result = search(0.3, -np.inf, pop64)
+        assert not np.any(result.grid[:, 1])
+        assert result.gamma_star == 0.3
 
-    def test_requires_effective_brightness(self, pop64):
-        with pytest.raises(ValueError):
-            v.optimize_gamma(0.7, 100.0, pop64)
+    def test_mirrored_brightness_searches_the_effective_grid(self, pop64):
+        """0.7 searches the grid of its effective brightness 1.0 - 0.7, not of 0.7."""
+        result = search(0.7, 20.0, pop64)
+        grid = v.gamma_grid(v.effective_brightness(0.7)[0], 0.005)
+        assert result.grid[:, 0].tobytes() == grid.tobytes()
+        assert grid[0] == 1.0 - 0.7 and grid[-1] == 0.5
 
-    @pytest.mark.parametrize("dnr", [np.inf, -np.inf, np.nan])
-    def test_rejects_non_finite_dnr(self, pop64, dnr):
-        with pytest.raises(ValueError, match="dnr"):
-            v.optimize_gamma(0.2, dnr, pop64)
+    @pytest.mark.parametrize("dnr_db", [np.inf, np.nan])
+    def test_rejects_non_finite_dnr(self, pop64, dnr_db):
+        with pytest.raises(ValueError, match=f"dnr_db {dnr_db!r} gives a non-finite"):
+            search(0.2, dnr_db, pop64)
 
-    @pytest.mark.parametrize("dnrs_db", [[0.0, 4000.0], np.array([0.0, 4000.0]),
-                                         [0.0, np.float64(4000.0)]],
-                             ids=["list", "ndarray", "float64"])
-    def test_sweeps_reject_a_dnr_db_that_overflows_without_a_warning(self, pop64, dnrs_db):
-        """Every input type gets the same ValueError, with no overflow warning first."""
+    @pytest.mark.parametrize("dnrs_db, shown", [
+        ([0.0, 4000.0], 4000.0), (np.array([0.0, 4000.0]), 4000.0),
+        ([0.0, np.float64(4000.0)], 4000.0), ([0.0, 10 ** 400], np.inf)],
+        ids=["list", "ndarray", "float64", "int"])
+    def test_sweeps_reject_a_dnr_db_that_overflows_without_a_warning(self, pop64, dnrs_db,
+                                                                     shown):
+        """Every input type gets the same ValueError, with no overflow warning first;
+        an int beyond every double reads as inf dB."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for sweep in (lambda: v.sweep_gamma_search([0.2], dnrs_db, pop64),
                           lambda: v.sweep_rates([0.2], dnrs_db, v.AUTO, pop64),
                           lambda: v.sweep_rates([0.2], dnrs_db, [0.3], pop64)):
-                with pytest.raises(ValueError, match="dnr_db 4000.0 gives a non-finite"):
+                with pytest.raises(ValueError, match=f"dnr_db {shown!r} gives a non-finite"):
                     sweep()
 
     def test_sweep_matches_one_search_per_cell(self, pop64):
-        cells = v.sweep_gamma_search([0.2, 0.7], [0.0, 14.0, 30.0], pop64, 0.01)
+        cells = v.sweep_gamma_search([0.2, 0.7], [0.0, 10.0, 30.0], pop64, 0.01)
         assert [(lam, db) for lam, db, _ in cells] == [
-            (lam, db) for lam in (0.2, 0.7) for db in (0.0, 14.0, 30.0)]
+            (lam, db) for lam in (0.2, 0.7) for db in (0.0, 10.0, 30.0)]
         for lam, db, result in cells:
-            alone = v.optimize_gamma(v.effective_brightness(lam)[0], 10.0 ** (db / 10.0),
-                                     pop64, 0.01)
+            alone = search(lam, db, pop64, 0.01)
             assert result.gamma_star == alone.gamma_star
             assert result.rate_at_star == alone.rate_at_star
             np.testing.assert_array_equal(result.grid, alone.grid)
 
-    def test_grid_matches_rate_estimates(self, pop64):
-        search = v.optimize_gamma(0.35, 50.0, pop64, 0.01)
-        for gamma, rate in search.grid[:5]:
-            est = v.estimate_rate(pwm_spec(0.35, float(gamma), 50.0), pop64)
-            assert rate == est.rate
+    def test_grid_matches_rate_rows(self, pop64):
+        result = search(0.35, 20.0, pop64, 0.01)
+        gammas = [float(gamma) for gamma in result.grid[:5, 0]]
+        rows = v.sweep_rates([0.35], [20.0], gammas, pop64)
+        assert [row.gamma for row in rows[1:]] == gammas
+        assert [row.rate for row in rows[1:]] == list(result.grid[:5, 1])
 
 
 class TestVarianceProfile:
@@ -199,13 +222,11 @@ class TestVarianceProfile:
 
 
 class TestSweepRates:
-    def test_single_cell_matches_direct_estimate(self, pop64):
+    def test_single_cell_matches_the_formula(self, pop64):
         rows = v.sweep_rates([0.2], [20.0], [0.4], pop64)
         assert len(rows) == 2
-        direct_b = v.estimate_rate(biasing_spec(0.2, 100.0), pop64)
-        direct_p = v.estimate_rate(pwm_spec(0.2, 0.4, 100.0), pop64)
-        assert rows[0].rate == direct_b.rate
-        assert rows[1].rate == direct_p.rate
+        assert bits(rows[0].rate) == bits(paper_rate(1.0, 100.0, 0.2, pop64))
+        assert bits(rows[1].rate) == bits(paper_rate(0.2 / 0.4, 100.0, 0.4, pop64))
 
     def test_row_order_and_count(self, pop64):
         rows = v.sweep_rates([0.1, 0.2], [0.0, 10.0], [0.3, 0.4], pop64)
@@ -216,9 +237,9 @@ class TestSweepRates:
 
     def test_auto_uses_optimized_ratio(self, pop64):
         rows = v.sweep_rates([0.2], [20.0], v.AUTO, pop64, gamma_step=0.01)
-        search = v.optimize_gamma(0.2, 100.0, pop64, 0.01)
-        assert rows[1].gamma == search.gamma_star
-        assert rows[1].rate == search.rate_at_star
+        result = search(0.2, 20.0, pop64, 0.01)
+        assert rows[1].gamma == result.gamma_star
+        assert rows[1].rate == result.rate_at_star
 
     def test_rejects_unknown_gamma_keyword(self, pop64):
         with pytest.raises(ValueError):
@@ -244,15 +265,15 @@ class TestCsvWriters:
         assert float(parsed[1][4]) == rows[0].rate
 
     def test_gamma_search_csv_has_starred_summary(self, tmp_path, pop64):
-        search = v.optimize_gamma(0.3, 100.0, pop64, 0.05)
+        result = search(0.3, 20.0, pop64, 0.05)
         path = tmp_path / "gamma.csv"
-        v.write_gamma_search_csv(path, [(0.3, 20.0, search)])
+        v.write_gamma_search_csv(path, [(0.3, 20.0, result)])
         with open(path) as fh:
             parsed = list(csv.reader(fh))
         assert parsed[0] == ["lambda", "dnr_db", "gamma", "rate_bits", "star"]
-        assert len(parsed) == len(search.grid) + 2
+        assert len(parsed) == len(result.grid) + 2
         assert parsed[-1][4] == "*"
-        assert float(parsed[-1][2]) == search.gamma_star
+        assert float(parsed[-1][2]) == result.gamma_star
 
     def test_writers_read_a_one_shot_iterable_once(self, tmp_path, pop64):
         rows = v.sweep_rates([0.2, 0.3], [0.0, 10.0, 20.0], [0.4, 0.45], pop64)
@@ -310,12 +331,10 @@ class TestSweepRatesGrid:
         expected = []
         for lam in self.LAMBDAS:
             for dnr_db in self.DNRS_DB:
-                dnr = float(10.0 ** (dnr_db / 10.0))
-                expected.append(v.estimate_rate(biasing_spec(lam, dnr), pop64))
+                expected.append(paper_row(lam, None, dnr_db, pop64))
                 ratios = gammas if gammas != v.AUTO else [
-                    v.optimize_gamma(v.effective_brightness(lam)[0], dnr, pop64, 0.05).gamma_star]
-                expected.extend(v.estimate_rate(pwm_spec(lam, gamma, dnr), pop64)
-                                for gamma in ratios)
+                    search(lam, dnr_db, pop64, 0.05).gamma_star]
+                expected.extend(paper_row(lam, gamma, dnr_db, pop64) for gamma in ratios)
         assert [repr(dataclasses.astuple(row)) for row in rows] == \
                [repr(dataclasses.astuple(row)) for row in expected]
 
@@ -336,10 +355,9 @@ class TestBiasingIsPwmAtDutyOne:
     """Biasing adjustment is PWM at forward ratio lambda_eff, duty cycle exactly 1."""
 
     @pytest.mark.parametrize("lam", [0.05, 0.2, 0.35, 0.5, 0.65, 0.95])
-    @pytest.mark.parametrize("dnr", [0.0, 1.0, 10.0 ** 2.35, 1e6])
-    def test_estimate_rate_bit_for_bit(self, pop64, lam, dnr):
-        biasing = v.estimate_rate(biasing_spec(lam, dnr), pop64)
-        pwm = v.estimate_rate(pwm_spec(lam, v.effective_brightness(lam)[0], dnr), pop64)
+    @pytest.mark.parametrize("dnr_db", [-np.inf, 0.0, 23.5, 60.0])
+    def test_rows_bit_for_bit(self, pop64, lam, dnr_db):
+        biasing, pwm = v.sweep_rates([lam], [dnr_db], [v.effective_brightness(lam)[0]], pop64)
         assert bits(biasing.rate) == bits(pwm.rate)
         assert bits(biasing.avg_snr_db) == bits(pwm.avg_snr_db)
         assert (biasing.scheme, biasing.gamma) == (v.Scheme.BIASING_ADJUSTMENT, None)
@@ -379,6 +397,21 @@ def paper_snr_db(dnr, gamma, pop):
     """The paper's average SNR DNR E[f(gamma)] in dB, one mean per cell."""
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(np.mean(dnr * v.variance_factor(gamma, pop.upapr, pop.lpapr)))
+
+
+def paper_row(lam, gamma, dnr_db, pop):
+    """The rate row of one (brightness, ratio, DNR) cell from the paper's formulas;
+    gamma None is biasing adjustment."""
+    lam_eff = v.effective_brightness(lam)[0]
+    ratio = lam_eff if gamma is None else gamma
+    dnr = v.rates.dnr_linear(dnr_db)
+    with np.errstate(divide="ignore"):
+        shown_db = float(10.0 * np.log10(dnr))
+    return v.RateEstimate(
+        rate=float(paper_rate(v.dimming.duty_cycle(lam_eff, ratio), dnr, ratio, pop)),
+        avg_snr_db=float(paper_snr_db(dnr, ratio, pop)), n_samples=len(pop),
+        scheme=v.Scheme.BIASING_ADJUSTMENT if gamma is None else v.Scheme.PWM,
+        brightness=lam, gamma=gamma, dnr_db=shown_db)
 
 
 def first_symbols(pop, n):
@@ -455,13 +488,15 @@ class TestLog2RowTable:
             assert bits(row.rate) == bits(paper_rate(duty, dnr, gamma, pop64))
             assert bits(row.avg_snr_db) == bits(paper_snr_db(dnr, gamma, pop64))
 
-    def test_estimate_rate_is_the_formula(self, pop64):
+    def test_single_ratio_rows_are_the_formula(self, pop64):
+        dnrs_db, dnrs = [-np.inf, 0.0, 23.5, 60.0], [0.0, 1.0, 10.0 ** 2.35, 1e6]
+        assert [v.rates.dnr_linear(dnr_db) for dnr_db in dnrs_db] == dnrs
         for lam, gamma in [(0.05, 0.05), (0.2, 0.31), (0.7, 0.45), (0.95, 0.5)]:
-            for dnr in (0.0, 1.0, 10.0 ** 2.35, 1e6):
-                est = v.estimate_rate(pwm_spec(lam, gamma, dnr), pop64)
-                duty = v.dimming.duty_cycle(v.effective_brightness(lam)[0], gamma)
-                assert bits(est.rate) == bits(paper_rate(duty, dnr, gamma, pop64))
-                assert bits(est.avg_snr_db) == bits(paper_snr_db(dnr, gamma, pop64))
+            rows = v.sweep_rates([lam], dnrs_db, [gamma], pop64)[1::2]
+            duty = v.dimming.duty_cycle(v.effective_brightness(lam)[0], gamma)
+            for row, dnr in zip(rows, dnrs):
+                assert bits(row.rate) == bits(paper_rate(duty, dnr, gamma, pop64))
+                assert bits(row.avg_snr_db) == bits(paper_snr_db(dnr, gamma, pop64))
 
     def test_two_populations_in_one_process(self, pop64, pop256):
         """No row outlives its sweep: each population reads only its own rows."""
@@ -537,3 +572,22 @@ class TestGridPointCounts:
         for build in (lambda: v.gamma_grid(0.1, 5e-324), lambda: v.zeta_grid(5e-324)):
             with pytest.raises(ValueError, match="grid step 5e-324 gives inf points"):
                 build()
+
+
+class TestLowDnrOptimum:
+    """At low DNR log2(1 + x) -> x / ln 2, so the PWM rate (1/2)(lambda/gamma) E[log2(1 + DNR f)]
+    peaks at gamma_0 = argmax E[f(gamma)] / gamma over the brightness's grid."""
+
+    @pytest.mark.parametrize("population", ["pop64", "pop64_qam16", "pop256"])
+    @pytest.mark.parametrize("lam", [0.05, 0.2, 0.35, 0.45])
+    def test_search_finds_the_low_dnr_optimum_below_the_variance_peak(self, request,
+                                                                      population, lam):
+        pop = request.getfixturevalue(population)
+        grid = v.gamma_grid(lam, 0.005)
+        mean_f = np.array([np.mean(v.variance_factor(gamma, pop.upapr, pop.lpapr))
+                           for gamma in grid])
+        # exact: beyond argmax E[f], E[f] is no larger and gamma is larger
+        gamma_0 = grid[np.argmax(mean_f / grid)]
+        assert gamma_0 <= grid[np.argmax(mean_f)]
+        for _, dnr_db, result in v.sweep_gamma_search([lam], [-40.0, -20.0], pop, 0.005):
+            assert result.gamma_star == gamma_0, dnr_db
