@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, CurrentRangeError, DegenerateSymbolError,
                      DutyCycleError, HermitianSymmetryError, InvalidBiasError,
                      VlcsimError)
-from .ofdm import (Constellation, FreqSymbol, PaprPopulation, PaprSample,
-                   TimeSymbol, generate_freq_symbol, papr_of,
+from .ofdm import (Constellation, PaprPopulation, generate_freq_symbol, papr_of,
                    sample_papr_population, symbol_rng, to_time_domain)
 from .led import (LedModel, compute_alpha, optical_output, variance_closed_form,
                   variance_factor)
@@ -33,7 +32,7 @@ __all__ = [
     "VlcsimError", "ConfigError", "CurrentRangeError", "DegenerateSymbolError",
     "DutyCycleError", "HermitianSymmetryError", "InvalidBiasError",
     # ofdm
-    "Constellation", "FreqSymbol", "TimeSymbol", "PaprSample", "PaprPopulation",
+    "Constellation", "PaprPopulation",
     "generate_freq_symbol", "to_time_domain", "papr_of", "sample_papr_population",
     "symbol_rng",
     # led

@@ -211,20 +211,34 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
     checks: list[tuple[str, bool]] = []
 
     # the reference is NumPy's own per-symbol seeding, not the sampler's batched one
-    rows = np.empty((200, cfg.n_subcarriers * cfg.oversample_factor))
-    sigma_x2, upapr, lpapr = np.empty(200), np.empty(200), np.empty(200)
+    n, factor = cfg.n_subcarriers, cfg.oversample_factor
+
+    def bins(i):
+        return generate_freq_symbol(n, cfg.constellation, symbol_rng(cfg.seed, i))
+
+    rows = np.empty((200, n * factor))
+    upapr, lpapr = np.empty(200), np.empty(200)
     for i in range(200):
-        sym = to_time_domain(generate_freq_symbol(cfg.n_subcarriers, cfg.constellation,
-                                                  symbol_rng(cfg.seed, i)), cfg.oversample_factor)
-        papr = papr_of(sym)
-        rows[i], sigma_x2[i], upapr[i], lpapr[i] = sym.samples, sym.sigma_x2, papr.upapr, papr.lpapr
+        rows[i] = to_time_domain(bins(i), factor)
+        upapr[i], lpapr[i] = papr_of(rows[i])
+    sigma_x2 = np.square(rows).mean(axis=1)
     sampled = np.empty_like(rows)
-    pop = sample_papr_population(cfg.n_subcarriers, cfg.constellation, 200, cfg.seed,
-                                 cfg.oversample_factor, samples=sampled)
-    reference = replace(pop, upapr=upapr, lpapr=lpapr)  # the closed form's own input
+    pop = sample_papr_population(n, cfg.constellation, 200, cfg.seed, factor, samples=sampled)
     checks.append(("block sampler rows and PAPRs equal symbol_rng draws' one-row synthesis",
                    np.array_equal(sampled.view(np.uint64), rows.view(np.uint64))
                    and np.array_equal(pop.upapr, upapr) and np.array_equal(pop.lpapr, lpapr)))
+
+    # an oracle that is not the kernel: (1/sqrt(N)) sum_k X_k exp(j 2 pi k t / (N F)) at a
+    # few instants t of 3 symbols, bins above N/2 as negative frequencies, phases reduced
+    # exactly mod N F; its rounding is about 1e-16 * sqrt(N) of the RMS
+    instants = np.unique(np.linspace(0, n * factor - 1, 9).astype(int))
+    k = np.arange(n)
+    freqs = np.where(k <= n // 2, k, k - n)
+    phases = np.exp(2j * np.pi * (np.outer(instants, freqs) % (n * factor)) / (n * factor))
+    err = max(float(np.max(np.abs(phases @ bins(i) / np.sqrt(n) - rows[i, instants])))
+              / np.sqrt(sigma_x2[i]) for i in range(3))
+    checks.append((f"one-row synthesis equals the direct sum at {len(instants)} instants of "
+                   "3 symbols (err < 1e-9 x RMS)", err < 1e-9))
 
     # alpha * x + bias is monotone in x, rounding included: a row's extremes bound it
     extremes = np.stack([rows.max(axis=1), rows.min(axis=1)], axis=1)
@@ -234,7 +248,7 @@ def _cmd_selftest(cfg: ExperimentConfig) -> int:
         bias = led.i_low + zeta * led.dynamic_range
         alpha = compute_alpha(extremes[:, 0], extremes[:, 1], bias, led)
         sigma_y2 = alpha * alpha * sigma_x2
-        closed = variance_closed_form(zeta, reference, led)
+        closed = variance_closed_form(zeta, upapr, lpapr, led)
         worst = max(worst, float(np.max(np.abs(closed - sigma_y2) / sigma_y2)))
         y = alpha[:, None] * extremes + bias
         feasible &= bool(np.all((y >= low) & (y <= high)))

@@ -73,14 +73,14 @@ def variance_factor(zeta, upapr, lpapr):
     return np.minimum(hi * hi / np.maximum(upapr, lpapr), lo * lo / np.minimum(upapr, lpapr))
 
 
-def variance_closed_form(zeta, papr, led: LedModel):
-    """Variance of the maximally scaled symbol at biasing ratio zeta in (0, 1), elementwise
-    over zeta and papr.upapr/lpapr (one per symbol of a PaprPopulation; scalars give a scalar)."""
+def variance_closed_form(zeta, upapr, lpapr, led: LedModel):
+    """Variance of the maximally scaled symbol at biasing ratio zeta in (0, 1): D^2 times
+    variance_factor, broadcasting over zeta and per-symbol upapr, lpapr (scalars give a scalar)."""
     zeta = np.asarray(zeta, dtype=np.float64)
     if not np.all((zeta > 0.0) & (zeta < 1.0)):
         raise ValueError(f"biasing ratio must be in (0, 1), got {zeta}")
     d = led.dynamic_range
-    return (d * d * variance_factor(zeta, papr.upapr, papr.lpapr))[()]
+    return (d * d * variance_factor(zeta, upapr, lpapr))[()]
 
 
 def optical_output(current, led: LedModel):

@@ -6,10 +6,13 @@ and reduced to per-symbol (UPAPR, LPAPR) pairs. One synthesis kernel does
 the Hermitian check, the inverse FFT and the residual check for a block of
 symbols: to_time_domain runs it on a one-row block, and the population
 sampler on fixed-size blocks, whose time-domain rows it can also write into
-a caller's array. Symbols are seeded per index, so results never depend on
-block size; the sampler seeds them in chunks with one vectorized
-SeedSequence pass each and draws a block's QPSK and 16-QAM points from
-PCG64.random_raw words, the very indices Generator.integers would draw.
+a caller's array. The per-symbol path passes plain arrays: the N complex
+bins of generate_freq_symbol, the N*F real samples of to_time_domain and
+the (UPAPR, LPAPR) pair of papr_of. Symbols are seeded per index, so
+results never depend on block size; the sampler seeds them in chunks with
+one vectorized SeedSequence pass each and draws a block's QPSK and 16-QAM
+points from PCG64.random_raw words, the very indices Generator.integers
+would draw.
 symbol_rng(seed, i), NumPy's own default_rng([seed, i]), is the one
 reference: a canary compares the first drawn row of every seed chunk, for
 every constellation, with its draw.
@@ -99,43 +102,6 @@ class Constellation(str, Enum):
     QPSK = "qpsk"
     QAM16 = "qam16"
     COMPLEX_GAUSSIAN = "complex_gaussian"
-
-
-@dataclass(frozen=True, eq=False)
-class FreqSymbol:
-    """One frequency-domain OFDM symbol (bins X_0 .. X_{N-1})."""
-
-    n_subcarriers: int
-    bins: np.ndarray
-
-    def __post_init__(self):
-        _check_sizes(self.n_subcarriers)
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        if bins.shape != (self.n_subcarriers,):
-            raise ValueError(f"expected {self.n_subcarriers} bins, got shape {bins.shape}")
-        object.__setattr__(self, "bins", bins)
-        _check_hermitian(bins[None, :], self.n_subcarriers // 2)
-
-
-@dataclass(frozen=True, eq=False)
-class TimeSymbol:
-    """Real time-domain samples of one OFDM symbol plus its sample variance."""
-
-    samples: np.ndarray
-    oversample_factor: int
-    sigma_x2: float
-
-
-@dataclass(frozen=True)
-class PaprSample:
-    """Per-symbol upper/lower peak-to-average power ratio pair."""
-
-    upapr: float
-    lpapr: float
-
-    def __post_init__(self):
-        if not (self.upapr >= 0.0 and self.lpapr >= 0.0):
-            raise ValueError("UPAPR and LPAPR must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +261,8 @@ def _draw_constellation(constellation: Constellation, size: int, rng: np.random.
 
 
 def generate_freq_symbol(n_subcarriers: int, constellation: Constellation,
-                         rng: np.random.Generator) -> FreqSymbol:
-    """Draw a Hermitian-symmetric frequency-domain symbol.
+                         rng: np.random.Generator) -> np.ndarray:
+    """Draw the N complex bins of a Hermitian-symmetric frequency-domain symbol.
 
     Bins 1..N/2-1 are i.i.d. unit-average-power constellation points; the
     upper half is their conjugate mirror; DC and Nyquist bins stay zero.
@@ -306,32 +272,52 @@ def generate_freq_symbol(n_subcarriers: int, constellation: Constellation,
     bins = np.zeros(n_subcarriers, dtype=np.complex128)
     bins[1:half] = _draw_constellation(constellation, half - 1, rng)
     _mirror(bins[None, :], half)
-    return FreqSymbol(n_subcarriers=n_subcarriers, bins=bins)
+    return bins
 
 
-def to_time_domain(sym: FreqSymbol, oversample_factor: int = 4) -> TimeSymbol:
-    """Synthesize the real time-domain signal on an oversampled grid.
+def _one_row(values, dtype, name: str) -> np.ndarray:
+    """values as a (1, len) array; ValueError unless they are one-dimensional."""
+    row = np.asarray(values, dtype=dtype)
+    if row.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {row.shape}")
+    return row[None, :]
+
+
+def to_time_domain(bins, oversample_factor: int = 4) -> np.ndarray:
+    """The real N*F time-domain samples of one symbol's N bins.
 
     Evaluates x(t) = (1/sqrt(N)) sum_k X_k exp(j 2 pi k t / T) at the N*F
-    points t = n T / (N F): the one-row case of the sampler's kernel.
+    points t = n T / (N F), bins above N/2 acting as negative frequencies:
+    the one-row case of the sampler's kernel, whose Hermitian and residual
+    checks are the checks on the bins. Non-finite bins are rejected first:
+    an infinite bin equals its own conjugate mirror.
     """
-    _check_sizes(oversample_factor=oversample_factor)
-    half = sym.n_subcarriers // 2
-    blk = np.zeros((1, sym.n_subcarriers * oversample_factor), dtype=np.complex128)
-    blk[0, :half + 1] = sym.bins[:half + 1]  # Nyquist at column N/2, where the check looks
-    blk[0, blk.shape[1] - half + 1:] = sym.bins[half + 1:]
+    bins = _one_row(bins, np.complex128, "bins")
+    n = bins.shape[1]
+    _check_sizes(n, oversample_factor)
+    if not np.isfinite(bins).all():
+        raise HermitianSymmetryError("bins must be finite")
+    half = n // 2
+    blk = np.zeros((1, n * oversample_factor), dtype=np.complex128)
+    blk[:, :half + 1] = bins[:, :half + 1]  # Nyquist at column N/2, where the check looks
+    blk[:, blk.shape[1] - half + 1:] = bins[:, half + 1:]
     samples = np.empty(blk.shape[1])  # the kernel writes it through a one-row view
-    var = _synthesize(blk, sym.n_subcarriers, samples[None, :])
-    return TimeSymbol(samples=samples, oversample_factor=oversample_factor, sigma_x2=float(var[0]))
+    _synthesize(blk, n, samples[None, :])
+    return samples
 
 
-def papr_of(sym: TimeSymbol) -> PaprSample:
-    """UPAPR = max(x)^2 / var, LPAPR = min(x)^2 / var for one symbol."""
-    if sym.sigma_x2 == 0.0:
+def _papr_rows(x: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's max(x)^2 / var and min(x)^2 / var, var its mean square."""
+    if not var.all():
         raise DegenerateSymbolError("all-zero symbol has no PAPR")
-    hi = float(np.max(sym.samples))
-    lo = float(np.min(sym.samples))
-    return PaprSample(upapr=hi * hi / sym.sigma_x2, lpapr=lo * lo / sym.sigma_x2)
+    return np.square(x.max(axis=1)) / var, np.square(x.min(axis=1)) / var
+
+
+def papr_of(samples) -> tuple[float, float]:
+    """(UPAPR, LPAPR) of one symbol's real samples: the sampler's reduction on one row."""
+    x = _one_row(samples, np.float64, "samples")
+    upapr, lpapr = _papr_rows(x, np.square(x).mean(axis=1))
+    return float(upapr[0]), float(lpapr[0])
 
 
 def sample_papr_population(n_subcarriers: int, constellation: Constellation, count: int,
@@ -379,10 +365,7 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
             _check_reference(constellation, seed, start, blk[0, 1:half])
         _mirror(blk, half)
         var = _synthesize(blk, n_subcarriers, x, sq[:len(states)])
-        if not var.all():
-            raise DegenerateSymbolError("all-zero symbol has no PAPR")
-        upapr[start:stop] = np.square(x.max(axis=1)) / var
-        lpapr[start:stop] = np.square(x.min(axis=1)) / var
+        upapr[start:stop], lpapr[start:stop] = _papr_rows(x, var)
 
     if not (np.all(upapr >= 0.0) and np.all(lpapr >= 0.0)):
         raise ValueError("UPAPR and LPAPR must be non-negative")

@@ -237,8 +237,8 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
     grid over all DNRs. Every rate and SNR comes from one table of rows per call.
     Row order: brightness outermost, then DNR, then schemes.
     """
-    if not len(lambdas) or not len(dnrs_db):
-        raise ValueError("lambdas and dnrs_db must be non-empty")
+    if not len(lambdas) or not len(dnrs_db) or not len(gammas):
+        raise ValueError("lambdas, dnrs_db and gammas must be non-empty")
     if isinstance(gammas, str) and gammas != AUTO:
         raise ValueError(f"gammas must be a sequence of ratios or {AUTO!r}")
     table = _Rows(pop, [dnr_linear(dnr_db) for dnr_db in dnrs_db])

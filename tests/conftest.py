@@ -1,5 +1,6 @@
 """Shared seeded populations and symbol sets (built once per session)."""
 
+import numpy as np
 import pytest
 
 import vlcsim as v
@@ -32,8 +33,8 @@ def pop64_qam16():
 
 @pytest.fixture(scope="session")
 def symbols64():
-    """1000 seeded N=64, F=4 time-domain symbols."""
-    return [v.to_time_domain(
-                v.generate_freq_symbol(64, v.Constellation.QPSK, v.symbol_rng(SYMBOL_SEED, i)),
-                4)
-            for i in range(1000)]
+    """1000 seeded N=64, F=4 time-domain symbols, one per row."""
+    return np.array([v.to_time_domain(
+                         v.generate_freq_symbol(64, v.Constellation.QPSK,
+                                                v.symbol_rng(SYMBOL_SEED, i)), 4)
+                     for i in range(1000)])

@@ -26,8 +26,8 @@ def report(number: int, ok: bool, text: str):
 @pytest.fixture(scope="module")
 def extremes(symbols64):
     """Per-symbol (max, min, variance) triples for the 1000-symbol set."""
-    return [(float(np.max(s.samples)), float(np.min(s.samples)), s.sigma_x2)
-            for s in symbols64]
+    return [(float(np.max(x)), float(np.min(x)), float(np.mean(np.square(x))))
+            for x in symbols64]
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +49,12 @@ def biasing_rates(pop64):
 def test_criterion_1_closed_form_variance_identity(symbols64, extremes):
     """Closed form equals alpha^2 * sigma_x^2 from the scaling rule, 1e-12 relative."""
     worst = 0.0
-    for sym, (hi, lo, var) in zip(symbols64, extremes):
-        papr = v.papr_of(sym)
+    for x, (hi, lo, var) in zip(symbols64, extremes):
+        upapr, lpapr = v.papr_of(x)
         for zeta in ZETAS:
             alpha = v.compute_alpha(hi, lo, LED.i_low + zeta * LED.dynamic_range, LED)
             sigma_y2 = alpha * alpha * var
-            closed = v.variance_closed_form(zeta, papr, LED)
+            closed = v.variance_closed_form(zeta, upapr, lpapr, LED)
             worst = max(worst, abs(closed - sigma_y2) / sigma_y2)
     report(1, worst < 1e-12,
            f"variance identity over 1000 symbols x 19 ratios, worst rel err {worst:.2e}")
@@ -62,7 +62,7 @@ def test_criterion_1_closed_form_variance_identity(symbols64, extremes):
 
 def test_criterion_2_scaling_feasible_and_maximal(symbols64, extremes):
     """Scaled symbols fill the range, cannot grow by 1e-6, ties pick positive."""
-    samples = np.stack([s.samples for s in symbols64])
+    samples = symbols64
     slack = 1e-9 * LED.dynamic_range
     feasible = True
     maximal = True
@@ -145,7 +145,7 @@ def test_criterion_6_optimized_pwm_dominates(gamma_search_table, biasing_rates):
 
 def test_criterion_7_optical_average_law(symbols64):
     """Assembled waveforms emit brightness * o_high on average, within 1%."""
-    rows = np.stack([s.samples for s in symbols64])
+    rows = symbols64
     ok = True
     details = []
     for lam in (0.1, 0.25, 0.5, 0.7):

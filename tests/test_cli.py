@@ -478,7 +478,7 @@ class TestOutputs:
         last = v.to_time_domain(v.generate_freq_symbol(64, cfg.constellation,
                                                        v.symbol_rng(cfg.seed, 999)), 4)
         spec = v.DimmingSpec(0.25)
-        assert written[0][1].tobytes() == v.assemble_waveform(last.samples[None, :], spec,
+        assert written[0][1].tobytes() == v.assemble_waveform(last[None, :], spec,
                                                                cfg.led()).tobytes()
 
     def test_decimal_complement_of_a_mirrored_brightness_runs(self, tmp_path):

@@ -19,7 +19,7 @@ def make_symbols(count, n=64, oversample=4, seed=1):
     """count seeded time-domain symbols, one per row."""
     return np.stack([v.to_time_domain(
                          v.generate_freq_symbol(n, v.Constellation.QPSK, v.symbol_rng(seed, i)),
-                         oversample).samples
+                         oversample)
                      for i in range(count)])
 
 

@@ -157,10 +157,10 @@ EDGE_ZETAS = [*(np.arange(1, 1000) * 0.001), 1e-300, 0.5, 1.0 - 1e-16]
 
 class TestVarianceClosedForm:
     def test_symmetric_papr(self):
-        assert v.variance_closed_form(0.5, v.PaprSample(4.0, 4.0), v.LedModel()) == 0.0625
+        assert v.variance_closed_form(0.5, 4.0, 4.0, v.LedModel()) == 0.0625
 
     def test_asymmetric_papr(self):
-        got = v.variance_closed_form(0.2, v.PaprSample(9.0, 4.0), v.LedModel())
+        got = v.variance_closed_form(0.2, 9.0, 4.0, v.LedModel())
         assert got == pytest.approx(0.01, rel=1e-12)
 
     def test_cross_checks_against_maximal_scaling(self):
@@ -170,23 +170,22 @@ class TestVarianceClosedForm:
 
     def test_rejects_ratio_outside_open_interval(self):
         with pytest.raises(ValueError):
-            v.variance_closed_form(0.0, v.PaprSample(4.0, 4.0), v.LedModel())
+            v.variance_closed_form(0.0, 4.0, 4.0, v.LedModel())
         with pytest.raises(ValueError):
-            v.variance_closed_form(1.0, v.PaprSample(4.0, 4.0), v.LedModel())
+            v.variance_closed_form(1.0, 4.0, 4.0, v.LedModel())
 
     def test_mirror_symmetry_is_exact(self):
         rng = np.random.default_rng(14)
-        papr = v.PaprSample(7.3, 2.9)
         for zeta in rng.uniform(0.01, 0.99, size=200):
-            a = v.variance_closed_form(zeta, papr, v.LedModel())
-            b = v.variance_closed_form(1.0 - zeta, papr, v.LedModel())
+            a = v.variance_closed_form(zeta, 7.3, 2.9, v.LedModel())
+            b = v.variance_closed_form(1.0 - zeta, 7.3, 2.9, v.LedModel())
             assert a == b
 
     def test_papr_swap_symmetry_is_exact(self):
         rng = np.random.default_rng(15)
         for zeta in rng.uniform(0.01, 0.99, size=200):
-            a = v.variance_closed_form(zeta, v.PaprSample(7.3, 2.9), v.LedModel())
-            b = v.variance_closed_form(zeta, v.PaprSample(2.9, 7.3), v.LedModel())
+            a = v.variance_closed_form(zeta, 7.3, 2.9, v.LedModel())
+            b = v.variance_closed_form(zeta, 2.9, 7.3, v.LedModel())
             assert a == b
 
     @pytest.mark.parametrize("population", ["pop64", "pop64_qam16", "gaussian4"])
@@ -206,21 +205,20 @@ class TestVarianceClosedForm:
     def test_population_gives_the_per_symbol_values(self, pop64):
         led = v.LedModel(0.2, 1.5, 2.0)
         for zeta in (0.05, 0.3, 0.5, 0.9):
-            got = v.variance_closed_form(zeta, pop64, led)
-            want = [v.variance_closed_form(zeta, v.PaprSample(float(u), float(l)), led)
+            got = v.variance_closed_form(zeta, pop64.upapr, pop64.lpapr, led)
+            want = [v.variance_closed_form(zeta, float(u), float(l), led)
                     for u, l in zip(pop64.upapr[:500], pop64.lpapr[:500])]
             assert np.array_equal(got[:500], want) and got.shape == pop64.upapr.shape
         zetas = np.array([0.05, 0.3, 0.5, 0.9])
-        papr = v.PaprSample(7.3, 2.9)
-        assert np.array_equal(v.variance_closed_form(zetas, papr, led),
-                              [v.variance_closed_form(z, papr, led) for z in zetas])
+        assert np.array_equal(v.variance_closed_form(zetas, 7.3, 2.9, led),
+                              [v.variance_closed_form(z, 7.3, 2.9, led) for z in zetas])
+        assert type(v.variance_closed_form(0.3, 7.3, 2.9, led)) is np.float64
         with pytest.raises(ValueError):
-            v.variance_closed_form(np.array([0.5, 1.0]), papr, led)
+            v.variance_closed_form(np.array([0.5, 1.0]), 7.3, 2.9, led)
 
     def test_scales_with_squared_dynamic_range(self):
-        papr = v.PaprSample(6.0, 5.0)
-        unit = v.variance_closed_form(0.3, papr, v.LedModel())
-        wide = v.variance_closed_form(0.3, papr, v.LedModel(0.0, 3.0, 1.0))
+        unit = v.variance_closed_form(0.3, 6.0, 5.0, v.LedModel())
+        wide = v.variance_closed_form(0.3, 6.0, 5.0, v.LedModel(0.0, 3.0, 1.0))
         assert wide == pytest.approx(9.0 * unit, rel=1e-12)
 
 
@@ -231,28 +229,28 @@ class TestClosedFormMatchesScaling:
 
     def test_identity_on_generated_symbols(self, symbols64):
         led = v.LedModel()
-        for sym in symbols64[:200]:
-            papr = v.papr_of(sym)
-            hi = float(np.max(sym.samples))
-            lo = float(np.min(sym.samples))
+        for x in symbols64[:200]:
+            upapr, lpapr = v.papr_of(x)
+            hi = float(np.max(x))
+            lo = float(np.min(x))
             for zeta in self.ZETAS:
                 alpha = v.compute_alpha(hi, lo, led.i_low + zeta * led.dynamic_range, led)
-                closed = v.variance_closed_form(zeta, papr, led)
-                assert closed == pytest.approx(alpha * alpha * sym.sigma_x2, rel=1e-12)
+                closed = v.variance_closed_form(zeta, upapr, lpapr, led)
+                assert closed == pytest.approx(alpha * alpha * np.mean(np.square(x)), rel=1e-12)
 
     def test_scaled_symbols_cannot_grow(self, symbols64):
         """Adding 1e-6 headroom to |alpha| leaves the dynamic range."""
         led = v.LedModel()
         slack = 1e-9 * led.dynamic_range
-        for sym in symbols64[:100]:
-            hi = float(np.max(sym.samples))
-            lo = float(np.min(sym.samples))
+        for x in symbols64[:100]:
+            hi = float(np.max(x))
+            lo = float(np.min(x))
             for zeta in (0.1, 0.3, 0.5):
                 bias = led.i_low + zeta * led.dynamic_range
                 alpha = v.compute_alpha(hi, lo, bias, led)
-                y = alpha * sym.samples + bias
+                y = alpha * x + bias
                 assert np.all(y >= led.i_low - slack) and np.all(y <= led.i_high + slack)
-                y_over = alpha * (1 + 1e-6) * sym.samples + bias
+                y_over = alpha * (1 + 1e-6) * x + bias
                 assert np.any(y_over < led.i_low - slack) or np.any(y_over > led.i_high + slack)
 
     def test_population_variance_drops_with_subcarriers(self, pop64, pop1024):

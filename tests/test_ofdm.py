@@ -1,21 +1,38 @@
 """Tests for frequency-domain construction, time-domain synthesis, and PAPR stats."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.stats import ks_2samp
+from scipy.stats import binom, ks_2samp
 
 import vlcsim as v
 from vlcsim.errors import DegenerateSymbolError, HermitianSymmetryError
 
 
+SMALLEST = [0, 1 + 1j, 0, 1 - 1j]  # N = 4 with one data bin and its mirror
+
+
 class TestFreqSymbol:
+    """generate_freq_symbol's bins; to_time_domain's kernel is their one check."""
+
     def test_smallest_hermitian_symbol(self):
-        """N=4 with one data bin mirrors into [0, 1+j, 0, 1-j]."""
-        sym = v.FreqSymbol(4, [0, 1 + 1j, 0, 1 - 1j])
-        assert_array_equal(sym.bins, np.array([0, 1 + 1j, 0, 1 - 1j]))
+        """N=4 has one data bin, mirrored into [0, b, 0, conj(b)]."""
+        bins = v.generate_freq_symbol(4, v.Constellation.QPSK, v.symbol_rng(3, 0))
+        assert_array_equal(bins, [0, bins[1], 0, np.conj(bins[1])])
+        assert abs(bins[1]) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("constellation", list(v.Constellation))
+    def test_generated_symbols_are_valid(self, constellation):
+        """N complex bins: DC and Nyquist zero, bins above N/2 the mirror of those below."""
+        for n in (4, 64):
+            for i in range(20):
+                bins = v.generate_freq_symbol(n, constellation, v.symbol_rng(9, i))
+                assert bins.dtype == np.complex128 and bins.shape == (n,)
+                assert bins[0] == 0 and bins[n // 2] == 0
+                assert_array_equal(bins[n // 2 + 1:], np.conj(bins[n // 2 - 1:0:-1]))
 
     def test_rejects_odd_or_tiny_n(self):
         with pytest.raises(ValueError):
@@ -23,34 +40,18 @@ class TestFreqSymbol:
         with pytest.raises(ValueError):
             v.generate_freq_symbol(2, v.Constellation.QPSK, np.random.default_rng(0))
 
-    def test_rejects_nonzero_dc_or_nyquist(self):
-        with pytest.raises(HermitianSymmetryError):
-            v.FreqSymbol(4, [1, 1 + 1j, 0, 1 - 1j])
-        with pytest.raises(HermitianSymmetryError):
-            v.FreqSymbol(4, [0, 1 + 1j, 1, 1 - 1j])
-
-    def test_rejects_broken_mirror(self):
-        with pytest.raises(HermitianSymmetryError):
-            v.FreqSymbol(4, [0, 1 + 1j, 0, 1 + 1j])
-
     def test_generation_is_deterministic(self):
         a = v.generate_freq_symbol(8, v.Constellation.QPSK, v.symbol_rng(3, 0))
         b = v.generate_freq_symbol(8, v.Constellation.QPSK, v.symbol_rng(3, 0))
-        assert_array_equal(a.bins, b.bins)
-
-    @pytest.mark.parametrize("constellation", list(v.Constellation))
-    def test_generated_symbols_are_valid(self, constellation):
-        for i in range(20):
-            sym = v.generate_freq_symbol(64, constellation, v.symbol_rng(9, i))
-            v.FreqSymbol(64, sym.bins)
+        assert_array_equal(a, b)
 
     def test_gaussian_bins_have_unit_average_power(self):
         """Per-bin mean power over 10000 draws stays within 5% of 1."""
         n = 64
         acc = np.zeros(n)
         for i in range(10000):
-            sym = v.generate_freq_symbol(n, v.Constellation.COMPLEX_GAUSSIAN, v.symbol_rng(17, i))
-            acc += np.abs(sym.bins) ** 2
+            bins = v.generate_freq_symbol(n, v.Constellation.COMPLEX_GAUSSIAN, v.symbol_rng(17, i))
+            acc += np.abs(bins) ** 2
         mean_power = acc / 10000
         data_bins = np.r_[np.arange(1, n // 2), np.arange(n // 2 + 1, n)]
         assert np.all(np.abs(mean_power[data_bins] - 1.0) < 0.05)
@@ -59,10 +60,9 @@ class TestFreqSymbol:
 class TestToTimeDomain:
     def test_hand_evaluated_idft(self):
         """bins [0, 1+j, 0, 1-j] at F=1 give [1, -1, -1, 1]."""
-        sym = v.FreqSymbol(4, [0, 1 + 1j, 0, 1 - 1j])
-        t = v.to_time_domain(sym, 1)
-        assert_allclose(t.samples, [1.0, -1.0, -1.0, 1.0], atol=1e-12)
-        assert t.sigma_x2 == pytest.approx(1.0, rel=1e-12)
+        x = v.to_time_domain(SMALLEST, 1)
+        assert_allclose(x, [1.0, -1.0, -1.0, 1.0], atol=1e-12)
+        assert np.mean(np.square(x)) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("oversample", [1, 4])
     def test_matches_direct_sum_evaluation(self, oversample):
@@ -73,40 +73,39 @@ class TestToTimeDomain:
         signal real.
         """
         n = 8
-        sym = v.generate_freq_symbol(n, v.Constellation.COMPLEX_GAUSSIAN, v.symbol_rng(5, 1))
-        t = v.to_time_domain(sym, oversample)
+        bins = v.generate_freq_symbol(n, v.Constellation.COMPLEX_GAUSSIAN, v.symbol_rng(5, 1))
+        x = v.to_time_domain(bins, oversample)
         m = n * oversample
         k = np.arange(n)
         freqs = np.where(k <= n // 2, k, k - n)
-        direct = np.array([np.sum(sym.bins * np.exp(2j * np.pi * freqs * idx / m)) / np.sqrt(n)
+        direct = np.array([np.sum(bins * np.exp(2j * np.pi * freqs * idx / m)) / np.sqrt(n)
                            for idx in range(m)])
         assert np.max(np.abs(direct.imag)) < 1e-12
-        assert_allclose(t.samples, direct.real, atol=1e-12)
+        assert_allclose(x, direct.real, atol=1e-12)
 
     def test_all_zero_bins_flagged_degenerate(self):
-        sym = v.FreqSymbol(8, np.zeros(8, dtype=complex))
-        t = v.to_time_domain(sym, 2)
-        assert t.sigma_x2 == 0.0
-        assert_array_equal(t.samples, np.zeros(16))
+        x = v.to_time_domain(np.zeros(8, dtype=complex), 2)
+        assert_array_equal(x, np.zeros(16))
+        with pytest.raises(DegenerateSymbolError):
+            v.papr_of(x)
 
     def test_rejects_invalid_oversample(self):
-        sym = v.FreqSymbol(4, [0, 1 + 1j, 0, 1 - 1j])
         with pytest.raises(ValueError):
-            v.to_time_domain(sym, 0)
+            v.to_time_domain(SMALLEST, 0)
 
     def test_rejects_mutated_bins(self):
-        sym = v.generate_freq_symbol(16, v.Constellation.QPSK, v.symbol_rng(1, 1))
-        sym.bins[3] = 5.0  # break the mirror behind the constructor's back
+        bins = v.generate_freq_symbol(16, v.Constellation.QPSK, v.symbol_rng(1, 1))
+        bins[3] = 5.0  # break the mirror
         with pytest.raises(HermitianSymmetryError):
-            v.to_time_domain(sym, 4)
+            v.to_time_domain(bins, 4)
 
     def test_peak_estimate_converges_with_oversampling(self):
         """Peaks at F=4 sit close to the F=16 reference over 100 symbols."""
         diffs = []
         for i in range(100):
-            sym = v.generate_freq_symbol(64, v.Constellation.QPSK, v.symbol_rng(7, i))
-            p4 = np.max(np.abs(v.to_time_domain(sym, 4).samples))
-            p16 = np.max(np.abs(v.to_time_domain(sym, 16).samples))
+            bins = v.generate_freq_symbol(64, v.Constellation.QPSK, v.symbol_rng(7, i))
+            p4 = np.max(np.abs(v.to_time_domain(bins, 4)))
+            p16 = np.max(np.abs(v.to_time_domain(bins, 16)))
             diffs.append(abs(p4 - p16) / p16)
         diffs = np.array(diffs)
         assert diffs.mean() < 0.02
@@ -115,27 +114,31 @@ class TestToTimeDomain:
     @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
     def test_zero_mean_and_parseval(self, n):
         """Time samples are zero mean and carry the spectrum's power."""
-        sym = v.generate_freq_symbol(n, v.Constellation.QPSK, v.symbol_rng(11, n))
-        t = v.to_time_domain(sym, 4)
-        assert abs(float(np.mean(t.samples))) < 1e-9
-        freq_power = float(np.sum(np.abs(sym.bins) ** 2) / n)
-        assert t.sigma_x2 == pytest.approx(freq_power, rel=1e-9)
-        assert np.max(t.samples) > 0 > np.min(t.samples)
+        bins = v.generate_freq_symbol(n, v.Constellation.QPSK, v.symbol_rng(11, n))
+        x = v.to_time_domain(bins, 4)
+        assert abs(float(np.mean(x))) < 1e-9
+        freq_power = float(np.sum(np.abs(bins) ** 2) / n)
+        assert np.mean(np.square(x)) == pytest.approx(freq_power, rel=1e-9)
+        assert np.max(x) > 0 > np.min(x)
 
     def test_sigma_is_mean_square(self):
-        sym = v.generate_freq_symbol(32, v.Constellation.QAM16, v.symbol_rng(2, 2))
-        t = v.to_time_domain(sym, 4)
-        assert t.sigma_x2 == pytest.approx(float(np.mean(t.samples ** 2)), rel=1e-12)
+        """The real N*F samples, any sequence of bins; papr_of divides by their mean square."""
+        bins = v.generate_freq_symbol(32, v.Constellation.QAM16, v.symbol_rng(2, 2))
+        x = v.to_time_domain(list(bins), 4)
+        assert x.dtype == np.float64 and x.shape == (128,) and x.flags.c_contiguous
+        assert_array_equal(x, v.to_time_domain(bins, 4))
+        sigma_x2 = np.mean(np.square(x))
+        assert v.papr_of(x) == (x.max() ** 2 / sigma_x2, x.min() ** 2 / sigma_x2)
 
 
-def _per_symbol_formula(sym, factor):
+def _per_symbol_formula(bins, factor):
     """The stand-alone per-symbol synthesis: zero-padded 1-D IFFT, then scale."""
-    n = sym.n_subcarriers
+    n = len(bins)
     half = n // 2
     m = n * factor
     padded = np.zeros(m, dtype=np.complex128)
-    padded[:half] = sym.bins[:half]
-    padded[m - half + 1:] = sym.bins[half + 1:]
+    padded[:half] = bins[:half]
+    padded[m - half + 1:] = bins[half + 1:]
     samples = np.ascontiguousarray((np.fft.ifft(padded) * (m / np.sqrt(n))).real)
     return samples, float(np.mean(samples ** 2))
 
@@ -144,22 +147,40 @@ class TestOneSynthesisKernel:
     @pytest.mark.parametrize("n,factor", [(4, 1), (6, 3), (64, 4), (1024, 1)])
     @pytest.mark.parametrize("constellation", list(v.Constellation))
     def test_to_time_domain_keeps_the_per_symbol_bits(self, n, factor, constellation):
-        """The one-row kernel equals the per-symbol formula bit for bit, signed zeros too."""
+        """The one-row kernel equals the per-symbol formula bit for bit, signed zeros too,
+        and papr_of reduces it over the formula's mean square."""
         for i in range(8):
-            sym = v.generate_freq_symbol(n, constellation, v.symbol_rng(12345, i))
-            samples, sigma_x2 = _per_symbol_formula(sym, factor)
-            t = v.to_time_domain(sym, factor)
-            assert t.samples.tobytes() == samples.tobytes()
-            assert np.float64(t.sigma_x2).tobytes() == np.float64(sigma_x2).tobytes()
-            assert type(t.sigma_x2) is float and t.samples.flags.c_contiguous
+            bins = v.generate_freq_symbol(n, constellation, v.symbol_rng(12345, i))
+            samples, sigma_x2 = _per_symbol_formula(bins, factor)
+            x = v.to_time_domain(bins, factor)
+            assert x.tobytes() == samples.tobytes() and x.flags.c_contiguous
+            upapr, lpapr = v.papr_of(x)
+            assert type(upapr) is float and type(lpapr) is float
+            assert (upapr, lpapr) == (samples.max() ** 2 / sigma_x2, samples.min() ** 2 / sigma_x2)
 
     @pytest.mark.parametrize("factor", [1, 4])
     @pytest.mark.parametrize("index", [0, 8])
     def test_to_time_domain_rejects_a_mutated_dc_or_nyquist_bin(self, factor, index):
-        sym = v.generate_freq_symbol(16, v.Constellation.QPSK, v.symbol_rng(1, 1))
-        sym.bins[index] = 1.0  # behind the constructor's back
+        bins = v.generate_freq_symbol(16, v.Constellation.QPSK, v.symbol_rng(1, 1))
+        bins[index] = 1.0
         with pytest.raises(HermitianSymmetryError, match="DC and Nyquist"):
-            v.to_time_domain(sym, factor)
+            v.to_time_domain(bins, factor)
+
+    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("bins, message", [
+        ([1, 1 + 1j, 0, 1 - 1j], "DC and Nyquist"), ([0, 1 + 1j, 1, 1 - 1j], "DC and Nyquist"),
+        ([0, 1 + 1j, 0, 1 + 1j], "not Hermitian symmetric"),
+        # an infinite bin equals its own conjugate mirror, and its NaN residual compares False
+        ([0, np.inf, 0, np.inf], "bins must be finite"),
+        ([0, complex(np.inf, 1), 0, complex(np.inf, -1)], "bins must be finite"),
+        ([0, np.nan, 0, np.nan], "bins must be finite")],
+        ids=["dc", "nyquist", "mirror", "inf", "inf-real-part", "nan"])
+    def test_to_time_domain_rejects_bins_the_kernel_cannot_synthesize(self, factor, bins,
+                                                                      message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before the IFFT, so without a warning
+            with pytest.raises(HermitianSymmetryError, match=message):
+                v.to_time_domain(bins, factor)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_kernel_rejects_an_imaginary_residual_of_either_sign(self, monkeypatch, sign):
@@ -170,7 +191,7 @@ class TestOneSynthesisKernel:
             v.ofdm._synthesize(blk, 4, np.empty((1, 4)))
 
     def test_sampler_message_for_a_broken_block_names_the_mirror(self, monkeypatch):
-        """A NaN data bin fails the kernel's Hermitian check, as in FreqSymbol.validate."""
+        """A NaN data bin fails the kernel's Hermitian check: the sampler checks no finiteness."""
         monkeypatch.setattr(v.ofdm, "_draw_rows",
                             lambda constellation, states, out: out.fill(np.nan))
         monkeypatch.setattr(v.ofdm, "_check_reference", lambda *args: None)
@@ -180,37 +201,46 @@ class TestOneSynthesisKernel:
 
 class TestPaprOf:
     def test_two_level_signal(self):
-        t = v.TimeSymbol(samples=np.array([1.0, -1.0, -1.0, 1.0]), oversample_factor=1,
-                         sigma_x2=1.0)
-        p = v.papr_of(t)
-        assert p.upapr == pytest.approx(1.0)
-        assert p.lpapr == pytest.approx(1.0)
+        assert v.papr_of(np.array([1.0, -1.0, -1.0, 1.0])) == (1.0, 1.0)
 
     def test_asymmetric_signal(self):
         """samples [3,-1,-1,-1]: var 3, UPAPR 3, LPAPR 1/3."""
-        samples = np.array([3.0, -1.0, -1.0, -1.0])
-        t = v.TimeSymbol(samples=samples, oversample_factor=1,
-                         sigma_x2=float(np.mean(samples ** 2)))
-        p = v.papr_of(t)
-        assert p.upapr == pytest.approx(3.0, rel=1e-12)
-        assert p.lpapr == pytest.approx(1.0 / 3.0, rel=1e-12)
+        upapr, lpapr = v.papr_of([3.0, -1.0, -1.0, -1.0])
+        assert upapr == pytest.approx(3.0, rel=1e-12)
+        assert lpapr == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_degenerate_symbol_rejected(self):
-        t = v.TimeSymbol(samples=np.zeros(8), oversample_factor=1, sigma_x2=0.0)
         with pytest.raises(DegenerateSymbolError):
-            v.papr_of(t)
+            v.papr_of(np.zeros(8))
 
     def test_mean_upapr_grows_with_subcarriers(self, pop64, pop1024):
         assert pop64.upapr.mean() < pop1024.upapr.mean()
 
 
+class TestExchangeability:
+    """Negating a symbol keeps its law and swaps its UPAPR and LPAPR, so among the symbols
+    with U != L the count of U > L is Binomial(n, 1/2): a fact of every NumPy's stream."""
+
+    ALPHA = 1e-3  # two-sided; four populations
+
+    @pytest.mark.parametrize("population", ["pop64", "pop64_qam16", "pop1024", "gaussian64"])
+    def test_upapr_exceeds_lpapr_half_the_time(self, request, population):
+        if population == "gaussian64":
+            pop = v.sample_papr_population(64, v.Constellation.COMPLEX_GAUSSIAN, 10000, seed=7)
+        else:
+            pop = request.getfixturevalue(population)
+        n = int(np.count_nonzero(pop.upapr != pop.lpapr))
+        above = int(np.count_nonzero(pop.upapr > pop.lpapr))
+        assert n >= 9900
+        low, high = binom.ppf(self.ALPHA / 2, n, 0.5), binom.isf(self.ALPHA / 2, n, 0.5)
+        assert low <= above <= high, (above, n)
+
+
 class TestSamplePaprPopulation:
     def test_single_sample_equals_composition(self):
         pop = v.sample_papr_population(64, v.Constellation.QPSK, 1, seed=31)
-        sym = v.generate_freq_symbol(64, v.Constellation.QPSK, v.symbol_rng(31, 0))
-        direct = v.papr_of(v.to_time_domain(sym, 4))
-        assert pop.upapr[0] == direct.upapr
-        assert pop.lpapr[0] == direct.lpapr
+        bins = v.generate_freq_symbol(64, v.Constellation.QPSK, v.symbol_rng(31, 0))
+        assert v.papr_of(v.to_time_domain(bins, 4)) == (pop.upapr[0], pop.lpapr[0])
 
     def test_population_is_bit_reproducible(self):
         a = v.sample_papr_population(64, v.Constellation.QAM16, 50, seed=8)
@@ -233,10 +263,10 @@ class TestSamplePaprPopulation:
 
 
 def _reference_population(n, constellation, count, seed, factor):
-    samples = [v.papr_of(v.to_time_domain(
-                   v.generate_freq_symbol(n, constellation, v.symbol_rng(seed, i)), factor))
-               for i in range(count)]
-    return np.array([s.upapr for s in samples]), np.array([s.lpapr for s in samples])
+    pairs = [v.papr_of(v.to_time_domain(
+                 v.generate_freq_symbol(n, constellation, v.symbol_rng(seed, i)), factor))
+             for i in range(count)]
+    return tuple(np.array(pairs).T)
 
 
 class TestBatchedSampler:
@@ -289,8 +319,7 @@ class TestSampledRows:
         rows = np.empty((count, n * factor))
         v.sample_papr_population(n, constellation, count, 7, factor, samples=rows)
         ref = np.array([v.to_time_domain(v.generate_freq_symbol(n, constellation,
-                                                                v.symbol_rng(7, i)),
-                                         factor).samples
+                                                                v.symbol_rng(7, i)), factor)
                         for i in range(count)])
         assert_array_equal(rows.view(np.uint64), ref.view(np.uint64))
 
@@ -481,9 +510,10 @@ class TestSizeChecks:
     @pytest.mark.parametrize("n", [2, 5, -4])
     def test_subcarrier_count(self, n):
         rng = v.symbol_rng(1, 0)
-        calls = [lambda: v.FreqSymbol(n, np.zeros(max(n, 0), dtype=complex)),
-                 lambda: v.generate_freq_symbol(n, v.Constellation.QPSK, rng),
+        calls = [lambda: v.generate_freq_symbol(n, v.Constellation.QPSK, rng),
                  lambda: v.sample_papr_population(n, v.Constellation.QPSK, 3, seed=1)]
+        if n >= 0:  # to_time_domain counts the bins it is given
+            calls.append(lambda: v.to_time_domain(np.zeros(n, dtype=complex), 1))
         for call in calls:
             with pytest.raises(ValueError) as err:
                 call()
@@ -491,8 +521,7 @@ class TestSizeChecks:
 
     @pytest.mark.parametrize("factor", [0, -1])
     def test_oversample_factor(self, factor):
-        sym = v.FreqSymbol(4, [0, 1 + 1j, 0, 1 - 1j])
-        for call in (lambda: v.to_time_domain(sym, factor),
+        for call in (lambda: v.to_time_domain(SMALLEST, factor),
                      lambda: v.sample_papr_population(64, v.Constellation.QPSK, 3, seed=1,
                                                       oversample_factor=factor)):
             with pytest.raises(ValueError) as err:
@@ -502,3 +531,11 @@ class TestSizeChecks:
     def test_sampler_checks_the_factor_before_the_count_of_subcarriers(self):
         with pytest.raises(ValueError, match="oversample_factor"):
             v.sample_papr_population(5, v.Constellation.QPSK, 3, seed=1, oversample_factor=0)
+
+    @pytest.mark.parametrize("call", [lambda: v.to_time_domain(np.zeros((2, 4), dtype=complex), 1),
+                                      lambda: v.papr_of(np.ones((2, 4)))],
+                             ids=["to_time_domain", "papr_of"])
+    def test_one_symbol_at_a_time(self, call):
+        """The per-symbol functions take one symbol; rows are the sampler's."""
+        with pytest.raises(ValueError, match="must be one-dimensional, got shape \\(2, 4\\)"):
+            call()

@@ -246,8 +246,13 @@ class TestSweepRates:
             v.sweep_rates([0.2], [20.0], "best", pop64)
 
     def test_rejects_empty_grids(self, pop64):
-        with pytest.raises(ValueError):
-            v.sweep_rates([], [20.0], v.AUTO, pop64)
+        """An empty ratio list would leave only the biasing rows, not a row per scheme."""
+        for lambdas, dnrs_db, gammas in [([], [20.0], v.AUTO), ([0.2], [], v.AUTO),
+                                         ([0.2], [0.0, 10.0], []),
+                                         ([0.2], [0.0, 10.0], np.array([]))]:
+            with pytest.raises(ValueError,
+                               match="lambdas, dnrs_db and gammas must be non-empty"):
+                v.sweep_rates(lambdas, dnrs_db, gammas, pop64)
 
 
 class TestCsvWriters:
@@ -337,10 +342,6 @@ class TestSweepRatesGrid:
                 expected.extend(paper_row(lam, gamma, dnr_db, pop64) for gamma in ratios)
         assert [repr(dataclasses.astuple(row)) for row in rows] == \
                [repr(dataclasses.astuple(row)) for row in expected]
-
-    def test_no_ratios_leaves_the_biasing_rows(self, pop64):
-        rows = v.sweep_rates([0.2], [0.0, 10.0], [], pop64)
-        assert [row.scheme for row in rows] == [v.Scheme.BIASING_ADJUSTMENT] * 2
 
     def test_infeasible_ratio_is_rejected(self, pop64):
         with pytest.raises(v.DutyCycleError):
@@ -574,9 +575,24 @@ class TestGridPointCounts:
                 build()
 
 
+# relative margin that a rate bound must clear before a test relies on it: it covers
+# the rounding of the Monte Carlo means, about 1e-13 relative or less on these grids
+BOUND_MARGIN = 1e-9
+
+
+def factor_rows(pop, grid):
+    """variance_factor at every forward ratio of the grid, one row per ratio."""
+    return np.array([v.variance_factor(gamma, pop.upapr, pop.lpapr) for gamma in grid])
+
+
 class TestLowDnrOptimum:
     """At low DNR log2(1 + x) -> x / ln 2, so the PWM rate (1/2)(lambda/gamma) E[log2(1 + DNR f)]
-    peaks at gamma_0 = argmax E[f(gamma)] / gamma over the brightness's grid."""
+    peaks at gamma_0 = argmax E[f(gamma)] / gamma over the brightness's grid.
+
+    x - x^2/2 <= ln(1 + x) <= x bounds each ratio's rate: with m = E[f] and s = E[f^2],
+    gamma_0 still wins while D (m_0 - D s_0 / 2) / gamma_0 exceeds every other D m / gamma,
+    that is up to D- = 2 gamma_0 (m_0 / gamma_0 - max m / gamma) / s_0.
+    """
 
     @pytest.mark.parametrize("population", ["pop64", "pop64_qam16", "pop256"])
     @pytest.mark.parametrize("lam", [0.05, 0.2, 0.35, 0.45])
@@ -584,10 +600,43 @@ class TestLowDnrOptimum:
                                                                       population, lam):
         pop = request.getfixturevalue(population)
         grid = v.gamma_grid(lam, 0.005)
-        mean_f = np.array([np.mean(v.variance_factor(gamma, pop.upapr, pop.lpapr))
-                           for gamma in grid])
+        f = factor_rows(pop, grid)
+        mean_f, mean_f2 = f.mean(axis=1), np.mean(f * f, axis=1)
         # exact: beyond argmax E[f], E[f] is no larger and gamma is larger
-        gamma_0 = grid[np.argmax(mean_f / grid)]
-        assert gamma_0 <= grid[np.argmax(mean_f)]
-        for _, dnr_db, result in v.sweep_gamma_search([lam], [-40.0, -20.0], pop, 0.005):
-            assert result.gamma_star == gamma_0, dnr_db
+        best = np.argmax(mean_f / grid)
+        assert grid[best] <= grid[np.argmax(mean_f)]
+        lead = mean_f[best] / grid[best]
+        runner_up = np.max(np.delete(mean_f / grid, best))
+        d_minus = 2 * grid[best] * (lead * (1 - BOUND_MARGIN) - runner_up) / mean_f2[best]
+        d_minus_db = 10 * np.log10(d_minus)
+        assert d_minus_db > -20.0  # -14.5 dB and above on these populations
+        for _, dnr_db, result in v.sweep_gamma_search(
+                [lam], d_minus_db - np.array([20.0, 3.0, 0.01]), pop, 0.005):
+            assert result.gamma_star == grid[best], dnr_db
+
+
+class TestHighDnrOptimum:
+    """At high DNR the log2 D term dominates, and it carries the duty factor lambda/gamma.
+
+    log2(D f) <= log2(1 + D f) <= log2(D f) + 1 / (D f ln 2), so with a = E[log2 f] and
+    b = E[1/f] / ln 2 the rate at gamma is at most (lambda/2)(log2 D + a + b/D)/gamma and
+    biasing adjustment's at least (lambda/2)(log2 D + a_lambda)/lambda. Where every gamma >
+    lambda's bound is below biasing's, the search returns gamma* = lambda.
+    """
+
+    DNRS_DB = np.arange(0.0, 80.5, 0.5)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.2, 0.35])
+    def test_search_returns_biasing_above_the_bound(self, pop64, lam):
+        grid = v.gamma_grid(lam, 0.005)
+        f = factor_rows(pop64, grid)
+        a = np.mean(np.log2(f), axis=1)
+        b = np.mean(1.0 / f, axis=1) / np.log(2.0)
+        dnr = 10.0 ** (self.DNRS_DB / 10.0)
+        pwm = (np.log2(dnr) + a[1:, None] + b[1:, None] / dnr) / grid[1:, None]
+        biasing = (np.log2(dnr) + a[0]) / grid[0]
+        holds = np.all(pwm <= biasing - BOUND_MARGIN * np.abs(biasing), axis=0)
+        # D+ = 45.0, 37.0 and 33.0 dB on this grid (44.7, 36.1 and 32.7 dB on a 0.1 dB one)
+        assert holds.any() and self.DNRS_DB[holds].min() <= 60.0
+        for _, dnr_db, result in v.sweep_gamma_search([lam], self.DNRS_DB[holds], pop64, 0.005):
+            assert result.gamma_star == lam, dnr_db
