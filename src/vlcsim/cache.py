@@ -81,9 +81,10 @@ def load_population(path) -> PaprPopulation:
     if numpy_version != _NUMPY_VERSION:
         raise ValueError(f"{path}: sampled under NumPy {numpy_version.decode('ascii', 'replace')}, "
                          f"running NumPy {np.__version__}")
+    size = len(raw) - _HEADER.size  # checked first: frombuffer raises without the path
+    if size != 16 * count:  # 16-byte (upapr, lpapr) records
+        raise ValueError(f"{path}: expected {count} records, {16 * count} bytes; found {size}")
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if body.size != 2 * count:
-        raise ValueError(f"{path}: expected {count} records, found {body.size // 2}")
     if not np.all((body >= 0.0) & (body < np.inf)):  # NaN fails both
         raise ValueError(f"{path}: records must be finite and non-negative")
     records = body.reshape(count, 2)

@@ -76,20 +76,22 @@ def _check_hermitian(rows: np.ndarray, half: int):
         raise HermitianSymmetryError("bins are not Hermitian symmetric")
 
 
-def _synthesize(blk: np.ndarray, n_subcarriers: int, re: np.ndarray,
-                sq: np.ndarray | None = None) -> np.ndarray:
+def _synthesize(blk: np.ndarray, n_subcarriers: int, x: np.ndarray) -> np.ndarray:
     """Turn rows of N*F zero-padded bins (0..N/2 first, N/2+1..N-1 last) into time-domain
-    symbols in place: Hermitian check, inverse DFT scaled by N*F/sqrt(N).
+    symbols: Hermitian check, inverse DFT in place, real parts scaled by N*F/sqrt(N).
 
-    Writes the real parts into re as contiguous rows and returns each row's
-    mean square; sq, if given, is scratch of the same shape.
+    Writes the samples into x as contiguous rows and returns each row's mean
+    square; the squares go into blk's memory, which the samples leave dead.
     """
     _check_hermitian(blk, n_subcarriers // 2)
     np.fft.ifft(blk, axis=1, out=blk)
-    blk *= blk.shape[1] / np.sqrt(n_subcarriers)
-    re[...] = blk.real
-    max_imag = np.abs(blk.imag, out=sq).max(axis=1)
-    var = np.square(re, out=sq).mean(axis=1)
+    scale = blk.shape[1] / np.sqrt(n_subcarriers)
+    # scaling by a positive double is monotone: max|imag| * scale is the scaled maximum
+    max_imag = np.abs(blk.imag, out=x).max(axis=1) * scale
+    np.multiply(blk.real, scale, out=x)
+    # x's shape over blk's first x.size doubles: contiguous, so one flat pass squares it
+    sq = blk.view(np.float64).reshape(-1)[:x.size].reshape(x.shape)
+    var = np.square(x, out=sq).mean(axis=1)
     if np.any(max_imag > np.sqrt(var) * _IMAG_RESIDUAL_TOL):
         raise HermitianSymmetryError(
             f"imaginary residual {max_imag.max():.3e} exceeds {_IMAG_RESIDUAL_TOL:.0e} x RMS")
@@ -350,7 +352,6 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
                          f"({count}, {m})")
     rows = max(1, _BLOCK_BYTES // (16 * m))
     buf = np.empty((rows, m), dtype=np.complex128)
-    sq = np.empty((rows, m))
     re = np.empty((rows, m)) if samples is None else None  # real rows, unless samples holds them
     upapr = np.empty(count)
     lpapr = np.empty(count)
@@ -364,11 +365,8 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
         if start % _SEED_CHUNK == 0:
             _check_reference(constellation, seed, start, blk[0, 1:half])
         _mirror(blk, half)
-        var = _synthesize(blk, n_subcarriers, x, sq[:len(states)])
+        var = _synthesize(blk, n_subcarriers, x)
         upapr[start:stop], lpapr[start:stop] = _papr_rows(x, var)
-
-    if not (np.all(upapr >= 0.0) and np.all(lpapr >= 0.0)):
-        raise ValueError("UPAPR and LPAPR must be non-negative")
     return PaprPopulation(upapr=upapr, lpapr=lpapr, n_subcarriers=n_subcarriers,
                           constellation=constellation, seed=seed,
                           oversample_factor=oversample_factor)

@@ -111,6 +111,27 @@ class TestLoadOrBuild:
         assert_array_equal(pop.upapr, fresh.upapr)
         assert_array_equal(pop.lpapr, fresh.lpapr)
 
+    @pytest.mark.parametrize("delta", [-3, -16, 16],
+                             ids=["partial-record", "missing-record", "extra-record"])
+    def test_body_of_another_record_count_triggers_rebuild(self, tmp_path, delta):
+        """A body that is not the header's 20 whole records fails the load with the path
+        and the expected count, before frombuffer can raise without them."""
+        path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
+        fresh, _ = v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
+                                   oversample_factor=2)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:delta] if delta < 0 else raw + raw[-delta:])
+        with pytest.raises(ValueError, match="expected 20 records") as info:
+            v.load_population(path)
+        assert str(info.value).startswith(f"{path}: ")
+        notes = []
+        pop, cached = v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
+                                      oversample_factor=2, notice=notes.append)
+        assert not cached
+        assert len(notes) == 1 and notes[0].startswith(f"discarding {path}: expected 20 records")
+        assert_array_equal(pop.upapr, fresh.upapr)
+        assert path.read_bytes() == raw
+
     def test_corrupt_file_triggers_rebuild(self, tmp_path):
         path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
         path.parent.mkdir(parents=True, exist_ok=True)

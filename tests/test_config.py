@@ -99,6 +99,8 @@ class TestValidation:
         ("gammas = 0.3, 0.4, 0.3", "gammas"),
         ("gammas = ", "gammas"),
         ("gammas = ,,", "gammas"),
+        ("lambdas = ", "lambdas"),
+        ("lambdas = ,,", "lambdas"),
         ("dnr_db_step = 0", "dnr_db_step"),
         ("dnr_db_stop = -10", "dnr_db_stop"),
         ("zeta_step = 0.7", "zeta_step"),

@@ -59,6 +59,11 @@ class TestDutyCycle:
         with pytest.raises(ValueError):
             v.duty_cycle(0.3, 1.0)
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_brightness_must_lie_inside_zero_one(self, lam):
+        with pytest.raises(ValueError, match="effective brightness must be in"):
+            v.duty_cycle(lam, 0.5)
+
     def test_decimal_complement_of_a_mirrored_brightness_is_always_on(self):
         """gamma = 1 - lambda, written in decimal, gives duty 1 for every
         three-decimal lambda in (0.5, 1), though 1.0 - lambda is rounded."""

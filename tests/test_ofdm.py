@@ -144,11 +144,15 @@ def _per_symbol_formula(bins, factor):
 
 
 class TestOneSynthesisKernel:
-    @pytest.mark.parametrize("n,factor", [(4, 1), (6, 3), (64, 4), (1024, 1)])
+    # sizes whose QPSK and 16-QAM symbols below hold samples that are exactly 0.0
+    WITH_ZEROS = [(4, 2), (6, 2)]
+
+    @pytest.mark.parametrize("n,factor", [(4, 1), (6, 3), (64, 4), (1024, 1), *WITH_ZEROS])
     @pytest.mark.parametrize("constellation", list(v.Constellation))
     def test_to_time_domain_keeps_the_per_symbol_bits(self, n, factor, constellation):
         """The one-row kernel equals the per-symbol formula bit for bit, signed zeros too,
         and papr_of reduces it over the formula's mean square."""
+        zeros = 0
         for i in range(8):
             bins = v.generate_freq_symbol(n, constellation, v.symbol_rng(12345, i))
             samples, sigma_x2 = _per_symbol_formula(bins, factor)
@@ -157,6 +161,9 @@ class TestOneSynthesisKernel:
             upapr, lpapr = v.papr_of(x)
             assert type(upapr) is float and type(lpapr) is float
             assert (upapr, lpapr) == (samples.max() ** 2 / sigma_x2, samples.min() ** 2 / sigma_x2)
+            zeros += np.count_nonzero(x == 0.0)
+        if (n, factor) in self.WITH_ZEROS and constellation is not v.Constellation.COMPLEX_GAUSSIAN:
+            assert zeros > 0  # so the comparison covers the sign of a zero
 
     @pytest.mark.parametrize("factor", [1, 4])
     @pytest.mark.parametrize("index", [0, 8])

@@ -53,8 +53,9 @@ class TestRatePerCell:
 
     @pytest.mark.parametrize("run", [lambda pop: v.sweep_rates([0.3], [0.0], [0.4], pop),
                                      lambda pop: v.sweep_rates([0.3], [0.0], v.AUTO, pop),
-                                     lambda pop: v.sweep_gamma_search([0.3], [0.0], pop)],
-                             ids=["explicit", "auto", "search"])
+                                     lambda pop: v.sweep_gamma_search([0.3], [0.0], pop),
+                                     v.variance_profile],
+                             ids=["explicit", "auto", "search", "profile"])
     def test_rejects_empty_population(self, run):
         with pytest.raises(ValueError, match="population is empty"):
             run(empty_pop())
@@ -87,6 +88,13 @@ class TestRatePerCell:
         assert row.gamma == 0.4
 
 
+# (brightness, step): steps just above (0.5 - lam) / k, whose k-th point rounds past 0.5
+# before the cap; 0.2 + 3 * 0.3 / (3 - 5e-10) is 0.50000000005
+GAMMA_JUST_ABOVE = [(0.2, 0.3 / (3 - 5e-10)),
+                    *((lam, (0.5 - lam) / k * (1 + 1e-12))
+                      for lam in (0.05, 0.2, 1.0 / 7.0, 0.35) for k in (1, 3, 50))]
+
+
 class TestGammaGrid:
     def test_first_point_is_exactly_the_brightness(self):
         grid = v.gamma_grid(0.2, 0.005)
@@ -100,6 +108,14 @@ class TestGammaGrid:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             v.gamma_grid(0.2, 0.0)
+
+    @pytest.mark.parametrize("lam, step", GAMMA_JUST_ABOVE)
+    def test_last_point_is_capped_at_exactly_half(self, lam, step):
+        """The uncapped last point lam + k step lies past 0.5; the cap makes it 0.5."""
+        grid = v.gamma_grid(lam, step)
+        k = len(grid) - 1
+        assert lam + k * step > 0.5 and grid[-1] == 0.5
+        assert np.all(np.diff(grid) > 0)
 
 
 def search(lam, dnr_db, pop, step=0.005):
@@ -541,6 +557,7 @@ DNR_GRIDS = [(0.0, 60.0, 2.0), (0.0, 60.0, 0.1), (-10.0, 60.0, 0.5), (-10.0, 60.
 GRID_CASES = [*((dnr_case, args) for args in DNR_GRIDS),
               *((gamma_case, (lam, step)) for lam in (0.05, 0.2, 1.0 / 7.0, 0.35, 0.5)
                 for step in (0.005, 0.01, 0.05, 0.3, 0.5, 1.0)),
+              *((gamma_case, args) for args in GAMMA_JUST_ABOVE),
               *((zeta_case, (step,)) for step in ZETA_STEPS)]
 
 
