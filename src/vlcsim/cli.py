@@ -136,13 +136,11 @@ def _cmd_variance_sweep(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     profile_path = out / "variance_profile.csv"
     peaks_path = out / "variance_peaks.csv"
-    profile_rows = []
-    peak_rows = []
+    profile_rows, peak_rows = [], []
     for n in cfg.subcarrier_counts():
         profile = variance_profile(_population(cfg, n), cfg.zeta_step)
         profile_rows.extend((n, zeta, mean) for zeta, mean in profile.grid)
-        peak = profile.grid[profile.grid[:, 0] == profile.zeta_dagger][0, 1]
-        peak_rows.append((n, profile.zeta_dagger, peak))
+        peak_rows.append((n, profile.zeta_dagger, profile.peak_mean))
     write_rows(profile_path, ["n_subcarriers", "zeta", "mean_sigma_y2"], profile_rows)
     write_rows(peaks_path, ["n_subcarriers", "zeta_dagger", "peak_mean_sigma_y2"], peak_rows)
     _notice(f"wrote {profile_path} and {peaks_path}")
@@ -160,7 +158,7 @@ def _cmd_rate_sweep(cfg: ExperimentConfig) -> int:
     pop = _population(cfg, cfg.n_subcarriers)
     rows = sweep_rates(cfg.lambdas, cfg.dnr_db_grid(), cfg.gammas, pop, cfg.gamma_step)
     csv_path = Path(cfg.output_dir) / "rates.csv"
-    write_rates_csv(csv_path, rows, cfg.seed)
+    write_rates_csv(csv_path, rows, pop)
     _notice(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 

@@ -15,13 +15,14 @@ from .dimming import effective_brightness, off_interval
 from .errors import ConfigError
 from .led import LedModel
 from .ofdm import Constellation
-from .rates import AUTO, dnr_linear, grid, grid_points
+from .rates import AUTO, dnr_linear, grid, grid_points, zeta_grid_points
 
 #: most points a grid may have, checked before building it by each run that builds
 #: it: the DNR grid, rate table, forward-ratio search and variance profile, counted
-#: by rates.grid_points(), and a waveform frame's off interval, in the check_*_budget()
-#: methods. Runs at the budget with --quick (1000 symbols, N = 64) and one brightness,
-#: measured on 2 cores with Python 3.11 and NumPy 2.4 (a bare run peaks at 36 MB RSS):
+#: by rates.grid_points() and rates.zeta_grid_points(), and a waveform frame's off
+#: interval, in the check_*_budget() methods. Runs at the budget with --quick (1000
+#: symbols, N = 64) and one brightness, measured on 2 cores with Python 3.11 and
+#: NumPy 2.4 (a bare run peaks at 36 MB RSS):
 #:   rate-sweep, 1e6 rows (500k DNR points)    63 s, 336 MB peak RSS
 #:   optimize-gamma, 1e6 search cells           23 s,  64 MB
 #:   rate-sweep --gamma auto, 1e6 search cells  14 s,  64 MB
@@ -94,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("oversample_factor", f"must be >= 1, got {self.oversample_factor}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed", f"must be in [0, 2**64), got {self.seed}")
+        if not self.i_low >= 0:  # 0 A is the LED's off state, so it cannot lie inside the range
+            raise ConfigError("i_low", f"must be >= 0, got {self.i_low}")
         if not self.i_high > self.i_low:
             raise ConfigError("i_high", f"must exceed i_low, got [{self.i_low}, {self.i_high}]")
         if not self.o_high > 0:
@@ -146,9 +149,7 @@ class ExperimentConfig:
     def check_profile_budget(self):
         """Raise ConfigError unless variance-sweep's profile fits the grid budget:
         rates.zeta_grid's points, once per subcarrier count."""
-        half = grid_points(0.0, 0.5, self.zeta_step) - 1  # the points past 0, capped at 0.5,
-        points = 2 * half - (self.zeta_step * half >= 0.5)  # and the mirrors of those below it
-        _check_budget("zeta_step", points * len(self.subcarrier_counts()),
+        _check_budget("zeta_step", zeta_grid_points(self.zeta_step) * len(self.subcarrier_counts()),
                       "(subcarrier count, biasing ratio) rows in the variance profile")
 
     def check_rate_table_budget(self):

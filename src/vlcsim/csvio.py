@@ -15,8 +15,8 @@ and every field is laid out by repr's rules; a float column whose
 bits equal an earlier column's in the chunk reuses its text, and an index
 range is written as str writes it. Each chunk's fields are placed in
 fixed-width slots of one uint8 buffer padded with NUL bytes, which are then
-deleted. write_rows formats field by field with repr, the reference the
-column path is tested against.
+deleted. write_rows formats field by field with repr; tests/test_csvio.py
+checks the column path against a row-by-row repr reference of its own.
 """
 
 import functools

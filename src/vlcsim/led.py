@@ -24,6 +24,8 @@ class LedModel:
     o_high: float = 1.0
 
     def __post_init__(self):
+        if not self.i_low >= 0:  # 0 A is the off state, which must not lie inside the range
+            raise ValueError(f"i_low must be >= 0, got {self.i_low}")
         if not self.i_high > self.i_low:
             raise ValueError(f"need i_high > i_low, got [{self.i_low}, {self.i_high}]")
         if not self.o_high > 0:

@@ -126,17 +126,6 @@ def symbol_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _u32_words(value) -> list[int]:
-    """The 32-bit words SeedSequence takes from one integer, least significant first."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"seed words must be non-negative, got {value}")
-    words = [value & _U32]
-    while value := value >> 32:
-        words.append(value & _U32)
-    return words
-
-
 def _hasher(const: int, mult: int):
     """SeedSequence's running uint32 hash; each call advances the multiplier."""
     def hashmix(value: np.ndarray) -> np.ndarray:
@@ -157,17 +146,17 @@ def _seed_states(seed: int, start: int, stop: int) -> np.ndarray:
     """Rows SeedSequence([seed, i]).generate_state(4, np.uint64), i in [start, stop).
 
     Follows SeedSequence step for step on uint32 columns, one row per index:
-    the entropy is seed's words then i's, hashed into the pool (zero-padded
-    to its size), the pool cross-mixed, and words beyond the pool mixed in
-    last. Indices must lie in [0, 2**64).
+    seed's 32-bit words then i's, least significant first, are hashed into the
+    zero-padded four-word pool, which is then cross-mixed. Seeds in [0, 2**64)
+    and indices take two words at most, so all fit; other seeds raise ValueError.
+    An index below 2**32 has one word: its zero high word is that padding.
     """
+    if not 0 <= operator.index(seed) < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     index = np.arange(start, stop, dtype=np.uint64)
-    high = (index >> np.uint64(32)).astype(np.uint32)
-    words = [np.full(len(index), w, dtype=np.uint32) for w in _u32_words(seed)]
-    words += [index.astype(np.uint32), high]
-    # an index below 2**32 has one word: its high word is absent, which is
-    # zero padding inside the pool and no mixing step beyond it
-    present = [True] * (len(words) - 1) + [high != 0]
+    seed_words = [seed] if seed <= _U32 else [seed & _U32, seed >> 32]
+    words = [np.full(len(index), w, dtype=np.uint32) for w in seed_words]
+    words += [index.astype(np.uint32), (index >> np.uint64(32)).astype(np.uint32)]
     hashmix = _hasher(_SS_INIT_A, _SS_MULT_A)
     zero = np.zeros(len(index), dtype=np.uint32)
     pool = [hashmix(words[k] if k < len(words) else zero) for k in range(_SS_POOL)]
@@ -175,9 +164,6 @@ def _seed_states(seed: int, start: int, stop: int) -> np.ndarray:
         for dst in range(_SS_POOL):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for k in range(_SS_POOL, len(words)):
-        for dst in range(_SS_POOL):
-            pool[dst] = np.where(present[k], _mix(pool[dst], hashmix(words[k])), pool[dst])
     hashmix = _hasher(_SS_INIT_B, _SS_MULT_B)
     state = np.empty((len(index), 8), dtype="<u4")
     for k in range(8):
@@ -337,7 +323,8 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
 
     samples, if given, is a writeable C-contiguous float64 array of shape
     (count, N*F); the kernel writes symbol i's time-domain samples, those of
-    to_time_domain, straight into row i. It is checked before any draw.
+    to_time_domain, straight into row i. It is checked before any draw, and so
+    is the seed, which must lie in [0, 2**64).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

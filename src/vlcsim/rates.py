@@ -27,15 +27,17 @@ _LOG2_BLOCK_BYTES = 320 * 1024
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Ergodic rate and average SNR of one (scheme, brightness, DNR) cell."""
+    """Ergodic rate and average SNR of one (brightness, gamma, DNR) cell; gamma None is biasing."""
 
-    rate: float
-    avg_snr_db: float
-    n_samples: int
-    scheme: Scheme
     brightness: float
     gamma: float | None
     dnr_db: float
+    rate: float
+    avg_snr_db: float
+
+    @property
+    def scheme(self) -> Scheme:
+        return Scheme.BIASING_ADJUSTMENT if self.gamma is None else Scheme.PWM
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,10 +51,11 @@ class GammaSearchResult:
 
 @dataclass(frozen=True, eq=False)
 class VarianceProfile:
-    """Mean normalized variance over a biasing-ratio grid and its peak location."""
+    """Mean normalized variance over a biasing-ratio grid, its peak location and peak mean."""
 
     grid: np.ndarray  # rows of (zeta, mean sigma_y^2 / D^2)
     zeta_dagger: float
+    peak_mean: float  # the grid's mean at zeta_dagger
 
 
 def _db(linear: float) -> float:
@@ -133,12 +136,14 @@ def dnr_linear(dnr_db) -> float:
     return dnr
 
 
-def _estimate(table: _Rows, brightness: float, lam_eff: float, gamma, j: int, rate):
-    """The row at DNR j; gamma None is biasing, PWM at forward ratio lam_eff."""
-    return RateEstimate(rate=float(rate), n_samples=len(table.pop), brightness=brightness,
-                        avg_snr_db=_db(table.snr(lam_eff if gamma is None else gamma, j)),
-                        scheme=Scheme.BIASING_ADJUSTMENT if gamma is None else Scheme.PWM,
-                        gamma=gamma, dnr_db=_db(table.dnrs[j]))
+def _table(pop: PaprPopulation, lambdas, dnrs_db, gammas=AUTO) -> _Rows:
+    """A sweep call's table of rows, after the entry checks both sweeps share."""
+    for name, values in (("lambdas", lambdas), ("dnrs_db", dnrs_db), ("gammas", gammas)):
+        if not len(values):
+            raise ValueError(f"{name} must be non-empty")
+    if isinstance(gammas, str) and gammas != AUTO:
+        raise ValueError(f"gammas must be a sequence of ratios or {AUTO!r}")
+    return _Rows(pop, [dnr_linear(dnr_db) for dnr_db in dnrs_db])
 
 
 def grid_points(start: float, stop: float, step: float) -> float:
@@ -166,14 +171,12 @@ def gamma_grid(lambda_effective: float, grid_step: float) -> np.ndarray:
     return np.minimum(grid(lambda_effective, 0.5, grid_step), 0.5)
 
 
-def _search(lambda_effective: float, grid_step: float, table: _Rows) -> list[GammaSearchResult]:
-    """One forward-ratio search per DNR, all read from one shared rate grid."""
+def _search(lambda_effective: float, grid_step: float, table: _Rows):
+    """A brightness's search table: its forward ratios, their rates (ratios x DNRs) and
+    each DNR's first best row, so ties resolve to the smallest ratio."""
     gammas = gamma_grid(lambda_effective, grid_step)
     rates = table.rates(lambda_effective, gammas)
-    return [GammaSearchResult(gamma_star=float(gammas[best]),
-                              rate_at_star=float(rates[best, j]),
-                              grid=np.column_stack([gammas, rates[:, j]]))
-            for j, best in enumerate(np.argmax(rates, axis=0))]
+    return gammas, rates, np.argmax(rates, axis=0)
 
 
 def sweep_gamma_search(lambdas, dnrs_db, pop: PaprPopulation, gamma_step: float = 0.005
@@ -185,11 +188,13 @@ def sweep_gamma_search(lambdas, dnrs_db, pop: PaprPopulation, gamma_step: float 
     brightness, the winner never loses to biasing adjustment. The grids share
     one table of rows, so a ratio on several brightnesses' grids is evaluated once.
     """
-    table = _Rows(pop, [dnr_linear(dnr_db) for dnr_db in dnrs_db])
+    table = _table(pop, lambdas, dnrs_db)
     cells = []
     for lam in lambdas:
-        results = _search(effective_brightness(lam)[0], gamma_step, table)
-        cells.extend((lam, float(dnr_db), result) for dnr_db, result in zip(dnrs_db, results))
+        gammas, rates, best = _search(effective_brightness(lam)[0], gamma_step, table)
+        for j, (dnr_db, k) in enumerate(zip(dnrs_db, best)):
+            cells.append((lam, float(dnr_db), GammaSearchResult(
+                float(gammas[k]), float(rates[k, j]), np.column_stack([gammas, rates[:, j]]))))
     return cells
 
 
@@ -200,6 +205,12 @@ def zeta_grid(grid_step: float) -> np.ndarray:
     # capped at 0.5, which the count's slack can pass; 0.5 is its own mirror, kept once
     lower = np.minimum(grid(0.0, 0.5, grid_step)[1:], 0.5)
     return np.concatenate([lower, (1.0 - lower[lower < 0.5])[::-1]])
+
+
+def zeta_grid_points(grid_step: float) -> float:
+    """zeta_grid(grid_step)'s point count as a float, counted without building it."""
+    half = grid_points(0.0, 0.5, grid_step) - 1  # the points past 0, capped at 0.5,
+    return 2 * half - (grid_step * half >= 0.5)  # and the mirrors of those below it
 
 
 def variance_profile(pop: PaprPopulation, grid_step: float = 0.01) -> VarianceProfile:
@@ -216,8 +227,9 @@ def variance_profile(pop: PaprPopulation, grid_step: float = 0.01) -> VariancePr
     lower = np.array([float(np.mean(variance_factor(z, pop.upapr, pop.lpapr)))
                       for z in zetas[:(len(zetas) + 1) // 2]])
     means = np.concatenate([lower, lower[:len(zetas) // 2][::-1]])
+    peak = int(np.argmax(lower))
     return VarianceProfile(grid=np.column_stack([zetas, means]),
-                           zeta_dagger=float(zetas[int(np.argmax(lower))]))
+                           zeta_dagger=float(zetas[peak]), peak_mean=float(lower[peak]))
 
 
 def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
@@ -231,41 +243,40 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
 
     gammas is a sequence of forward ratios or AUTO, in which case each
     (brightness, DNR) cell gets its own optimized ratio, searched once per
-    brightness: the PWM row's rate is the search's rate at the optimum and
-    the biasing row is the grid's first point, ratio = brightness. With
-    explicit ratios, a brightness's biasing and PWM rows come from one rate
-    grid over all DNRs. Every rate and SNR comes from one table of rows per call.
+    brightness: the PWM row is the search table's best row and the biasing row
+    its first, ratio = brightness. With explicit ratios, a brightness's biasing
+    and PWM rows come from one rate grid over all DNRs. Every rate and SNR
+    comes from one table of rows per call.
     Row order: brightness outermost, then DNR, then schemes.
     """
-    if not len(lambdas) or not len(dnrs_db) or not len(gammas):
-        raise ValueError("lambdas, dnrs_db and gammas must be non-empty")
-    if isinstance(gammas, str) and gammas != AUTO:
-        raise ValueError(f"gammas must be a sequence of ratios or {AUTO!r}")
-    table = _Rows(pop, [dnr_linear(dnr_db) for dnr_db in dnrs_db])
+    table = _table(pop, lambdas, dnrs_db, gammas)
     rows: list[RateEstimate] = []
     for lam in lambdas:
         lam_eff, _ = effective_brightness(lam)
         # grid[k][j]: the (gamma, rate) of scheme row k at DNR j, biasing first
         if isinstance(gammas, str):
-            searches = _search(lam_eff, gamma_step, table)
-            grid = [[(None, search.grid[0, 1]) for search in searches],
-                    [(search.gamma_star, search.rate_at_star) for search in searches]]
+            ratios, rates, best = _search(lam_eff, gamma_step, table)
+            grid = [[(None, rate) for rate in rates[0]],
+                    [(float(ratios[k]), rates[k, j]) for j, k in enumerate(best)]]
         else:
             ratios = [float(g) for g in gammas]
             rates = table.rates(lam_eff, [lam_eff, *ratios])
             grid = [[(gamma, rate) for rate in row] for gamma, row in zip([None, *ratios], rates)]
-        estimates = [[_estimate(table, lam, lam_eff, gamma, j, rate)
+        # a ratio at a time, so each SNR factor is computed once per run of its ratio
+        estimates = [[RateEstimate(lam, gamma, _db(table.dnrs[j]), float(rate),
+                                   _db(table.snr(lam_eff if gamma is None else gamma, j)))
                       for j, (gamma, rate) in enumerate(row)] for row in grid]
         rows.extend(row for cell in zip(*estimates) for row in cell)
     return rows
 
 
-def write_rates_csv(path, estimates, seed: int):
-    """Rate table rows: scheme,lambda,gamma,dnr_db,rate_bits,avg_snr_db,n_samples,seed."""
+def write_rates_csv(path, estimates, pop: PaprPopulation):
+    """Rate table rows: scheme,lambda,gamma,dnr_db,rate_bits,avg_snr_db,n_samples,seed,
+    the last two those of the population the rates were estimated from."""
     write_rows(path, ["scheme", "lambda", "gamma", "dnr_db", "rate_bits", "avg_snr_db",
                       "n_samples", "seed"],
                ((est.scheme.value, est.brightness, est.gamma, est.dnr_db, est.rate,
-                 est.avg_snr_db, est.n_samples, seed) for est in estimates))
+                 est.avg_snr_db, len(pop), pop.seed) for est in estimates))
 
 
 def write_gamma_search_csv(path, cells):

@@ -97,8 +97,7 @@ def test_criterion_3_variance_profile_shape(pop64, pop256, pop1024):
     ordered = midpoint(profiles[64]) > midpoint(profiles[256]) > midpoint(profiles[1024])
     peaked = True
     for prof in profiles.values():
-        peak = float(prof.grid[prof.grid[:, 0] == prof.zeta_dagger][0, 1])
-        peaked &= prof.zeta_dagger <= 0.5 and peak >= midpoint(prof)
+        peaked &= prof.zeta_dagger <= 0.5 and prof.peak_mean >= midpoint(prof)
     report(3, symmetric and ordered and peaked,
            f"symmetry exact={symmetric}, N-ordering at 0.5={ordered}, "
            f"peak location ok={peaked} "

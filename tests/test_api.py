@@ -56,6 +56,12 @@ def test_dimming_spec_has_the_paper_parameters_only():
         "brightness", "forward_ratio")
 
 
+def test_rate_row_has_the_cell_and_its_results_only():
+    """n_samples and seed belong to the population and the scheme follows from gamma."""
+    assert tuple(f.name for f in dataclasses.fields(v.RateEstimate)) == (
+        "brightness", "gamma", "dnr_db", "rate", "avg_snr_db")
+
+
 def test_dnr_check_is_one_helper_outside_the_public_list():
     assert "dnr_linear" not in v.__all__
     pop = v.sample_papr_population(16, v.Constellation.QPSK, 5, seed=1)

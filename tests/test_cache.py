@@ -81,6 +81,12 @@ class TestLoadOrBuild:
         assert cached
         assert_array_equal(pop.upapr, again.upapr)
 
+    def test_seed_beyond_u64_is_rejected_before_anything_is_cached(self, tmp_path):
+        """The header's seed field is a uint64, so such a seed never reaches it."""
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 5, seed=2 ** 64)
+        assert not any(tmp_path.iterdir())
+
     def test_mismatched_header_triggers_rebuild(self, tmp_path):
         path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
         stale = v.sample_papr_population(16, v.Constellation.QPSK, 20, seed=999,

@@ -181,6 +181,15 @@ class TestExitCodes:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_led_range_below_zero_is_a_config_error(self, tmp_path, capsys):
+        """0 A is the off state, so a range below it would write off-state rows inside it."""
+        cfg = tmp_path / "led.cfg"
+        cfg.write_text("i_low = -1.0\ni_high = 1.0\nlambdas = 0.5\ngammas = 0.5\n")
+        assert run("waveform-demo", "--config", cfg, "--n", 4, "--oversample", 2,
+                   "--symbols", 50, "--out", tmp_path / "out") == 2
+        assert "vlcsim: config error: i_low: must be >= 0, got -1.0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys):
         assert run("papr-sample", "--config", tmp_path / "missing.cfg",
                    "--out", tmp_path / "out") == 2
@@ -385,25 +394,33 @@ class TestOutputs:
                 == (tmp_path / "auto" / "gamma_search.csv").read_bytes())
 
     def test_auto_rate_sweep_rows_are_the_search_grid_rows(self, tmp_path):
-        """Each cell's PWM row is its starred row and its biasing row the grid's first row,
-        with shared (0.05, 0.2, 0.35) and mirrored (0.7) brightness grids."""
+        """rate-sweep --gamma auto and optimize-gamma read one search: cell by cell, the PWM
+        row has the starred row's lambda, gamma and rate and the biasing row the grid's first
+        rate, with shared (0.05, 0.2, 0.35) and mirrored (0.7) brightness grids."""
         argv = ["--quick", "--lambda", "0.05,0.2,0.35,0.7", "--out", tmp_path]
         assert run("rate-sweep", "--gamma", "auto", *argv) == 0
         assert run("optimize-gamma", *argv) == 0
         rates = [line.split(",") for line in (tmp_path / "rates.csv").read_text().splitlines()[1:]]
         cells, grid = [], []
         for line in (tmp_path / "gamma_search.csv").read_text().splitlines()[1:]:
-            lam, _, gamma, rate, star = line.split(",")
-            grid.append((lam, gamma, rate))
+            lam, dnr_db, gamma, rate, star = line.split(",")
+            grid.append((lam, dnr_db, gamma, rate))
             if star:
                 cells.append((grid[0], grid[-1]))
                 grid = []
         assert len(cells) == 4 * 31 and len(rates) == 2 * len(cells)
+        respelled = 0
         for (biasing, pwm), (first, starred) in zip(zip(rates[::2], rates[1::2]), cells):
             assert (biasing[0], pwm[0]) == ("biasing", "pwm")
             assert biasing[1] == pwm[1] == first[0] == starred[0]
-            assert biasing[4] == first[2]
-            assert (pwm[2], pwm[4]) == starred[1:]
+            assert biasing[4] == first[3]
+            assert (pwm[2], pwm[4]) == starred[2:]
+            # cells match by position: rates.csv prints 10 log10 of the linear DNR, so
+            # the 2 dB grid point reads 2.0000000000000004 there and 2.0 in the search
+            assert biasing[3] == pwm[3] and first[1] == starred[1]
+            assert float(biasing[3]) == pytest.approx(float(first[1]), rel=1e-15, abs=0)
+            respelled += biasing[3] != first[1]
+        assert 0 < respelled < len(cells)
 
     def test_waveform_demo_writes_both_schemes(self, tmp_path):
         out = tmp_path / "out"

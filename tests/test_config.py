@@ -92,6 +92,7 @@ class TestValidation:
         ("seed = -1", "seed"),
         ("seed = 18446744073709551616", "seed"),
         ("i_low = 2.0", "i_high"),
+        ("i_low = -1.0", "i_low"),
         ("o_high = 0.0", "o_high"),
         ("lambdas = 1.5", "lambdas"),
         ("gammas = 0.2, 1.2", "gammas"),

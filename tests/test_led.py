@@ -32,6 +32,12 @@ class TestLedModel:
         with pytest.raises(ValueError):
             v.LedModel(i_low=1.0, i_high=1.0)
 
+    @pytest.mark.parametrize("i_low", [-1.0, -1e-300])
+    def test_rejects_a_range_below_zero(self, i_low):
+        """0 A is the off state, so a range reaching below it would hold the off state."""
+        with pytest.raises(ValueError, match="i_low must be >= 0"):
+            v.LedModel(i_low=i_low, i_high=1.0)
+
     def test_rejects_nonpositive_output(self):
         with pytest.raises(ValueError):
             v.LedModel(o_high=0.0)

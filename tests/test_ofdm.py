@@ -366,7 +366,7 @@ def _numpy_seed_states(seed, start, stop):
 
 
 class TestBatchedSeeding:
-    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 70])
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
     @pytest.mark.parametrize("start,stop", [(0, 5), (2 ** 32 - 3, 2 ** 32 + 3),
                                             (2 ** 64 - 3, 2 ** 64)])
     def test_states_equal_seed_sequence(self, seed, start, stop):
@@ -375,11 +375,18 @@ class TestBatchedSeeding:
         assert states.dtype == np.uint64
         assert_array_equal(states, _numpy_seed_states(seed, start, stop))
 
-    def test_negative_seed_raises(self):
-        with pytest.raises(ValueError):
-            v.ofdm._seed_states(-1, 0, 3)
-        with pytest.raises(ValueError):
-            v.sample_papr_population(16, v.Constellation.QPSK, 3, seed=-1)
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+    def test_seed_outside_u64_raises_before_any_draw(self, monkeypatch, seed):
+        """SeedSequence would take three words from a seed of 2**64 or more, more than its
+        pool fits beside an index's two; the sampler rejects it before its first draw."""
+        def refuse(*args):
+            raise AssertionError("a rejected seed drew symbols")
+
+        monkeypatch.setattr(v.ofdm, "_draw_rows", refuse)
+        for sample in (lambda: v.ofdm._seed_states(seed, 0, 3),
+                       lambda: v.sample_papr_population(16, v.Constellation.QPSK, 3, seed)):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                sample()
 
     @pytest.mark.parametrize("n,factor", [(6, 3), (64, 4)])
     @pytest.mark.parametrize("constellation", list(v.Constellation))

@@ -81,11 +81,11 @@ class TestRatePerCell:
         assert a.rate == b.rate
         assert c.rate == pytest.approx(d.rate, rel=1e-12)
 
-    def test_reports_population_size_and_scheme(self, pop64):
-        row = v.sweep_rates([0.2], [10.0], [0.4], pop64)[1]
-        assert row.n_samples == len(pop64)
-        assert row.scheme is v.Scheme.PWM
-        assert row.gamma == 0.4
+    def test_scheme_follows_from_the_ratio(self, pop64):
+        """The scheme is read off the ratio: None is biasing adjustment."""
+        biasing, pwm = v.sweep_rates([0.2], [10.0], [0.4], pop64)
+        assert (biasing.gamma, biasing.scheme) == (None, v.Scheme.BIASING_ADJUSTMENT)
+        assert (pwm.gamma, pwm.scheme) == (0.4, v.Scheme.PWM)
 
 
 # (brightness, step): steps just above (0.5 - lam) / k, whose k-th point rounds past 0.5
@@ -208,14 +208,16 @@ class TestVarianceProfile:
                              for z in zetas])
         np.testing.assert_array_equal(means.view(np.uint64), per_zeta.view(np.uint64))
         lower = zetas <= 0.5
-        assert prof.zeta_dagger == zetas[lower][np.argmax(per_zeta[lower])]
+        # the grid is sorted, so the lower half's first maximum is the row of zeta_dagger
+        peak = int(np.argmax(per_zeta[lower]))
+        assert (prof.zeta_dagger, bits(prof.peak_mean)) == (zetas[peak], bits(means[peak]))
 
     def test_peak_sits_in_lower_half_and_beats_midpoint(self, pop64):
         prof = v.variance_profile(pop64, 0.01)
         assert prof.zeta_dagger <= 0.5
         midpoint = prof.grid[prof.grid[:, 0] == 0.5][0, 1]
-        peak = prof.grid[prof.grid[:, 0] == prof.zeta_dagger][0, 1]
-        assert peak >= midpoint
+        assert prof.peak_mean >= midpoint
+        assert prof.peak_mean == prof.grid[:, 1].max()
 
     def test_more_subcarriers_flatten_the_profile(self, pop64, pop1024):
         at64 = v.variance_profile(pop64, 0.1)
@@ -261,26 +263,45 @@ class TestSweepRates:
         with pytest.raises(ValueError):
             v.sweep_rates([0.2], [20.0], "best", pop64)
 
-    def test_rejects_empty_grids(self, pop64):
-        """An empty ratio list would leave only the biasing rows, not a row per scheme."""
-        for lambdas, dnrs_db, gammas in [([], [20.0], v.AUTO), ([0.2], [], v.AUTO),
-                                         ([0.2], [0.0, 10.0], []),
-                                         ([0.2], [0.0, 10.0], np.array([]))]:
-            with pytest.raises(ValueError,
-                               match="lambdas, dnrs_db and gammas must be non-empty"):
-                v.sweep_rates(lambdas, dnrs_db, gammas, pop64)
+    @pytest.mark.parametrize("sweep, args, name", [
+        (v.sweep_rates, ([], [20.0], v.AUTO), "lambdas"),
+        (v.sweep_rates, ([0.2], [], v.AUTO), "dnrs_db"),
+        (v.sweep_rates, ([0.2], [0.0, 10.0], []), "gammas"),
+        (v.sweep_rates, ([0.2], [0.0, 10.0], np.array([])), "gammas"),
+        (v.sweep_gamma_search, ([], [20.0]), "lambdas"),
+        (v.sweep_gamma_search, ([0.2], []), "dnrs_db")],
+        ids=["rates-lambdas", "rates-dnrs", "rates-gammas", "rates-gammas-array",
+             "search-lambdas", "search-dnrs"])
+    def test_rejects_empty_grids(self, pop64, sweep, args, name):
+        """Both sweeps share one entry check. An empty ratio list would leave only the
+        biasing rows, not a row per scheme, and an empty search would return no cell."""
+        with pytest.raises(ValueError, match=f"^{name} must be non-empty$"):
+            sweep(*args, pop64)
+
+    def test_auto_rows_build_no_search_result(self, pop64, monkeypatch):
+        """The auto table reads each brightness's search table, not per-cell results."""
+        args = ([0.05, 0.2, 0.7], [0.0, 10.0, 30.0], v.AUTO, pop64, 0.01)
+        expected = v.sweep_rates(*args)
+
+        def refuse(*_, **__):
+            raise AssertionError("sweep_rates built a GammaSearchResult")
+
+        monkeypatch.setattr(v.rates, "GammaSearchResult", refuse)
+        assert v.sweep_rates(*args) == expected
 
 
 class TestCsvWriters:
     def test_rates_csv_layout(self, tmp_path, pop64):
         rows = v.sweep_rates([0.2], [0.0, 20.0], [0.4], pop64)
         path = tmp_path / "rates.csv"
-        v.write_rates_csv(path, rows, seed=2024)
+        v.write_rates_csv(path, rows, pop64)
         with open(path) as fh:
             parsed = list(csv.reader(fh))
         assert parsed[0] == ["scheme", "lambda", "gamma", "dnr_db", "rate_bits",
                              "avg_snr_db", "n_samples", "seed"]
         assert len(parsed) == len(rows) + 1
+        # the population's size and seed, on every row
+        assert {tuple(row[6:]) for row in parsed[1:]} == {(str(len(pop64)), str(pop64.seed))}
         assert parsed[1][0] == "biasing" and parsed[1][2] == ""
         assert parsed[2][0] == "pwm" and float(parsed[2][2]) == 0.4
         assert float(parsed[1][4]) == rows[0].rate
@@ -299,7 +320,7 @@ class TestCsvWriters:
     def test_writers_read_a_one_shot_iterable_once(self, tmp_path, pop64):
         rows = v.sweep_rates([0.2, 0.3], [0.0, 10.0, 20.0], [0.4, 0.45], pop64)
         cells = v.sweep_gamma_search([0.2, 0.3], [0.0, 20.0], pop64, 0.05)
-        for write, table, extra in [(v.write_rates_csv, rows, (7,)),
+        for write, table, extra in [(v.write_rates_csv, rows, (pop64,)),
                                     (v.write_gamma_search_csv, cells, ())]:
             write(tmp_path / "list.csv", table, *extra)
             write(tmp_path / "gen.csv", (item for item in table), *extra)
@@ -425,10 +446,9 @@ def paper_row(lam, gamma, dnr_db, pop):
     with np.errstate(divide="ignore"):
         shown_db = float(10.0 * np.log10(dnr))
     return v.RateEstimate(
+        brightness=lam, gamma=gamma, dnr_db=shown_db,
         rate=float(paper_rate(v.dimming.duty_cycle(lam_eff, ratio), dnr, ratio, pop)),
-        avg_snr_db=float(paper_snr_db(dnr, ratio, pop)), n_samples=len(pop),
-        scheme=v.Scheme.BIASING_ADJUSTMENT if gamma is None else v.Scheme.PWM,
-        brightness=lam, gamma=gamma, dnr_db=shown_db)
+        avg_snr_db=float(paper_snr_db(dnr, ratio, pop)))
 
 
 def first_symbols(pop, n):
