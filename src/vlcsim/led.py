@@ -3,7 +3,9 @@
 The device is a predistorted LED that is linear over [i_low, i_high] and
 emits o_high at full drive. A zero-mean OFDM symbol is scaled by the
 largest-magnitude factor that keeps it inside the dynamic range for a given
-bias, which fixes the transmitted variance in closed form.
+bias, which fixes the transmitted variance in closed form. The range and
+the output are finite, and so must be the extremes compute_alpha takes and
+the PAPRs variance_closed_form takes; the variance_factor kernel checks none.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import CurrentRangeError, DegenerateSymbolError, InvalidBiasError
 
 @dataclass(frozen=True)
 class LedModel:
-    """Usable current interval [i_low, i_high] and peak optical output o_high."""
+    """Usable current interval [i_low, i_high] and peak optical output o_high, all finite."""
 
     i_low: float = 0.0
     i_high: float = 1.0
@@ -26,10 +28,10 @@ class LedModel:
     def __post_init__(self):
         if not self.i_low >= 0:  # 0 A is the off state, which must not lie inside the range
             raise ValueError(f"i_low must be >= 0, got {self.i_low}")
-        if not self.i_high > self.i_low:
-            raise ValueError(f"need i_high > i_low, got [{self.i_low}, {self.i_high}]")
-        if not self.o_high > 0:
-            raise ValueError(f"o_high must be positive, got {self.o_high}")
+        if not self.i_low < self.i_high < np.inf:
+            raise ValueError(f"need finite i_high > i_low, got [{self.i_low}, {self.i_high}]")
+        if not 0 < self.o_high < np.inf:
+            raise ValueError(f"o_high must be positive and finite, got {self.o_high}")
 
     @property
     def dynamic_range(self) -> float:
@@ -42,13 +44,13 @@ def compute_alpha(max_x, min_x, bias: float, led: LedModel):
     Of the tightest positive candidate and the tightest negative one, alpha is
     the one with the larger magnitude, ties going to the positive sign. One
     signal extreme always lands on a range boundary. Elementwise over arrays
-    of per-symbol extremes; scalars give a scalar.
+    of per-symbol extremes, which must be finite; scalars give a scalar.
     """
     max_x, min_x = np.broadcast_arrays(max_x, min_x)
-    bad = np.flatnonzero(~((max_x > 0.0) & (min_x < 0.0)))
+    bad = np.flatnonzero(~((0.0 < max_x) & (max_x < np.inf) & (-np.inf < min_x) & (min_x < 0.0)))
     if bad.size:
-        raise DegenerateSymbolError(f"need max_x > 0 > min_x, got max_x={max_x.flat[bad[0]]}, "
-                                    f"min_x={min_x.flat[bad[0]]}"
+        raise DegenerateSymbolError(f"need finite max_x > 0 > min_x, got "
+                                    f"max_x={max_x.flat[bad[0]]}, min_x={min_x.flat[bad[0]]}"
                                     + (f" in row {bad[0]}" if max_x.ndim else ""))
     if not led.i_low < bias < led.i_high:
         raise InvalidBiasError(
@@ -76,11 +78,13 @@ def variance_factor(zeta, upapr, lpapr):
 
 
 def variance_closed_form(zeta, upapr, lpapr, led: LedModel):
-    """Variance of the maximally scaled symbol at biasing ratio zeta in (0, 1): D^2 times
-    variance_factor, broadcasting over zeta and per-symbol upapr, lpapr (scalars give a scalar)."""
+    """D^2 times variance_factor: the variance of the maximally scaled symbol at biasing ratio
+    zeta in (0, 1), over zeta and finite per-symbol upapr, lpapr (scalars give a scalar)."""
     zeta = np.asarray(zeta, dtype=np.float64)
     if not np.all((zeta > 0.0) & (zeta < 1.0)):
         raise ValueError(f"biasing ratio must be in (0, 1), got {zeta}")
+    if not (np.isfinite(upapr).all() and np.isfinite(lpapr).all()):
+        raise ValueError("PAPRs must be finite")
     d = led.dynamic_range
     return (d * d * variance_factor(zeta, upapr, lpapr))[()]
 

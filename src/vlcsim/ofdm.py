@@ -8,10 +8,11 @@ symbols: to_time_domain runs it on a one-row block, and the population
 sampler on fixed-size blocks, whose time-domain rows it can also write into
 a caller's array. The per-symbol path passes plain arrays: the N complex
 bins of generate_freq_symbol, the N*F real samples of to_time_domain and
-the (UPAPR, LPAPR) pair of papr_of. Symbols are seeded per index, so
-results never depend on block size; the sampler seeds them in chunks with
-one vectorized SeedSequence pass each and draws a block's QPSK and 16-QAM
-points from PCG64.random_raw words, the very indices Generator.integers
+the (UPAPR, LPAPR) pair of papr_of; the last two reject non-finite input.
+Symbols are seeded per index, so results never depend on block size; the
+sampler seeds them in chunks with one vectorized SeedSequence pass each and
+draws a block's QPSK and 16-QAM points, from the one table of constellation
+points, with PCG64.random_raw words, the very indices Generator.integers
 would draw.
 symbol_rng(seed, i), NumPy's own default_rng([seed, i]), is the one
 reference: a canary compares the first drawn row of every seed chunk, for
@@ -48,18 +49,12 @@ _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _U32 = 0xFFFFFFFF
 
-_QPSK_POINTS = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
 
-# 16-QAM, levels {-3,-1,1,3} on each rail, unit average power
-_QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
-_QAM16_POINTS = (_QAM16_LEVELS[None, :] + 1j * _QAM16_LEVELS[:, None]).ravel() / np.sqrt(10.0)
-
-
-def _check_sizes(n_subcarriers: int | None = None, oversample_factor: int = 1):
+def _check_sizes(n_subcarriers: int, oversample_factor: int = 1):
     """Raise ValueError unless oversample_factor >= 1 and n_subcarriers is even and >= 4."""
     if oversample_factor < 1:
         raise ValueError(f"oversample_factor must be >= 1, got {oversample_factor}")
-    if n_subcarriers is not None and (n_subcarriers % 2 != 0 or n_subcarriers < 4):
+    if n_subcarriers % 2 != 0 or n_subcarriers < 4:
         raise ValueError(f"n_subcarriers must be even and >= 4, got {n_subcarriers}")
 
 
@@ -104,6 +99,12 @@ class Constellation(str, Enum):
     QPSK = "qpsk"
     QAM16 = "qam16"
     COMPLEX_GAUSSIAN = "complex_gaussian"
+
+
+# the finite constellations' unit-average-power points; 16-QAM has levels {-3,-1,1,3} on each rail
+_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
+_POINTS = {Constellation.QPSK: np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0),
+           Constellation.QAM16: (_LEVELS[None, :] + 1j * _LEVELS[:, None]).ravel() / np.sqrt(10.0)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +224,7 @@ def _draw_rows(constellation: Constellation, states: np.ndarray, out: np.ndarray
     the top log2(k) bits of the halves of random_raw's words.
     """
     size = out.shape[1]
-    points = (_QPSK_POINTS if constellation is Constellation.QPSK else
-              _QAM16_POINTS if constellation is Constellation.QAM16 else None)
+    points = _POINTS.get(constellation)
     if points is None:
         out[...] = [_draw_constellation(constellation, size, np.random.Generator(_pcg64(state)))
                     for state in states]
@@ -237,10 +237,9 @@ def _draw_rows(constellation: Constellation, states: np.ndarray, out: np.ndarray
 
 
 def _draw_constellation(constellation: Constellation, size: int, rng: np.random.Generator) -> np.ndarray:
-    if constellation is Constellation.QPSK:
-        return _QPSK_POINTS[rng.integers(0, 4, size=size)]
-    if constellation is Constellation.QAM16:
-        return _QAM16_POINTS[rng.integers(0, 16, size=size)]
+    points = _POINTS.get(constellation)
+    if points is not None:
+        return points[rng.integers(0, len(points), size=size)]
     if constellation is Constellation.COMPLEX_GAUSSIAN:
         re = rng.standard_normal(size)
         im = rng.standard_normal(size)
@@ -302,8 +301,10 @@ def _papr_rows(x: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def papr_of(samples) -> tuple[float, float]:
-    """(UPAPR, LPAPR) of one symbol's real samples: the sampler's reduction on one row."""
+    """(UPAPR, LPAPR) of one symbol's finite real samples: the sampler's reduction on one row."""
     x = _one_row(samples, np.float64, "samples")
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
     upapr, lpapr = _papr_rows(x, np.square(x).mean(axis=1))
     return float(upapr[0]), float(lpapr[0])
 

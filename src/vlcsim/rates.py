@@ -20,7 +20,7 @@ from .ofdm import PaprPopulation
 #: sentinel for "search for the best forward ratio in every cell"
 AUTO = "auto"
 
-# byte budget of one log2 block: max(1, _LOG2_BLOCK_BYTES // (8 * len(pop))) DNRs
+# byte budget of one DNR block: max(1, _LOG2_BLOCK_BYTES // (8 * len(pop))) DNRs
 # at a time, 4 at 10k symbols; small so the buffer stays cache-resident
 _LOG2_BLOCK_BYTES = 320 * 1024
 
@@ -63,60 +63,55 @@ def _db(linear: float) -> float:
         return float(10.0 * np.log10(linear))
 
 
-def _log2_means(factor: np.ndarray, dnrs) -> np.ndarray:
-    """E[log2(1 + dnr * factor)] over the population for each DNR.
+def _dnr_means(factor: np.ndarray, dnrs) -> tuple[np.ndarray, np.ndarray]:
+    """E[log2(1 + dnr * factor)] and E[dnr * factor] over the population for each DNR.
 
     The DNRs go through one (DNRs, population) buffer of about _LOG2_BLOCK_BYTES
-    at a time. Each block row's sum over the contiguous last axis is the
-    pairwise sum np.mean takes, and mean is that sum divided by n, so every
-    entry has the bits of np.mean(np.log2(1.0 + dnr * factor)).
+    at a time, one pass per block: the SNR sum is taken on the products, the
+    log2 sum after log2(1 + product) overwrites them. Each block row's sum over
+    the contiguous last axis is the pairwise sum np.mean takes, and mean is
+    that sum divided by n, so every entry has the bits of
+    np.mean(np.log2(1.0 + dnr * factor)) or np.mean(dnr * factor).
     """
     n = len(factor)
     column = np.asarray(dnrs, dtype=np.float64)[:, None]
     per_block = max(1, _LOG2_BLOCK_BYTES // (8 * n))
     buffer = np.empty((min(per_block, len(column)), n))
-    means = np.empty(len(column))
+    log2, snr = np.empty(len(column)), np.empty(len(column))
     for start in range(0, len(column), per_block):
         part = column[start:start + per_block]
+        rows = slice(start, start + len(part))
         block = buffer[:len(part)]
         np.multiply(part, factor, out=block)
+        snr[rows] = np.add.reduce(block, axis=1) / n
         block += 1.0
         np.log2(block, out=block)
-        means[start:start + len(part)] = np.add.reduce(block, axis=1) / n
-    return means
+        log2[rows] = np.add.reduce(block, axis=1) / n
+    return log2, snr
 
 
 class _Rows:
-    """One sweep call's means E[log2(1 + dnr * f)] and E[dnr * f] per forward ratio and DNR.
-
-    Neither depends on the brightness; each is computed when first read. An SNR entry
-    reuses the factor of the ratio read last, so rows are best read a ratio at a time.
+    """One sweep call's means per distinct forward ratio: means[ratio] is its row of
+    E[log2(1 + dnr * f)] and its row of E[dnr * f] over the DNRs, from one pass over
+    the ratio's DNR blocks. Neither depends on the brightness; a ratio's rows are
+    computed when its rates are first read.
     """
 
     def __init__(self, pop: PaprPopulation, dnrs):
         if len(pop) == 0:
             raise ValueError("population is empty")
-        self.pop, self.dnrs = pop, dnrs
-        self._log2, self._snr, self._last = {}, {}, (None, None)
+        self.pop, self.dnrs, self.means = pop, dnrs, {}
 
     def rates(self, lambda_effective: float, ratios) -> np.ndarray:
         """Rates (ratios x DNRs): each ratio's log2 row times 0.5 * duty, duty 1 at lambda."""
         rates = np.empty((len(ratios), len(self.dnrs)))
         for k, ratio in enumerate(map(float, ratios)):
             duty = duty_cycle(lambda_effective, ratio)
-            if ratio not in self._log2:
+            if ratio not in self.means:
                 factor = variance_factor(ratio, self.pop.upapr, self.pop.lpapr)
-                self._log2[ratio] = _log2_means(factor, self.dnrs)
-            rates[k] = 0.5 * duty * self._log2[ratio]
+                self.means[ratio] = _dnr_means(factor, self.dnrs)
+            rates[k] = 0.5 * duty * self.means[ratio][0]
         return rates
-
-    def snr(self, ratio: float, j: int) -> float:
-        """Mean SNR E[dnr * f] at the forward ratio and DNR j."""
-        if (ratio, j) not in self._snr:
-            if self._last[0] != ratio:
-                self._last = ratio, variance_factor(ratio, self.pop.upapr, self.pop.lpapr)
-            self._snr[ratio, j] = float(np.mean(self.dnrs[j] * self._last[1]))
-        return self._snr[ratio, j]
 
 
 def dnr_linear(dnr_db) -> float:
@@ -246,27 +241,26 @@ def sweep_rates(lambdas, dnrs_db, gammas, pop: PaprPopulation,
     brightness: the PWM row is the search table's best row and the biasing row
     its first, ratio = brightness. With explicit ratios, a brightness's biasing
     and PWM rows come from one rate grid over all DNRs. Every rate and SNR
-    comes from one table of rows per call.
+    comes from one table per call, one DNR-block pass per distinct ratio.
     Row order: brightness outermost, then DNR, then schemes.
     """
     table = _table(pop, lambdas, dnrs_db, gammas)
     rows: list[RateEstimate] = []
     for lam in lambdas:
         lam_eff, _ = effective_brightness(lam)
-        # grid[k][j]: the (gamma, rate) of scheme row k at DNR j, biasing first
+        # each DNR's reported rows of the brightness's rate grid, biasing (row 0) first
         if isinstance(gammas, str):
             ratios, rates, best = _search(lam_eff, gamma_step, table)
-            grid = [[(None, rate) for rate in rates[0]],
-                    [(float(ratios[k]), rates[k, j]) for j, k in enumerate(best)]]
+            reported = [(0, k) for k in best]
         else:
-            ratios = [float(g) for g in gammas]
-            rates = table.rates(lam_eff, [lam_eff, *ratios])
-            grid = [[(gamma, rate) for rate in row] for gamma, row in zip([None, *ratios], rates)]
-        # a ratio at a time, so each SNR factor is computed once per run of its ratio
-        estimates = [[RateEstimate(lam, gamma, _db(table.dnrs[j]), float(rate),
-                                   _db(table.snr(lam_eff if gamma is None else gamma, j)))
-                      for j, (gamma, rate) in enumerate(row)] for row in grid]
-        rows.extend(row for cell in zip(*estimates) for row in cell)
+            ratios = [lam_eff, *map(float, gammas)]
+            rates = table.rates(lam_eff, ratios)
+            reported = [range(len(ratios))] * len(table.dnrs)
+        for j, (dnr, picks) in enumerate(zip(table.dnrs, reported)):
+            for i, k in enumerate(picks):
+                ratio = float(ratios[k])
+                rows.append(RateEstimate(lam, ratio if i else None, _db(dnr), float(rates[k, j]),
+                                         _db(table.means[ratio][1][j])))
     return rows
 
 

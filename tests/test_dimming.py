@@ -112,6 +112,11 @@ class TestDimmingSpec:
 
 
 class TestAssembleWaveform:
+    def test_infinite_sample_is_a_degenerate_row(self):
+        """Its alpha was 0.0, so the drive sample was NaN, with an invalid-value warning."""
+        with pytest.raises(v.DegenerateSymbolError, match="max_x=inf, min_x=-1.0 in row 0$"):
+            v.assemble_waveform(np.array([[np.inf, -1.0, 0.5]]), v.DimmingSpec(0.25), LED)
+
     def test_five_symbol_demo_layout(self):
         """Five N=256 symbols at brightness 0.25, ratio 0.4: biased blocks and gaps."""
         symbols = make_symbols(5, n=256)

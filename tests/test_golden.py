@@ -7,9 +7,10 @@ a multiple of any sampler block size used by these (N, F) pairs, so a short
 final block is covered. The CSV cases pin the SHA-256 of every file the
 five CSV-writing subcommands produce from the small configuration of
 acceptance criterion 9, plus one rate-sweep with a searched forward ratio
-(gammas = auto) that includes a mirrored brightness. NumPy does not promise
-stable Generator streams across versions (NEP 19), so the pins only run
-under the NumPy version they were recorded with.
+(gammas = auto) that includes a mirrored brightness, and one with explicit
+ratios shared by two brightnesses, one of them mirrored. NumPy does not
+promise stable Generator streams across versions (NEP 19), so the pins only
+run under the NumPy version they were recorded with.
 """
 
 import hashlib
@@ -104,6 +105,8 @@ GOLDEN_CSV = [
         "rates.csv": "01f7dd42bee18379f3265f5a5a4067ec9357ca07d51487b551171de422b89588"}),
     ("rate-sweep", ("--gamma", "auto", "--lambda", "0.2,0.7"), {
         "rates.csv": "7c43a61037afbcf5a32cda20eb22ac63f88e269bc766fe038e8e5c7383f57912"}),
+    ("rate-sweep", ("--lambda", "0.2,0.7", "--gamma", "0.3,0.4"), {
+        "rates.csv": "d1eb5ee372a6891ec4cf3d05a04ce7b949c913af0d6cd2efe2c7ad3204caa208"}),
     ("optimize-gamma", (), {
         "gamma_search.csv": "4aec8e362b7cb98031bf5a15799966f34eea476bdedf8ee2e0720ba617ef882b"}),
     ("waveform-demo", (), {

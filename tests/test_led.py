@@ -42,6 +42,13 @@ class TestLedModel:
         with pytest.raises(ValueError):
             v.LedModel(o_high=0.0)
 
+    @pytest.mark.parametrize("bound", ["i_high", "o_high"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_bound(self, bound, value):
+        """An infinite range or output would make optical_output infinite or NaN."""
+        with pytest.raises(ValueError, match=f"finite.*, got .*{value}"):
+            v.LedModel(**{bound: value})
+
     def test_dynamic_range(self):
         assert v.LedModel(0.2, 1.0, 1.0).dynamic_range == pytest.approx(0.8)
 
@@ -98,11 +105,13 @@ class TestComputeAlpha:
         assert alpha_pos > 0 > alpha_neg
         assert abs(alpha) == max(abs(alpha_pos), abs(alpha_neg))
 
-    def test_rejects_one_sided_extremes(self):
-        with pytest.raises(DegenerateSymbolError):
-            v.compute_alpha(-0.1, -1.0, 0.5, v.LedModel())
-        with pytest.raises(DegenerateSymbolError):
-            v.compute_alpha(1.0, 0.2, 0.5, v.LedModel())
+    @pytest.mark.parametrize("hi, lo", [(-0.1, -1.0), (1.0, 0.2), (np.inf, -1.0),
+                                        (1.0, -np.inf), (np.nan, -1.0), (1.0, np.nan)])
+    def test_rejects_one_sided_extremes(self, hi, lo):
+        """One-sided or non-finite extremes: an infinite one gave alpha 0.0, so NaN samples."""
+        with pytest.raises(DegenerateSymbolError,
+                           match=f"^need finite max_x > 0 > min_x, got max_x={hi}, min_x={lo}$"):
+            v.compute_alpha(hi, lo, 0.5, v.LedModel())
 
     def test_rejects_bias_outside_open_range(self):
         for bias in (0.0, 1.0, -0.5, 1.5):
@@ -138,14 +147,16 @@ class TestComputeAlphaOnArrays:
         alpha = v.compute_alpha(3.0, -2.0, 0.2, v.LedModel())
         assert isinstance(alpha, float) and np.ndim(alpha) == 0
 
-    @pytest.mark.parametrize("row, hi, lo", [(2, 0.0, -1.0), (3, 1.0, 0.0), (4, -1.0, 2.0)])
+    @pytest.mark.parametrize("row, hi, lo", [(2, 0.0, -1.0), (3, 1.0, 0.0), (4, -1.0, 2.0),
+                                             (0, np.inf, -1.0), (1, 1.0, -np.inf),
+                                             (2, np.nan, -1.0), (3, 1.0, np.nan)])
     def test_degenerate_row_is_named(self, row, hi, lo):
         his = np.ones(6)
         los = -np.ones(6)
         his[row], los[row] = hi, lo
         his[5] = -1.0  # a later degenerate row is not the one named
-        with pytest.raises(DegenerateSymbolError,
-                           match=f"got max_x={hi}, min_x={lo} in row {row}$"):
+        with pytest.raises(DegenerateSymbolError, match=f"^need finite max_x > 0 > min_x, "
+                                                        f"got max_x={hi}, min_x={lo} in row {row}$"):
             v.compute_alpha(his, los, 0.5, v.LedModel())
 
 
@@ -173,6 +184,13 @@ class TestVarianceClosedForm:
         """Synthetic symbol max=3, min=-2, var=1 reproduces the 0.2-bias value."""
         alpha = v.compute_alpha(3.0, -2.0, 0.2, v.LedModel())
         assert alpha * alpha * 1.0 == pytest.approx(0.01, rel=1e-12)
+
+    @pytest.mark.parametrize("upapr, lpapr", [(np.nan, 2.0), (np.inf, 2.0), (2.0, -np.inf),
+                                              (np.array([2.0, np.nan]), 3.0)])
+    def test_rejects_non_finite_papr(self, upapr, lpapr):
+        """A NaN PAPR gave a NaN variance and an infinite one 0.0."""
+        with pytest.raises(ValueError, match="^PAPRs must be finite$"):
+            v.variance_closed_form(0.3, upapr, lpapr, v.LedModel())
 
     def test_rejects_ratio_outside_open_interval(self):
         with pytest.raises(ValueError):

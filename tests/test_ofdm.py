@@ -220,6 +220,12 @@ class TestPaprOf:
         with pytest.raises(DegenerateSymbolError):
             v.papr_of(np.zeros(8))
 
+    @pytest.mark.parametrize("samples", [[np.nan, 1.0, -1.0], [np.inf, -1.0], [1.0, -np.inf]])
+    def test_non_finite_samples_rejected(self, samples):
+        """A NaN sample gave NaN PAPRs and an infinite one NaN and 0.0, with a warning."""
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            v.papr_of(samples)
+
     def test_mean_upapr_grows_with_subcarriers(self, pop64, pop1024):
         assert pop64.upapr.mean() < pop1024.upapr.mean()
 

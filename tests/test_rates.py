@@ -328,27 +328,28 @@ class TestCsvWriters:
 
 
 def count_factor_calls(monkeypatch):
-    """Count rates.variance_factor's calls. The returned function splits the ratios
-    called so far into those whose factor filled a log2 row and the others, SNR rows."""
-    calls, log2_factors = [], []
+    """Count rates.variance_factor's calls. The returned function gives the ratios called
+    so far, after asserting that each call's factor went through one DNR-block pass, the
+    pass that gives both a ratio's log2 row and its SNR row, so no factor is an SNR's alone."""
+    calls, passed = [], []
 
     def counted(*args):
         calls.append((args[0], v.led.variance_factor(*args)))
         return calls[-1][1]
 
-    def counted_rows(factor, dnrs):
-        log2_factors.append(factor)
-        return log2_means(factor, dnrs)
+    def counted_pass(factor, dnrs):
+        passed.append(factor)
+        return dnr_means(factor, dnrs)
 
-    def split():
-        fills_log2 = [any(factor is f for f in log2_factors) for _, factor in calls]
-        return ([ratio for (ratio, _), log2 in zip(calls, fills_log2) if log2],
-                [ratio for (ratio, _), log2 in zip(calls, fills_log2) if not log2])
+    def ratios():
+        assert len(passed) == len(calls)
+        assert all(factor is fed for (_, factor), fed in zip(calls, passed))
+        return [ratio for ratio, _ in calls]
 
-    log2_means = v.rates._log2_means
+    dnr_means = v.rates._dnr_means
     monkeypatch.setattr(v.rates, "variance_factor", counted)
-    monkeypatch.setattr(v.rates, "_log2_means", counted_rows)
-    return split
+    monkeypatch.setattr(v.rates, "_dnr_means", counted_pass)
+    return ratios
 
 
 class TestSweepRatesGrid:
@@ -356,16 +357,14 @@ class TestSweepRatesGrid:
     DNRS_DB = [0.0, 7.5, 20.0, 45.0]
     GAMMAS = [0.35, 0.4, 0.45]
 
-    def test_one_log2_and_one_snr_factor_per_distinct_ratio(self, pop64, monkeypatch):
+    def test_one_factor_per_distinct_ratio(self, pop64, monkeypatch):
         """The biasing ratios 0.1, 0.3 and 0.7's 0.30000000000000004 and the three PWM
-        ratios are six distinct ratios; each needs a log2 row and an SNR row."""
-        split = count_factor_calls(monkeypatch)
+        ratios are six distinct ratios; each needs one factor, for its log2 and SNR rows."""
+        ratios = count_factor_calls(monkeypatch)
         rows = v.sweep_rates(self.LAMBDAS, self.DNRS_DB, self.GAMMAS, pop64)
         lam, dnr, gam = len(self.LAMBDAS), len(self.DNRS_DB), len(self.GAMMAS)
         assert len(rows) == lam * dnr * (1 + gam)
-        log2, snr = split()
-        ratios = [0.1, 0.3, 0.30000000000000004, 0.35, 0.4, 0.45]
-        assert sorted(log2) == sorted(snr) == ratios
+        assert sorted(ratios()) == [0.1, 0.3, 0.30000000000000004, 0.35, 0.4, 0.45]
 
     @pytest.mark.parametrize("gammas", [GAMMAS, v.AUTO])
     def test_rows_equal_per_row_estimates_bit_for_bit(self, pop64, gammas):
@@ -402,27 +401,23 @@ class TestBiasingIsPwmAtDutyOne:
         assert pwm.scheme is v.Scheme.PWM
 
     def test_auto_sweep_counts_variance_factor_rows(self, pop64, monkeypatch):
-        """One log2 factor per distinct grid ratio of the sweep, one SNR factor per
-        distinct reported ratio: the biasing rows' lambda_eff and the optima."""
-        split = count_factor_calls(monkeypatch)
+        """One factor per distinct grid ratio of the sweep; the reported ratios, the
+        biasing rows' lambda_eff and the optima, are grid ratios and need none of their own."""
+        ratios = count_factor_calls(monkeypatch)
         lambdas, dnrs_db, step = [0.1, 0.3, 0.7, 0.5], [0.0, 7.5, 20.0], 0.05
         rows = v.sweep_rates(lambdas, dnrs_db, v.AUTO, pop64, gamma_step=step)
         assert len(rows) == 2 * len(lambdas) * len(dnrs_db)
-        log2, snr = split()
         grids = [set(map(float, v.gamma_grid(v.effective_brightness(lam)[0], step)))
                  for lam in lambdas]
         # 0.7's grid starts at 0.30000000000000004, a point of 0.1's grid, and
         # 0.5's grid is the 0.5 the other three share: 20 grid points, 12 ratios
         assert [len(grid) for grid in grids] == [9, 5, 5, 1]
-        assert sorted(log2) == sorted(set().union(*grids)) == [
+        assert sorted(ratios()) == sorted(set().union(*grids)) == [
             0.1, 0.15000000000000002, 0.2, 0.25, 0.3, 0.30000000000000004, 0.35,
             0.35000000000000003, 0.4, 0.45, 0.45000000000000007, 0.5]
         # biasing at 0.1, 0.3, 0.30000000000000004 and 0.5; 12 optima, 4 distinct
         reported = {row.gamma for row in rows if row.scheme is v.Scheme.PWM}
         assert sorted(reported) == [0.4, 0.45, 0.45000000000000007, 0.5]
-        assert sorted(snr) == [0.1, 0.3, 0.30000000000000004, 0.4, 0.45, 0.45000000000000007,
-                               0.5]
-        assert len(log2) + len(snr) == 19
 
 
 def paper_rate(duty, dnr, gamma, pop):
@@ -482,6 +477,23 @@ class TestLog2RowTable:
         pop = first_symbols(pop64, symbols)
         cells = v.sweep_gamma_search([0.2, 0.7], 2.0 * np.arange(dnr_count), pop, 0.05)
         self.assert_grids_are_the_formula(cells, pop)
+
+    @pytest.mark.parametrize("symbols", [1, 7, 10000])
+    @pytest.mark.parametrize("dnr_count", [1, 4, 5, 8])
+    @pytest.mark.parametrize("gammas", [[0.3, 0.4], v.AUTO])
+    def test_block_edges_keep_the_row_formulas(self, pop64, monkeypatch, symbols, dnr_count,
+                                               gammas):
+        """Each rate row's SNR comes from its ratio's block pass too, beside the log2 mean."""
+        monkeypatch.setattr(v.rates, "_LOG2_BLOCK_BYTES", 4 * 8 * symbols)
+        pop = first_symbols(pop64, symbols)
+        dnrs_db = 2.0 * np.arange(dnr_count)
+        rows = v.sweep_rates([0.2, 0.7], dnrs_db, gammas, pop, gamma_step=0.05)
+        expected = [paper_row(lam, gamma, dnr_db, pop)
+                    for lam in [0.2, 0.7] for dnr_db in dnrs_db
+                    for gamma in [None, *(gammas if gammas != v.AUTO else
+                                          [search(lam, dnr_db, pop, 0.05).gamma_star])]]
+        assert [repr(dataclasses.astuple(row)) for row in rows] == \
+               [repr(dataclasses.astuple(row)) for row in expected]
 
     def test_default_blocks_match_the_formula(self, pop64):
         cells = v.sweep_gamma_search(self.LAMBDAS, 2.0 * np.arange(31), pop64, 0.01)
