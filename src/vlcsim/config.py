@@ -31,12 +31,24 @@ from .rates import AUTO, dnr_linear, grid, grid_points, zeta_grid_points
 #: 0.1 dB steps at the default brightness factors is 110k search cells.
 GRID_POINTS_MAX = 1_000_000
 
+#: most symbols, subcarriers or samples per symbol (N*F, for each subcarrier count) a
+#: config may ask for, checked by validate() before anything is allocated. The largest
+#: array a run allocates, waveform-demo's symbol_count x N*F float64 rows, then holds at
+#: most 2**61 bytes, below np.intp's maximum, so NumPy cannot reject its shape with a
+#: ValueError; a run that large ends in MemoryError (exit 5) instead.
+COUNT_MAX = 2 ** 29
+
 
 def _check_budget(key: str, count: float, what: str, hint: str = ""):
     if not count <= GRID_POINTS_MAX:
         shown = f"{count:,.0f}" if count < 1e15 else f"{count:.3g}"  # no 300-digit counts
         raise ConfigError(key, f"{shown} {what}, over the budget of {GRID_POINTS_MAX:,}"
                                + (f"; {hint}" if hint else ""))
+
+
+def _check_count(key: str, count: int, unit: str = ""):
+    if count > COUNT_MAX:
+        raise ConfigError(key, f"must be at most {COUNT_MAX:,}{unit}, got {count}")
 
 
 def _check_distinct(key: str, entries: tuple):
@@ -93,6 +105,10 @@ class ExperimentConfig:
             raise ConfigError("symbol_count", f"must be >= 1, got {self.symbol_count}")
         if self.oversample_factor < 1:
             raise ConfigError("oversample_factor", f"must be >= 1, got {self.oversample_factor}")
+        _check_count("symbol_count", self.symbol_count)
+        _check_count("oversample_factor", self.oversample_factor)
+        _check_count("n_subcarriers", self.n_subcarriers * self.oversample_factor,
+                     " samples per symbol (N*F)")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed", f"must be in [0, 2**64), got {self.seed}")
         if not self.i_low >= 0:  # 0 A is the LED's off state, so it cannot lie inside the range
@@ -131,6 +147,7 @@ class ExperimentConfig:
             for n in self.n_list:
                 if n % 2 != 0 or n < 4:
                     raise ConfigError("n_list", f"entries must be even and >= 4, got {n}")
+                _check_count("n_list", n * self.oversample_factor, " samples per symbol (N*F)")
             _check_distinct("n_list", self.n_list)
         return self
 

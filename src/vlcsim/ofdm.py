@@ -240,11 +240,9 @@ def _draw_constellation(constellation: Constellation, size: int, rng: np.random.
     points = _POINTS.get(constellation)
     if points is not None:
         return points[rng.integers(0, len(points), size=size)]
-    if constellation is Constellation.COMPLEX_GAUSSIAN:
-        re = rng.standard_normal(size)
-        im = rng.standard_normal(size)
-        return (re + 1j * im) / np.sqrt(2.0)
-    raise ValueError(f"unknown constellation: {constellation!r}")
+    re = rng.standard_normal(size)  # the complex Gaussian, the one member without points
+    im = rng.standard_normal(size)
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def generate_freq_symbol(n_subcarriers: int, constellation: Constellation,
@@ -252,8 +250,10 @@ def generate_freq_symbol(n_subcarriers: int, constellation: Constellation,
     """Draw the N complex bins of a Hermitian-symmetric frequency-domain symbol.
 
     Bins 1..N/2-1 are i.i.d. unit-average-power constellation points; the
-    upper half is their conjugate mirror; DC and Nyquist bins stay zero.
+    upper half is their conjugate mirror; DC and Nyquist bins stay zero. The
+    constellation is a Constellation or its name; another name is a ValueError.
     """
+    constellation = Constellation(constellation)
     _check_sizes(n_subcarriers)
     half = n_subcarriers // 2
     bins = np.zeros(n_subcarriers, dtype=np.complex128)
@@ -325,8 +325,10 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
     samples, if given, is a writeable C-contiguous float64 array of shape
     (count, N*F); the kernel writes symbol i's time-domain samples, those of
     to_time_domain, straight into row i. It is checked before any draw, and so
-    is the seed, which must lie in [0, 2**64).
+    are the seed, which must lie in [0, 2**64), and the constellation, which is
+    a Constellation or its name: the population always carries the member.
     """
+    constellation = Constellation(constellation)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _check_sizes(n_subcarriers, oversample_factor)

@@ -35,19 +35,6 @@ class TestBinaryRoundTrip:
         assert_array_equal(body[:, 0], small_pop.upapr)
         assert_array_equal(body[:, 1], small_pop.lpapr)
 
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"definitely not a cache file, far too short?" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            v.load_population(path)
-
-    def test_rejects_truncated_file(self, tmp_path, small_pop):
-        path = tmp_path / "pop.bin"
-        v.save_population(path, small_pop)
-        path.write_bytes(path.read_bytes()[:80])
-        with pytest.raises(ValueError):
-            v.load_population(path)
-
 
 class TestAtomicSave:
     def test_leaves_no_temporary_file(self, tmp_path, small_pop):
@@ -87,66 +74,6 @@ class TestLoadOrBuild:
             v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 5, seed=2 ** 64)
         assert not any(tmp_path.iterdir())
 
-    def test_mismatched_header_triggers_rebuild(self, tmp_path):
-        path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
-        stale = v.sample_papr_population(16, v.Constellation.QPSK, 20, seed=999,
-                                         oversample_factor=2)
-        v.save_population(path, stale)
-        pop, cached = v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
-                                      oversample_factor=2)
-        assert not cached
-        assert pop.seed == 5
-        assert v.load_population(path).seed == 5  # rebuilt file replaced the stale one
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-    def test_impossible_record_triggers_rebuild(self, tmp_path, bad):
-        """A NaN, infinite or negative record fails the load and is rebuilt with one notice."""
-        path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
-        fresh, _ = v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
-                                   oversample_factor=2)
-        raw = bytearray(path.read_bytes())
-        struct.pack_into("<d", raw, len(raw) - 8, bad)  # the last lpapr
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            v.load_population(path)
-        notes = []
-        pop, cached = v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
-                                      oversample_factor=2, notice=notes.append)
-        assert not cached
-        assert len(notes) == 1 and "finite and non-negative" in notes[0]
-        assert_array_equal(pop.upapr, fresh.upapr)
-        assert_array_equal(pop.lpapr, fresh.lpapr)
-
-    @pytest.mark.parametrize("delta", [-3, -16, 16],
-                             ids=["partial-record", "missing-record", "extra-record"])
-    def test_body_of_another_record_count_triggers_rebuild(self, tmp_path, delta):
-        """A body that is not the header's 20 whole records fails the load with the path
-        and the expected count, before frombuffer can raise without them."""
-        path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
-        fresh, _ = v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
-                                   oversample_factor=2)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:delta] if delta < 0 else raw + raw[-delta:])
-        with pytest.raises(ValueError, match="expected 20 records") as info:
-            v.load_population(path)
-        assert str(info.value).startswith(f"{path}: ")
-        notes = []
-        pop, cached = v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
-                                      oversample_factor=2, notice=notes.append)
-        assert not cached
-        assert len(notes) == 1 and notes[0].startswith(f"discarding {path}: expected 20 records")
-        assert_array_equal(pop.upapr, fresh.upapr)
-        assert path.read_bytes() == raw
-
-    def test_corrupt_file_triggers_rebuild(self, tmp_path):
-        path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"garbage")
-        pop, cached = v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
-                                      oversample_factor=2)
-        assert not cached
-        assert len(pop) == 20
-
 
 class TestCacheDirResolution:
     def test_env_var_wins(self, tmp_path, monkeypatch):
@@ -170,53 +97,72 @@ class TestPopulationCsv:
         assert float(rows[-1][2]) == small_pop.lpapr[-1]
 
 
-class TestFormatVersion2:
-    V1_HEADER = struct.Struct("<8sIII16sQQ")
+V1_HEADER = struct.Struct("<8sIII16sQQ")
 
-    def build(self, tmp_path, notes):
-        return v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5,
-                               oversample_factor=2, notice=notes.append)
 
-    def test_header_records_the_numpy_version(self, tmp_path, small_pop):
-        path = tmp_path / "pop.bin"
-        v.save_population(path, small_pop)
-        raw = path.read_bytes()
-        assert struct.unpack_from("<I", raw, 8)[0] == 2
-        assert raw[52:84].rstrip(b"\x00").decode("ascii") == np.__version__
+def cache_file(tmp_path, notes=None):
+    """The 20-symbol N = 16, F = 2 QPSK population of seed 5, through the cache."""
+    return v.load_or_build(tmp_path, 16, v.Constellation.QPSK, 20, seed=5, oversample_factor=2,
+                           notice=None if notes is None else notes.append)
 
-    def test_version_1_file_is_rebuilt_with_a_notice(self, tmp_path):
-        pop = v.sample_papr_population(16, v.Constellation.QPSK, 20, seed=5,
-                                       oversample_factor=2)
-        path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        records = np.column_stack([pop.upapr, pop.lpapr]).astype("<f8").tobytes()
-        path.write_bytes(self.V1_HEADER.pack(b"VLCPAPR1", 1, 16, 2, b"qpsk", 5, 20) + records)
-        notes = []
-        rebuilt, cached = self.build(tmp_path, notes)
-        assert not cached
-        assert len(notes) == 1 and "version 1" in notes[0] and str(path) in notes[0]
-        assert_array_equal(rebuilt.upapr, pop.upapr)
-        assert struct.unpack_from("<I", path.read_bytes(), 8)[0] == 2
 
-    def test_other_numpy_version_is_rebuilt_with_a_notice(self, tmp_path):
-        notes = []
-        pop, _ = self.build(tmp_path, notes)
-        path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
-        raw = bytearray(path.read_bytes())
-        raw[52:84] = b"1.26.4".ljust(32, b"\x00")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="NumPy 1.26.4"):
+def other_population(raw):
+    """The cache file of seed 999 at the path of seed 5."""
+    pop = v.sample_papr_population(16, v.Constellation.QPSK, 20, seed=999, oversample_factor=2)
+    return (v.cache._HEADER.pack(b"VLCPAPR1", 2, 16, 2, b"qpsk", 999, 20, v.cache._NUMPY_VERSION)
+            + np.column_stack([pop.upapr, pop.lpapr]).astype("<f8").tobytes())
+
+
+# name -> (the file's new bytes from its old ones, what the discard notice says, and
+# whether load_population raises it)
+STALE = {
+    **{f"{name}-record": (lambda raw, bad=bad: raw[:-8] + struct.pack("<d", bad),
+                          "records must be finite and non-negative", True)
+       for name, bad in [("nan", np.nan), ("inf", np.inf), ("negative", -1.0)]},
+    **{name: (lambda raw, delta=delta: raw[:delta] if delta < 0 else raw + raw[-delta:],
+              "expected 20 records, 320 bytes", True)
+       for name, delta in [("partial-record", -3), ("missing-record", -16), ("extra-record", 16)]},
+    "garbage": (lambda raw: b"garbage", "truncated population cache", True),
+    "truncated-header": (lambda raw: raw[:80], "truncated population cache", True),
+    "foreign": (lambda raw: b"definitely not a cache file, far too short?" + b"\x00" * 64,
+                "not a population cache", True),
+    "version-1": (lambda raw: V1_HEADER.pack(b"VLCPAPR1", 1, 16, 2, b"qpsk", 5, 20) + raw[84:],
+                  "cache format version 1, this vlcsim reads version 2", True),
+    "version-1-header": (lambda raw: V1_HEADER.pack(b"VLCPAPR1", 1, 16, 2, b"qpsk", 5, 0),
+                         "cache format version 1", True),
+    "other-numpy": (lambda raw: raw[:52] + b"1.26.4".ljust(32, b"\x00") + raw[84:],
+                    f"sampled under NumPy 1.26.4, running NumPy {np.__version__}", True),
+    "other-population": (other_population, "header does not match the requested population",
+                         False),
+}
+
+
+@pytest.mark.parametrize("name", STALE)
+def test_stale_file_is_rebuilt_with_one_notice(tmp_path, name):
+    """A file that cannot be read, from another format or NumPy, with a record the sampler
+    cannot write or another header fails the load naming its path, and is rebuilt once."""
+    corrupt, reason, unreadable = STALE[name]
+    notes = []
+    fresh, _ = cache_file(tmp_path, notes)
+    path = v.population_cache_path(tmp_path, 16, v.Constellation.QPSK, 20, 5, 2)
+    raw = path.read_bytes()
+    path.write_bytes(corrupt(raw))
+    if unreadable:
+        with pytest.raises(ValueError, match=reason) as info:
             v.load_population(path)
-        rebuilt, cached = self.build(tmp_path, notes)
-        assert not cached
-        assert len(notes) == 1
-        assert "1.26.4" in notes[0] and np.__version__ in notes[0]
-        assert_array_equal(rebuilt.lpapr, pop.lpapr)
-        assert path.read_bytes()[52:84].rstrip(b"\x00").decode("ascii") == np.__version__
-        assert self.build(tmp_path, notes)[1] and len(notes) == 1  # a hit says nothing
+        assert str(info.value).startswith(f"{path}: ")
+    pop, cached = cache_file(tmp_path, notes)
+    assert not cached and len(notes) == 1
+    assert notes[0].startswith(f"discarding {path}: ") and reason in notes[0]
+    assert pop.upapr.tobytes() == fresh.upapr.tobytes()
+    assert pop.lpapr.tobytes() == fresh.lpapr.tobytes()
+    assert path.read_bytes() == raw  # the rebuilt file replaced the stale one
+    assert cache_file(tmp_path, notes)[1] and len(notes) == 1  # a hit says nothing
 
-    def test_load_population_rejects_version_1(self, tmp_path):
-        path = tmp_path / "old.bin"
-        path.write_bytes(self.V1_HEADER.pack(b"VLCPAPR1", 1, 16, 2, b"qpsk", 5, 0))
-        with pytest.raises(ValueError, match="version 1"):
-            v.load_population(path)
+
+def test_header_records_the_numpy_version(tmp_path, small_pop):
+    path = tmp_path / "pop.bin"
+    v.save_population(path, small_pop)
+    raw = path.read_bytes()
+    assert struct.unpack_from("<I", raw, 8)[0] == 2
+    assert raw[52:84].rstrip(b"\x00").decode("ascii") == np.__version__

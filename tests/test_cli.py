@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes, outputs, reproducibility."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -30,6 +31,82 @@ def write_cfg(tmp_path, **overrides):
     return path
 
 
+RATE = ["rate-sweep", "--n", 16, "--symbols", 5, "--lambda", "0.2", "--dnr-db", "0:0:1"]
+WAVE = ["waveform-demo", "--n", 4, "--oversample", 1, "--symbols", 1, "--gamma", 0.4]
+# (id, subcommand and flags, config file text or None, whether the run makes its output
+# directory, a regular expression its stderr matches)
+REJECTED = [
+    ("bad-value", ["papr-sample"], "symbol_count = 0\n", False, "config error: symbol_count"),
+    ("unknown-key", ["papr-sample"], "wavelength = 450\n", False, "config error: wavelength"),
+    ("unreadable-config", ["papr-sample", "--config", "missing.cfg"], None, False,
+     "config error: config: cannot read"),
+    ("dnr-two-parts", ["rate-sweep", "--dnr-db", "0:60"], None, False, "config error: dnr-db"),
+    *((f"dnr-{span}", ["rate-sweep", "--dnr-db", span], None, False, "config error: dnr_db_st")
+      for span in ("0:inf:2", "nan:10:2")),
+    # grids over the budget: checked by the runs that build them, before sampling
+    *((f"grid-{key}-{i}", argv, config, True, f"config error: {key}")
+      for i, (argv, config, key) in enumerate([
+          (["rate-sweep", "--dnr-db", "0:60:1e-9"], "", "dnr_db_step"),
+          (["rate-sweep", "--dnr-db", "0:4000:1000"], "", "dnr_db_stop"),
+          (["optimize-gamma"], "gamma_step = 1e-12\n", "gamma_step"),
+          (["rate-sweep", "--gamma", "auto"], "gamma_step = 1e-12\n", "gamma_step"),
+          (["rate-sweep", "--lambda", "0.1,0.2", "--gamma", "0.3,0.4"],
+           "dnr_db_step = 0.0002\n", "dnr_db_step"),
+          (["variance-sweep"], "zeta_step = 1e-12\n", "zeta_step")])),
+    # the PWM off interval grows as 1/lambda: over the budget, not an allocation failure
+    *((f"tiny-lambda-{lam}", [*WAVE, "--lambda", lam], None, True,
+       "vlcsim: config error: lambdas: .*PWM off interval.*gammas")
+      for lam in ("1e-300", "5e-324", "1e-12")),
+    ("repeated-n-list", ["variance-sweep", "--n-list", "16,32,16", "--symbols", 5], None, False,
+     "config error: n_list: entries must not repeat"),
+    *((f"empty-n-list-{i}", ["variance-sweep", "--n-list", text, "--symbols", 5], None, False,
+       "config error: n_list") for i, text in enumerate(["", ",,"])),
+    ("auto-waveform", ["waveform-demo", "--n", 16, "--symbols", 3, "--oversample", 2,
+                       "--lambda", "0.25", "--gamma", "auto"], None, True, "config error: gammas"),
+    *((f"empty-ratios-{sub}-{i}", [sub, "--quick", "--gamma", gammas], None, False,
+       "config error: gammas: must list at least one forward ratio or be 'auto'")
+      for sub in ("rate-sweep", "optimize-gamma", "waveform-demo")
+      for i, gammas in enumerate(["", ","])),
+    ("unreachable-ratio-list", ["rate-sweep", "--lambda", "0.1,0.3", "--gamma", "0.3,0.2"], None,
+     True, "forward ratio 0.2 < effective brightness 0.3"),
+    *((f"unreachable-ratio-{sub}", [sub, "--n", 16, "--symbols", 5, "--lambda", "0.3",
+                                     "--gamma", "0.2"], None, True,
+       "vlcsim: config error: gammas: forward ratio 0.2 < effective brightness 0.3")
+      for sub in ("rate-sweep", "waveform-demo")),
+    ("unreachable-ratio-config", [*RATE, "--lambda", "0.1,0.3", "--gamma", "0.2"], "", True,
+     "vlcsim: config error: gammas: forward ratio 0.2 < effective brightness 0.3"),
+    ("ratio-below-tiny-lambda", [*RATE, "--lambda", "2e-16", "--gamma", "1e-16"], None, True,
+     "vlcsim: config error: gammas: forward ratio 1e-16 < effective brightness 2e-16"),
+    ("mirrored-pwm-i-low", ["waveform-demo", "--n", 16, "--symbols", 5, "--lambda", "0.8",
+                            "--gamma", "0.3"], "i_low = 0.1\n", True,
+     "vlcsim: error: mirrored PWM requires i_low == 0"),
+    ("seed-beyond-u64", ["papr-sample", "--n", 16, "--symbols", 5, "--seed", 2 ** 64], None,
+     False, "config error: seed"),
+    # 0 A is the off state, so a range below it would write off-state rows inside it
+    ("led-below-zero", ["waveform-demo", "--n", 4, "--oversample", 2, "--symbols", 50],
+     "i_low = -1.0\ni_high = 1.0\nlambdas = 0.5\ngammas = 0.5\n", False,
+     "vlcsim: config error: i_low: must be >= 0, got -1.0"),
+    # '#' starts a comment and a line break ends a key = value line: neither is cut
+    *((f"comment-or-break-{key}-{i}", [*RATE, *flags], None, False,
+       f"vlcsim: config error: {key}: cannot contain '#' or a line break, got ")
+      for i, (flags, key) in enumerate([
+          (["--out", "run#1"], "output_dir"), (["--out", "a\nb"], "output_dir"),
+          (["--out", "a\r\nb"], "output_dir"), (["--out", "a\u2028b"], "output_dir"),
+          (["--out", "run\n"], "output_dir"),
+          (["--lambda", "0.1#0.3", "--gamma", "0.2"], "lambdas"),
+          (["--lambda", "0.1,\n0.3", "--gamma", "0.4"], "lambdas"),
+          (["--gamma", "0.2#0.4"], "gammas"),
+          (["--gamma", "auto\n"], "gammas"), (["--n-list", "16#32"], "n_list"),
+          (["--dnr-db", "0:0:1#2"], "dnr_db_step"), (["--dnr-db", "0\n:0:1"], "dnr_db_start")])),
+    # a config line is read back stripped, so the value would not be the flag's
+    *((f"whitespace-{key}-{i}", [*RATE, *flags], None, False,
+       f"vlcsim: config error: {key}: cannot start or end with whitespace, got ")
+      for i, (flags, key) in enumerate([(["--out", " out"], "output_dir"),
+                                        (["--out", "out\t"], "output_dir"),
+                                        (["--lambda", "0.2 ", "--gamma", "0.3"], "lambdas")])),
+]
+
+
 class TestExitCodes:
     def test_selftest_passes(self, tmp_path):
         assert run("selftest", "--n", 16, "--symbols", 50, "--oversample", 2,
@@ -49,50 +126,6 @@ class TestExitCodes:
         assert run("selftest", "--n", 16, "--oversample", 2, "--out", tmp_path / "out") == 3
         assert "[selftest] FAIL block sampler " in capsys.readouterr().out
 
-    def test_invalid_config_names_key(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("symbol_count = 0\n")
-        assert run("papr-sample", "--config", cfg, "--out", tmp_path / "out") == 2
-        assert "symbol_count" in capsys.readouterr().err
-
-    def test_unknown_key_names_key(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("wavelength = 450\n")
-        assert run("papr-sample", "--config", cfg, "--out", tmp_path / "out") == 2
-        assert "wavelength" in capsys.readouterr().err
-
-    def test_malformed_dnr_range(self, tmp_path):
-        assert run("rate-sweep", "--dnr-db", "0:60", "--out", tmp_path / "out") == 2
-
-    @pytest.mark.parametrize("dnr_db", ["0:inf:2", "nan:10:2"])
-    def test_non_finite_dnr_range_is_a_config_error(self, tmp_path, capsys, dnr_db):
-        assert run("rate-sweep", "--dnr-db", dnr_db, "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert "config error: dnr_db_st" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("subcommand,flags,config,key", [
-        ("rate-sweep", ["--dnr-db", "0:60:1e-9"], "", "dnr_db_step"),
-        ("rate-sweep", ["--dnr-db", "0:4000:1000"], "", "dnr_db_stop"),
-        ("optimize-gamma", [], "gamma_step = 1e-12", "gamma_step"),
-        ("rate-sweep", ["--gamma", "auto"], "gamma_step = 1e-12", "gamma_step"),
-        ("rate-sweep", ["--lambda", "0.1,0.2", "--gamma", "0.3,0.4"], "dnr_db_step = 0.0002",
-         "dnr_db_step"),
-        ("variance-sweep", [], "zeta_step = 1e-12", "zeta_step"),
-    ])
-    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys, subcommand, flags,
-                                              config, key):
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text(config + "\n")
-        assert run(subcommand, "--config", cfg, *flags, "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert f"config error: {key}" in err
-        assert "Traceback" not in err
-        # rejected before a population is sampled or a table or manifest written
-        assert not (tmp_path / "shared_cache").exists()
-        assert not list(tmp_path.rglob("*.csv"))
-        assert not list(tmp_path.rglob("*.manifest.txt"))
-
     @pytest.mark.parametrize("subcommand,flags,overrides", [
         ("papr-sample", ["--dnr-db=0:60:0.00001"], {}),
         ("waveform-demo", ["--dnr-db=0:60:0.00001"], {}),
@@ -103,6 +136,8 @@ class TestExitCodes:
         ("rate-sweep", [], {"zeta_step": 1e-12}),
         ("optimize-gamma", [], {"zeta_step": 1e-12}),
         ("variance-sweep", ["--dnr-db=0:4000:1000"], {}),
+        ("rate-sweep", [], {"gamma_step": 1e-12}),  # explicit ratios: no search
+        ("papr-sample", [], {"gamma_step": 1e-12}),
     ])
     def test_runs_bound_only_the_grids_they_build(self, tmp_path, capsys, subcommand, flags,
                                                    overrides):
@@ -110,158 +145,27 @@ class TestExitCodes:
         assert run(subcommand, "--config", cfg, *flags, "--out", tmp_path / "out") == 0
         assert "config error" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lam", ["1e-300", "5e-324", "1e-12"])
-    def test_tiny_brightness_is_rejected_before_a_csv(self, tmp_path, capsys, lam):
-        """The PWM off interval grows as 1/lambda: over the grid budget it is a
-        config error, not an allocation failure after the biasing CSV."""
-        assert run("waveform-demo", "--n", 4, "--oversample", 1, "--symbols", 1,
-                   "--gamma", 0.4, "--lambda", lam, "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert "vlcsim: config error: lambdas: " in err and "PWM off interval" in err
-        assert "gammas" in err and "Traceback" not in err
-        assert not list(tmp_path.rglob("*.csv"))
-        assert not list(tmp_path.rglob("*.manifest.txt"))
-
-    def test_repeated_n_list_entry_is_a_config_error(self, tmp_path, capsys):
-        assert run("variance-sweep", "--n-list", "16,32,16", "--symbols", 5,
-                   "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert "config error: n_list: entries must not repeat" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("subcommand", ["rate-sweep", "papr-sample"])
-    def test_search_budget_spares_runs_without_a_search(self, tmp_path, subcommand):
-        cfg = write_cfg(tmp_path, gamma_step=1e-12)
-        assert run(subcommand, "--config", cfg, "--out", tmp_path / "out") == 0
-
-    def test_waveform_demo_rejects_auto_gamma(self, tmp_path, capsys):
-        assert run("waveform-demo", "--n", 16, "--symbols", 3, "--oversample", 2,
-                   "--lambda", "0.25", "--gamma", "auto", "--out", tmp_path / "out") == 2
-        assert "gammas" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("subcommand", ["rate-sweep", "optimize-gamma", "waveform-demo"])
-    @pytest.mark.parametrize("gammas", ["", ","])
-    def test_empty_ratio_list_is_a_config_error(self, tmp_path, capsys, subcommand, gammas):
-        assert run(subcommand, "--quick", "--gamma", gammas, "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert "config error: gammas: must list at least one forward ratio or be 'auto'" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
-
-    def test_unreachable_ratio_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, config, made, message", [case[1:] for case in REJECTED],
+                             ids=[case[0] for case in REJECTED])
+    def test_rejected_run_samples_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv,
+                                                     config, made, message):
+        """Exit 2, one typed error and no traceback. A manifest reruns its config, so a
+        rejected run writes none, nor a CSV or a cache; what validate() rejects leaves even
+        the output directory unmade."""
         def refuse(*args, **kwargs):
             raise AssertionError("the population was sampled")
 
         monkeypatch.setattr(v.cache, "sample_papr_population", refuse)
-        assert run("rate-sweep", "--lambda", "0.1,0.3", "--gamma", "0.3,0.2",
-                   "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert "forward ratio 0.2 < effective brightness 0.3" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "shared_cache").exists()
-
-    @pytest.mark.parametrize("subcommand", ["rate-sweep", "waveform-demo"])
-    def test_unreachable_ratio_names_its_key(self, tmp_path, capsys, subcommand):
-        assert run(subcommand, "--n", 16, "--symbols", 5, "--lambda", "0.3", "--gamma", "0.2",
-                   "--out", tmp_path / "out") == 2
-        assert ("vlcsim: config error: gammas: forward ratio 0.2 < effective brightness 0.3"
-                in capsys.readouterr().err)
-
-    def test_ratio_below_a_tiny_brightness_is_a_config_error(self, tmp_path, capsys):
-        assert run("rate-sweep", "--lambda", "2e-16", "--gamma", "1e-16", "--symbols", 5,
-                   "--n", 16, "--dnr-db", "0:0:1", "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert "vlcsim: config error: gammas: forward ratio 1e-16 < effective brightness 2e-16" in err
-        assert "Traceback" not in err
-
-    def test_seed_beyond_u64_is_a_config_error(self, tmp_path, capsys):
-        assert run("papr-sample", "--n", 16, "--symbols", 5, "--seed", 2 ** 64,
-                   "--out", tmp_path / "out") == 2
-        assert "seed" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_led_range_below_zero_is_a_config_error(self, tmp_path, capsys):
-        """0 A is the off state, so a range below it would write off-state rows inside it."""
-        cfg = tmp_path / "led.cfg"
-        cfg.write_text("i_low = -1.0\ni_high = 1.0\nlambdas = 0.5\ngammas = 0.5\n")
-        assert run("waveform-demo", "--config", cfg, "--n", 4, "--oversample", 2,
-                   "--symbols", 50, "--out", tmp_path / "out") == 2
-        assert "vlcsim: config error: i_low: must be >= 0, got -1.0" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys):
-        assert run("papr-sample", "--config", tmp_path / "missing.cfg",
-                   "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert "config error: config: cannot read" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("n_list", ["", ",,"])
-    def test_empty_n_list_is_a_config_error(self, tmp_path, capsys, n_list):
-        assert run("variance-sweep", "--n-list", n_list, "--symbols", 5,
-                   "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert "config error: n_list" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("flags,key", [
-        (["--out", "run#1"], "output_dir"),
-        (["--out", "a\nb"], "output_dir"),
-        (["--out", "a\r\nb"], "output_dir"),
-        (["--out", "a\u2028b"], "output_dir"),
-        (["--out", "run\n"], "output_dir"),
-        (["--lambda", "0.1#0.3", "--gamma", "0.2"], "lambdas"),
-        (["--lambda", "0.1,\n0.3", "--gamma", "0.4"], "lambdas"),
-        (["--gamma", "0.2#0.4"], "gammas"),
-        (["--gamma", "auto\n"], "gammas"),
-        (["--n-list", "16#32"], "n_list"),
-        (["--dnr-db", "0:0:1#2"], "dnr_db_step"),
-        (["--dnr-db", "0\n:0:1"], "dnr_db_start"),
-    ])
-    def test_flag_value_with_a_comment_or_line_break_names_its_key(self, tmp_path, monkeypatch,
-                                                                   capsys, flags, key):
-        """'#' starts a comment and a line break ends a key = value line: neither is cut."""
+        monkeypatch.setattr(cli, "sample_papr_population", refuse)
         monkeypatch.chdir(tmp_path)
-        argv = ["--n", 16, "--symbols", 5, "--lambda", "0.2", "--dnr-db", "0:0:1", "--out", "out"]
-        assert run("rate-sweep", *argv, *flags) == 2
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", "run.cfg"]
+        assert run(argv[0], "--out", "out", *argv[1:]) == 2
         err = capsys.readouterr().err
-        assert f"vlcsim: config error: {key}: cannot contain '#' or a line break, got " in err
-        assert "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []  # no output directory, no cache
-
-    @pytest.mark.parametrize("flags,key", [
-        (["--out", " out"], "output_dir"),
-        (["--out", "out\t"], "output_dir"),
-        (["--lambda", "0.2 ", "--gamma", "0.3"], "lambdas"),
-    ])
-    def test_flag_value_with_surrounding_whitespace_names_its_key(self, tmp_path, monkeypatch,
-                                                                  capsys, flags, key):
-        """A config line is read back stripped, so the value would not be the flag's."""
-        monkeypatch.chdir(tmp_path)
-        argv = ["--n", 16, "--symbols", 5, "--lambda", "0.2", "--dnr-db", "0:0:1", "--out", "out"]
-        assert run("rate-sweep", *argv, *flags) == 2
-        err = capsys.readouterr().err
-        assert f"vlcsim: config error: {key}: cannot start or end with whitespace, got " in err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("subcommand,flags,config,message", [
-        ("waveform-demo", ["--lambda", "0.8", "--gamma", "0.3"], "i_low = 0.1\n",
-         "vlcsim: error: mirrored PWM requires i_low == 0"),
-        ("rate-sweep", ["--lambda", "0.1,0.3", "--gamma", "0.2", "--dnr-db", "0:0:1"], "",
-         "vlcsim: config error: gammas: forward ratio 0.2 < effective brightness 0.3"),
-    ])
-    def test_rejected_run_leaves_no_csv_and_no_manifest(self, tmp_path, capsys, subcommand, flags,
-                                                        config, message):
-        """A manifest reruns its config, so a rejected config gets none."""
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
-        out = tmp_path / "out"
-        assert run(subcommand, "--config", cfg, "--n", 16, "--symbols", 5, *flags,
-                   "--out", out) == 2
-        assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert re.search(message, err) and "Traceback" not in err, err
+        left = sorted(path.name for path in tmp_path.rglob("*"))
+        assert left == ["out"] * made + ["run.cfg"] * (config is not None)
 
     def test_output_under_regular_file_is_an_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -315,29 +219,6 @@ class TestPaprSample:
         assert run("papr-sample", "--config", cfg, "--out", out, "--quick") == 0
         manifest = (out / "papr-sample.manifest.txt").read_text()
         assert "symbol_count = 1000" in manifest
-
-
-class TestManifestReproducibility:
-    SUBCOMMANDS = {
-        "papr-sample": ["papr_population.csv"],
-        "variance-sweep": ["variance_profile.csv", "variance_peaks.csv"],
-        "rate-sweep": ["rates.csv"],
-        "optimize-gamma": ["gamma_search.csv"],
-        "waveform-demo": ["waveform_biasing.csv", "waveform_pwm.csv"],
-    }
-
-    @pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
-    def test_rerun_from_manifest_is_byte_identical(self, tmp_path, subcommand):
-        cfg = write_cfg(tmp_path, n_list="16, 32")
-        first = tmp_path / "first"
-        second = tmp_path / "second"
-        assert run(subcommand, "--config", cfg, "--out", first) == 0
-        manifest = first / f"{subcommand}.manifest.txt"
-        assert manifest.exists()
-        assert run(subcommand, "--config", manifest, "--out", second,
-                   "--workers", 3) == 0
-        for name in self.SUBCOMMANDS[subcommand]:
-            assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 class TestOutputs:

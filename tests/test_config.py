@@ -11,37 +11,25 @@ from vlcsim.errors import ConfigError
 
 
 class TestRoundTrip:
-    def test_defaults_survive_serialization(self):
-        cfg = v.ExperimentConfig()
-        assert v.parse_config(cfg.to_text()) == cfg
-
-    def test_awkward_floats_round_trip_losslessly(self):
-        cfg = v.ExperimentConfig(i_low=0.1, i_high=1.0 / 3.0 + 1.0,
-                                 lambdas=(0.1, 1.0 / 7.0), zeta_step=0.01)
-        again = v.parse_config(cfg.to_text())
-        assert again.i_high == cfg.i_high
-        assert again.lambdas == cfg.lambdas
-
-    def test_explicit_gammas_and_n_list(self):
-        cfg = v.ExperimentConfig(gammas=(0.2, 0.3, 0.4), n_list=(64, 256, 1024))
-        again = v.parse_config(cfg.to_text())
-        assert again.gammas == (0.2, 0.3, 0.4)
-        assert again.n_list == (64, 256, 1024)
-
-    def test_auto_gammas_round_trip(self):
-        again = v.parse_config(v.ExperimentConfig(gammas=v.AUTO).to_text())
-        assert again.gammas == v.AUTO
+    @pytest.mark.parametrize("cfg", [
+        v.ExperimentConfig(),
+        v.ExperimentConfig(i_low=0.1, i_high=1.0 / 3.0 + 1.0, lambdas=(0.1, 1.0 / 7.0),
+                           zeta_step=0.01),
+        v.ExperimentConfig(gammas=(0.2, 0.3, 0.4), n_list=(64, 256, 1024)),
+        v.ExperimentConfig(gammas=v.AUTO),
+        *(v.ExperimentConfig(output_dir=output_dir) for output_dir in
+          ["runs/a b", "", "a=b", "caf\u00e9"])],
+        ids=["defaults", "awkward-floats", "explicit-lists", "auto", "dir-space", "dir-empty",
+             "dir-equals", "dir-non-ascii"])
+    def test_text_parses_back_to_the_config(self, cfg):
+        """Floats are written with repr, so every value parses back bit for bit."""
+        assert v.parse_config(cfg.validate().to_text()) == cfg
 
     def test_file_round_trip(self, tmp_path):
         cfg = v.ExperimentConfig(seed=31337, symbol_count=123)
         path = tmp_path / "run.cfg"
         path.write_text(cfg.to_text())
         assert v.load_config(path) == cfg
-
-    @pytest.mark.parametrize("output_dir", ["runs/a b", "", "a=b", "caf\u00e9"])
-    def test_output_dir_round_trips(self, output_dir):
-        cfg = v.ExperimentConfig(output_dir=output_dir).validate()
-        assert v.parse_config(cfg.to_text()) == cfg
 
     @pytest.mark.parametrize("output_dir", ["run#1", "a\nb", "a\r\nb", "a\x0bb", "a\u2028b",
                                             "run\n", " x ", "x\t", " runs/a"])
@@ -60,19 +48,13 @@ class TestParsing:
         cfg = v.parse_config("# a comment\n\nseed = 9  # trailing\n")
         assert cfg.seed == 9
 
-    def test_unknown_key_is_named(self):
+    @pytest.mark.parametrize("text, key", [
+        ("frobnicate = 3", "frobnicate"), ("symbol_count = lots", "symbol_count"),
+        ("just some words", "line 1")])
+    def test_unparsable_line_is_named(self, text, key):
         with pytest.raises(ConfigError) as err:
-            v.parse_config("frobnicate = 3")
-        assert err.value.key == "frobnicate"
-
-    def test_bad_value_is_named(self):
-        with pytest.raises(ConfigError) as err:
-            v.parse_config("symbol_count = lots")
-        assert err.value.key == "symbol_count"
-
-    def test_missing_equals_sign(self):
-        with pytest.raises(ConfigError):
-            v.parse_config("just some words")
+            v.parse_config(text)
+        assert err.value.key == key
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -82,6 +64,10 @@ class TestParsing:
         base = v.ExperimentConfig(seed=1, symbol_count=50)
         cfg = v.parse_config("seed = 2", base)
         assert cfg.seed == 2 and cfg.symbol_count == 50
+
+
+# every user of the DNR grid checks its budget and its last point's overflow
+DNR_USERS = ["dnr_db_grid", "check_rate_table_budget", "check_search_budget"]
 
 
 class TestValidation:
@@ -110,6 +96,9 @@ class TestValidation:
         ("n_list = ", "n_list"),
         ("n_list = ,,", "n_list"),
         ("n_list = 16, 16", "n_list"),
+        # N*F samples per symbol over config.COUNT_MAX at the default F = 4
+        ("n_subcarriers = 268435456", "n_subcarriers"),
+        ("n_list = 64, 268435456", "n_list"),
         ("dnr_db_start = nan", "dnr_db_start"),
         ("dnr_db_stop = inf", "dnr_db_stop"),
         ("dnr_db_step = inf", "dnr_db_step"),
@@ -132,40 +121,28 @@ class TestValidation:
     def test_largest_u64_seed_is_valid(self):
         v.ExperimentConfig(seed=2 ** 64 - 1).validate()
 
-    OVERSIZED_GRIDS = [
-        ("dnr_db_step = 1e-9", "dnr_db_step"),
-        ("dnr_db_start = -1e308\ndnr_db_stop = 1e308\ndnr_db_step = 1", "dnr_db_step"),
-        ("dnr_db_stop = 4000\ndnr_db_step = 1000", "dnr_db_stop"),
-        ("zeta_step = 1e-12", "zeta_step"),
-        ("zeta_step = 2e-6\nn_list = 64, 256, 1024", "zeta_step"),
-        ("zeta_step = 5e-324", "zeta_step"),
-    ]
-
-    @pytest.mark.parametrize("text,key", OVERSIZED_GRIDS)
-    def test_oversized_grid_names_its_key(self, text, key):
-        cfg = v.parse_config(text).validate()
-        with pytest.raises(ConfigError) as err:
-            if key == "zeta_step":
-                cfg.check_profile_budget()
-            else:
-                cfg.check_rate_table_budget()
-        assert err.value.key == key
-        assert "budget" in str(err.value) or "overflows" in str(err.value)
-
-    @pytest.mark.parametrize("text,key", OVERSIZED_GRIDS)
-    def test_validate_bounds_no_grid(self, text, key):
+    @pytest.mark.parametrize("text, checks, key, message", [
+        ("dnr_db_step = 1e-9", DNR_USERS, "dnr_db_step", "budget"),
+        ("dnr_db_start = -1e308\ndnr_db_stop = 1e308\ndnr_db_step = 1",
+         ["check_rate_table_budget"], "dnr_db_step", "budget"),
+        ("dnr_db_stop = 4000\ndnr_db_step = 1000", DNR_USERS, "dnr_db_stop", "overflows"),
+        ("zeta_step = 1e-12", ["check_profile_budget"], "zeta_step", "budget"),
+        ("zeta_step = 2e-6\nn_list = 64, 256, 1024", ["check_profile_budget"], "zeta_step",
+         "budget"),
+        ("zeta_step = 5e-324", ["check_profile_budget"], "zeta_step", "budget"),
+        *((text, ["check_search_budget"], "gamma_step", "budget") for text in [
+            "gamma_step = 1e-12", "gamma_step = 5e-324", "dnr_db_step = 0.001\ngamma_step = 0.001",
+            "lambdas = 0.05, 0.2\ndnr_db_step = 0.002"]),
+        # 300001 DNR points, under the budget, times 2 brightness factors x 3 rows
+        ("lambdas = 0.1, 0.2\ngammas = 0.3, 0.4\ndnr_db_step = 0.0002",
+         ["check_rate_table_budget"], "dnr_db_step", "1,800,006 rows in the rate table")])
+    def test_oversized_grid_names_its_key(self, text, checks, key, message):
+        """validate() bounds no grid; each run's check bounds the grids it builds."""
         cfg = v.parse_config(text)
         assert cfg.validate() is cfg
-
-    @pytest.mark.parametrize("text,key", [
-        ("dnr_db_step = 1e-9", "dnr_db_step"),
-        ("dnr_db_stop = 4000\ndnr_db_step = 1000", "dnr_db_stop"),
-    ])
-    def test_every_dnr_grid_user_checks_the_dnr_grid(self, text, key):
-        cfg = v.parse_config(text).validate()
-        for check in (cfg.dnr_db_grid, cfg.check_rate_table_budget, cfg.check_search_budget):
-            with pytest.raises(ConfigError) as err:
-                check()
+        for check in checks:
+            with pytest.raises(ConfigError, match=message) as err:
+                getattr(cfg, check)()
             assert err.value.key == key
 
     def test_profile_at_the_budget_is_valid(self):
@@ -180,19 +157,6 @@ class TestValidation:
         assert len(v.zeta_grid(cfg.zeta_step)) == 333_333
         cfg.check_profile_budget()
 
-    @pytest.mark.parametrize("text", [
-        "gamma_step = 1e-12",
-        "gamma_step = 5e-324",
-        "dnr_db_step = 0.001\ngamma_step = 0.001",
-        "lambdas = 0.05, 0.2\ndnr_db_step = 0.002",
-    ])
-    def test_oversized_search_names_gamma_step(self, text):
-        cfg = v.parse_config(text).validate()
-        with pytest.raises(ConfigError) as err:
-            cfg.check_search_budget()
-        assert err.value.key == "gamma_step"
-        assert "budget" in str(err.value)
-
     def test_search_budget_does_not_bound_runs_without_a_search(self):
         # 30001 DNR points x 152 ratio points would exceed the search budget,
         # but a rate sweep over explicit ratios runs no search
@@ -200,15 +164,6 @@ class TestValidation:
                                  gamma_step=0.005).validate()
         cfg.check_rate_table_budget()
         assert len(cfg.dnr_db_grid()) == 30001
-
-    def test_oversized_rate_table_names_dnr_db_step(self):
-        # 300001 DNR points, under the budget, times 2 brightness factors x 3 rows
-        cfg = v.parse_config("lambdas = 0.1, 0.2\ngammas = 0.3, 0.4\n"
-                             "dnr_db_step = 0.0002").validate()
-        with pytest.raises(ConfigError) as err:
-            cfg.check_rate_table_budget()
-        assert err.value.key == "dnr_db_step"
-        assert "1,800,006 rows in the rate table" in str(err.value)
 
     def test_rate_table_at_the_budget_is_valid(self):
         half = v.config.GRID_POINTS_MAX // 2

@@ -34,16 +34,49 @@ def test_row_counts_around_the_chunk_size(tmp_path, rows):
 
 
 def test_signed_zeros_in_one_chunk_stay_apart(tmp_path):
+    """z equals x value for value but not bit for bit, so it cannot reuse x's text."""
     col = np.array([0.0, -0.0, 0.0, -0.0, 1.0])
-    assert_same_bytes(tmp_path, ["i", "x", "y"], [range(5), col, col[::-1].copy()])
+    flipped = np.where(col == 0.0, -col, col)
+    assert_same_bytes(tmp_path, ["i", "x", "y", "z"], [range(5), col, col[::-1].copy(), flipped])
     lines = (tmp_path / "chunked.csv").read_text().splitlines()
-    assert lines[1:3] == ["0,0.0,1.0", "1,-0.0,-0.0"]
+    assert lines[1:3] == ["0,0.0,1.0,-0.0", "1,-0.0,-0.0,0.0"]
 
 
-def test_special_values(tmp_path):
-    col = np.array([np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 1e-5, 1.0 / 3.0,
+def strided():
+    base = np.random.default_rng(3).standard_normal((CHUNK + 5, 2))
+    return [base[:, 0], base[:, 1], list(base[:, 0])]
+
+
+def float32_and_int():
+    rows = CHUNK + 9
+    f32 = np.linspace(-2.0, 2.0, rows, dtype=np.float32) / np.float32(3.0)
+    return [range(rows), f32, np.arange(-rows, rows, 2, dtype=np.int64) * 1_000_003]
+
+
+LINEAR = np.linspace(0.0, 1.0, 2 * CHUNK + 3)
+SPECIAL = np.array([np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 1e-5, 1.0 / 3.0,
                     np.finfo(np.float64).max, 0.1 + 0.2])
-    assert_same_bytes(tmp_path, ["i", "x"], [range(len(col)), col])
+# index ranges are written as str writes them: negative and stepped, descending, beyond
+# 2**32, a digit rollover and int64's ends
+INDEXES = {"negative-stepped": range(-3 * CHUNK, 3 * CHUNK, 7),
+           "descending-large": range(10 ** 12, -10 ** 12, -10 ** 9 + 7),
+           "negative-large": range(-2 ** 40, -2 ** 40 + CHUNK), "one-digit-rollover": range(9, 12),
+           "int64-max": range(2 ** 63 - 4, 2 ** 63 - 1), "int64-min": range(-2 ** 63, -2 ** 63 + 3)}
+COLUMNS = {
+    "special-values": lambda: [range(len(SPECIAL)), SPECIAL],
+    "value-repeated-across-columns": lambda: [range(len(LINEAR)), LINEAR, LINEAR.copy(),
+                                              LINEAR[::-1]],
+    "float32-and-int": float32_and_int,
+    "strided-and-list": strided,
+    **{f"index-{name}": lambda index=index: [index, np.arange(len(index)) / 3.0]
+       for name, index in INDEXES.items()},
+}
+
+
+@pytest.mark.parametrize("name", COLUMNS)
+def test_columns_match_the_reference(tmp_path, name):
+    columns = COLUMNS[name]()
+    assert_same_bytes(tmp_path, ["c"] * len(columns), columns)
 
 
 NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
@@ -72,23 +105,6 @@ def test_special_and_regular_runs_across_chunk_edges(tmp_path, run):
         pieces.append(special if k % 2 == 0 else rng.uniform(-1e3, 1e3, length))
     col = np.concatenate(pieces)
     assert_same_bytes(tmp_path, ["i", "x", "y"], [range(len(col)), col, col[::-1].copy()])
-
-
-def test_value_repeated_across_columns(tmp_path):
-    col = np.linspace(0.0, 1.0, 2 * CHUNK + 3)
-    assert_same_bytes(tmp_path, ["i", "a", "b", "c"], [range(len(col)), col, col.copy(), col[::-1]])
-
-
-def test_float32_and_int_columns(tmp_path):
-    rows = CHUNK + 9
-    f32 = np.linspace(-2.0, 2.0, rows, dtype=np.float32) / np.float32(3.0)
-    ints = np.arange(-rows, rows, 2, dtype=np.int64) * 1_000_003
-    assert_same_bytes(tmp_path, ["i", "f32", "int"], [range(rows), f32, ints])
-
-
-def test_strided_and_list_columns(tmp_path):
-    base = np.random.default_rng(3).standard_normal((CHUNK + 5, 2))
-    assert_same_bytes(tmp_path, ["a", "b", "c"], [base[:, 0], base[:, 1], list(base[:, 0])])
 
 
 def test_shortest_column_sets_the_row_count(tmp_path):
@@ -163,79 +179,63 @@ def with_neighbours(values):
     return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
 
 
-def test_random_bit_patterns_match_repr():
+def random_finite_doubles():
     bits = np.random.default_rng(20201030).integers(0, 2 ** 64, 1_001_000, dtype=np.uint64)
-    values = bits.view(np.float64)
-    values = values[np.isfinite(values)]
+    values = bits.view(np.float64)[np.isfinite(bits.view(np.float64))]
     assert len(values) >= 1_000_000
-    assert_repr(values)
+    return [values]
 
 
-def test_subnormal_edges_match_repr():
-    # 5e-324, the largest subnormal and the smallest normal
-    assert_repr(with_neighbours([5e-324, 1e-323, 2.225073858507201e-308,
-                                 2.2250738585072014e-308, -2.2250738585072014e-308]))
-
-
-def test_special_values_match_repr():
-    largest = np.finfo(np.float64).max
-    assert_repr([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, largest, -largest,
-                 np.nextafter(largest, 0.0), 1.0, -1.0, 0.1])
-
-
-def test_powers_of_two_match_repr():
-    # a power of two has the closer lower end: its lower neighbour is half as far
-    assert_repr(with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))))
-
-
-def test_powers_of_ten_match_repr():
-    assert_repr(with_neighbours([float(f"1e{k}") for k in range(-323, 309)]))
-
-
-def test_integers_near_2_to_53_match_repr():
-    near = np.arange(2 ** 53 - 3000, 2 ** 53 + 3000, dtype=np.int64)
-    assert_repr(np.concatenate([near, -near]).astype(np.float64))
-    assert_repr(np.arange(-5000, 5000, dtype=np.float64) * 1e3)
-
-
-def test_notation_switches_match_repr():
-    # repr turns scientific below 1e-4 and from 1e16 on
-    switches = np.array([1e-4, 1e16, 1e-5, 1e15, 9.999999999999999e-05, 9999999999999998.0])
-    assert_repr(with_neighbours(np.concatenate([switches, -switches])))
-
-
-def test_halfway_digits_match_repr():
-    # 1 + 2**-17 lies halfway between two 17-digit decimals: repr rounds to even
-    odd = np.arange(1, 2 ** 10, 2, dtype=np.float64)
-    values = np.concatenate([np.ldexp(odd, -shift) for shift in range(1, 64)])
-    assert_repr(np.concatenate([values, values * 1e8, values * 1e-8]))
-    assert column_text(np.array([1 + 2 ** -17])) == "1.0000076293945312\n"
-
-
-def test_short_decimals_match_repr():
+def short_decimals():
     rng = np.random.default_rng(7)
-    assert_repr(rng.integers(-10 ** 9, 10 ** 9, 100_000) / 10.0 ** rng.integers(0, 12, 100_000))
-    assert_repr(rng.uniform(0.0, 1.0, 100_000) * 10.0 ** rng.integers(-320, 300, 100_000))
+    return [rng.integers(-10 ** 9, 10 ** 9, 100_000) / 10.0 ** rng.integers(0, 12, 100_000),
+            rng.uniform(0.0, 1.0, 100_000) * 10.0 ** rng.integers(-320, 300, 100_000)]
 
 
-def test_other_dtypes_and_layouts_match_repr():
+def other_dtypes_and_layouts():
     rng = np.random.default_rng(11)
     f32 = rng.integers(0, 2 ** 32, 100_000, dtype=np.uint64).astype(np.uint32).view(np.float32)
-    assert_repr(f32[np.isfinite(f32)])
-    assert_repr(rng.integers(-2 ** 63, 2 ** 63 - 1, 100_000, dtype=np.int64))
+    ints = rng.integers(-2 ** 63, 2 ** 63 - 1, 100_000, dtype=np.int64)
     doubles = rng.standard_normal((3 * CHUNK + 5, 2))
-    assert_repr(doubles[::-1, 1])
-    assert_repr(list(doubles[:, 0]))
+    return [f32[np.isfinite(f32)], ints, doubles[::-1, 1], list(doubles[:, 0])]
 
 
-@pytest.mark.parametrize("index", [
-    range(-3 * CHUNK, 3 * CHUNK, 7), range(10 ** 12, -10 ** 12, -10 ** 9 + 7),
-    range(-2 ** 40, -2 ** 40 + CHUNK), range(9, 12), range(2 ** 63 - 4, 2 ** 63 - 1),
-    range(-2 ** 63, -2 ** 63 + 3)],
-    ids=["negative-stepped", "descending-large", "negative-large", "one-digit-rollover",
-         "int64-max", "int64-min"])
-def test_index_columns_match_str(tmp_path, index):
-    assert_same_bytes(tmp_path, ["i", "x"], [index, np.arange(len(index)) / 3.0])
+LARGEST = np.finfo(np.float64).max
+NEAR_2_53 = np.arange(2 ** 53 - 3000, 2 ** 53 + 3000, dtype=np.int64)
+SWITCHES = np.array([1e-4, 1e16, 1e-5, 1e15, 9.999999999999999e-05, 9999999999999998.0])
+# odd multiples of 2**-shift: 1 + 2**-17 lies halfway between two 17-digit decimals
+HALFWAY = np.concatenate([np.ldexp(np.arange(1, 2 ** 10, 2, dtype=np.float64), -shift)
+                          for shift in range(1, 64)])
+# name -> the value sets whose text must be repr's
+REPR_CASES = {
+    "random-bit-patterns": random_finite_doubles,
+    # 5e-324, the largest subnormal and the smallest normal
+    "subnormal-edges": lambda: [with_neighbours([5e-324, 1e-323, 2.225073858507201e-308,
+                                                 2.2250738585072014e-308,
+                                                 -2.2250738585072014e-308])],
+    "special-values": lambda: [[0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, LARGEST, -LARGEST,
+                                np.nextafter(LARGEST, 0.0), 1.0, -1.0, 0.1]],
+    # a power of two has the closer lower end: its lower neighbour is half as far
+    "powers-of-two": lambda: [with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))],
+    "powers-of-ten": lambda: [with_neighbours([float(f"1e{k}") for k in range(-323, 309)])],
+    "integers-near-2-to-53": lambda: [np.concatenate([NEAR_2_53, -NEAR_2_53]).astype(np.float64),
+                                      np.arange(-5000, 5000, dtype=np.float64) * 1e3],
+    # repr turns scientific below 1e-4 and from 1e16 on
+    "notation-switches": lambda: [with_neighbours(np.concatenate([SWITCHES, -SWITCHES]))],
+    "halfway-digits": lambda: [np.concatenate([HALFWAY, HALFWAY * 1e8, HALFWAY * 1e-8])],
+    "short-decimals": short_decimals,
+    "other-dtypes-and-layouts": other_dtypes_and_layouts,
+}
+
+
+@pytest.mark.parametrize("name", REPR_CASES)
+def test_values_match_repr(name):
+    for values in REPR_CASES[name]():
+        assert_repr(values)
+
+
+def test_halfway_tie_goes_to_even():
+    assert column_text(np.array([1 + 2 ** -17])) == "1.0000076293945312\n"
 
 
 def test_exponent_tables_are_exact():

@@ -24,16 +24,11 @@ def make_symbols(count, n=64, oversample=4, seed=1):
 
 
 class TestEffectiveBrightness:
-    def test_low_target_passes_through(self):
-        assert v.effective_brightness(0.25) == (0.25, False)
-
-    def test_high_target_mirrors(self):
-        lam_eff, mirrored = v.effective_brightness(0.7)
-        assert mirrored
-        assert lam_eff == pytest.approx(0.3)
-
-    def test_midpoint_not_mirrored(self):
-        assert v.effective_brightness(0.5) == (0.5, False)
+    @pytest.mark.parametrize("brightness, folded", [
+        (0.25, (0.25, False)), (0.7, (pytest.approx(0.3), True)), (0.5, (0.5, False))],
+        ids=["low", "high-mirrors", "midpoint"])
+    def test_folds_into_the_lower_half(self, brightness, folded):
+        assert v.effective_brightness(brightness) == folded
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3])
     def test_rejects_out_of_range(self, bad):
@@ -42,27 +37,25 @@ class TestEffectiveBrightness:
 
 
 class TestDutyCycle:
-    def test_example_operating_point(self):
-        assert v.duty_cycle(0.25, 0.4) == pytest.approx(0.625)
+    @pytest.mark.parametrize("lam, gamma, duty", [
+        (0.25, 0.4, 0.625), (0.3, 0.3, 1.0), (0.1, 0.2, 0.5),
+        (1e-16, 2e-16, 0.5), (0.7, 0.3, 1.0), (2.0 ** -13, 2.0 ** -13 + 2.0 ** -53, 1.0)],
+        ids=["example", "always-on", "half", "tiny", "decimal-mirror", "window-edge"])
+    def test_operating_points(self, lam, gamma, duty):
+        """Within the window min(ulp(0.5), 2**-40 lambda) of the target the duty is 1: a
+        mirrored 1.0 - 0.7 lies within it of 0.3, and below 2**-13 the window shrinks."""
+        assert v.duty_cycle(v.effective_brightness(lam)[0], gamma) == duty
 
-    def test_equal_ratio_means_always_on(self):
-        assert v.duty_cycle(0.3, 0.3) == 1.0
-
-    def test_half(self):
-        assert v.duty_cycle(0.1, 0.2) == pytest.approx(0.5)
-
-    def test_ratio_below_brightness_is_infeasible(self):
-        with pytest.raises(DutyCycleError):
-            v.duty_cycle(0.3, 0.2)
-
-    def test_ratio_must_stay_below_one(self):
-        with pytest.raises(ValueError):
-            v.duty_cycle(0.3, 1.0)
-
-    @pytest.mark.parametrize("lam", [0.0, 1.0])
-    def test_brightness_must_lie_inside_zero_one(self, lam):
-        with pytest.raises(ValueError, match="effective brightness must be in"):
-            v.duty_cycle(lam, 0.5)
+    @pytest.mark.parametrize("lam, gamma, error, match", [
+        (0.3, 0.2, DutyCycleError, "duty cycle would exceed 1"),
+        (0.3, 0.299, DutyCycleError, "duty cycle would exceed 1"),  # no decimal below
+        (2e-16, 1e-16, DutyCycleError, "duty cycle would exceed 1"),
+        (0.3, 1.0, ValueError, "forward ratio must be < 1"),
+        (0.0, 0.5, ValueError, "effective brightness must be in"),
+        (1.0, 0.5, ValueError, "effective brightness must be in")])
+    def test_rejects_unreachable_operating_points(self, lam, gamma, error, match):
+        with pytest.raises(error, match=match):
+            v.duty_cycle(lam, gamma)
 
     def test_decimal_complement_of_a_mirrored_brightness_is_always_on(self):
         """gamma = 1 - lambda, written in decimal, gives duty 1 for every
@@ -72,21 +65,10 @@ class TestDutyCycle:
         assert len(duties) == 499 and set(duties) == {1.0}
         v.DimmingSpec(0.7, 0.3)
 
-    def test_rounding_slack_admits_no_decimal_below_the_target(self):
-        with pytest.raises(DutyCycleError):
-            v.duty_cycle(0.3, 0.299)
-
-    def test_slack_is_at_most_a_fixed_fraction_of_the_target(self):
-        """Below 2**-13 the ulp(0.5) window shrinks to 2**-40 of the target."""
-        assert v.duty_cycle(1e-16, 2e-16) == 0.5
-        with pytest.raises(DutyCycleError):
-            v.duty_cycle(2e-16, 1e-16)
-        assert v.duty_cycle(v.effective_brightness(0.7)[0], 0.3) == 1.0
-        assert v.duty_cycle(2.0 ** -13, 2.0 ** -13 + 2.0 ** -53) == 1.0
+    def test_ratios_beyond_the_slack_keep_the_plain_quotient(self):
+        """Just past the window below 2**-13 too."""
         lam, gamma = 2.0 ** -14, 2.0 ** -14 + 2.0 ** -53
         assert v.duty_cycle(lam, gamma) == lam / gamma < 1.0
-
-    def test_ratios_beyond_the_slack_keep_the_plain_quotient(self):
         for lam in (0.05, 0.2, 0.3, 0.35, 0.5):
             for gamma in np.linspace(lam, 0.99, 50):
                 assert v.duty_cycle(lam, float(gamma)) == lam / float(gamma)
@@ -117,23 +99,27 @@ class TestAssembleWaveform:
         with pytest.raises(v.DegenerateSymbolError, match="max_x=inf, min_x=-1.0 in row 0$"):
             v.assemble_waveform(np.array([[np.inf, -1.0, 0.5]]), v.DimmingSpec(0.25), LED)
 
-    def test_five_symbol_demo_layout(self):
-        """Five N=256 symbols at brightness 0.25, ratio 0.4: biased blocks and gaps."""
-        symbols = make_symbols(5, n=256)
-        spec = v.DimmingSpec(0.25, 0.4)
-        wave = v.assemble_waveform(symbols, spec, LED)
-        on_len = 256 * 4
-        off_len = round(on_len * (1 - 0.625) / 0.625)
-        assert len(wave) == 5 * (on_len + off_len)
-        frame = on_len + off_len
-        for k in range(5):
-            block = wave[k * frame: k * frame + on_len]
-            gap = wave[k * frame + on_len: (k + 1) * frame]
-            assert abs(float(np.mean(block)) - 0.4) < 1e-9
+    @pytest.mark.parametrize("count, n, seed, brightness, gamma, optical", [
+        (5, 256, 1, 0.25, 0.4, True), (10, 64, 9, 0.1, 0.3, False)])
+    def test_frames_are_biased_symbols_then_gaps(self, count, n, seed, brightness, gamma,
+                                                 optical):
+        """Each frame is a symbol's samples inside the range, then off_interval zeros."""
+        symbols = make_symbols(count, n=n, seed=seed)
+        wave = v.assemble_waveform(symbols, v.DimmingSpec(brightness, gamma), LED)
+        on_len = n * 4
+        d = brightness / gamma
+        off_len = round(on_len * (1 - d) / d)
+        assert len(wave) == count * (on_len + off_len)
+        for k in range(count):
+            start = k * (on_len + off_len)
+            block = wave[start: start + on_len]
             assert np.all(block >= LED.i_low - 1e-9) and np.all(block <= LED.i_high + 1e-9)
-            assert_array_equal(gap, np.zeros(off_len))
-        optical = v.optical_output(wave, LED)
-        assert float(np.mean(optical)) == pytest.approx(0.25 * LED.o_high, rel=0.02)
+            assert_array_equal(wave[start + on_len: start + on_len + off_len], np.zeros(off_len))
+            if optical:
+                assert abs(float(np.mean(block)) - gamma) < 1e-9
+        if optical:
+            mean = float(np.mean(v.optical_output(wave, LED)))
+            assert mean == pytest.approx(brightness * LED.o_high, rel=0.02)
 
     def test_biasing_waveform_mean_is_the_bias(self):
         symbols = make_symbols(1)
@@ -158,37 +144,16 @@ class TestAssembleWaveform:
         optical = v.optical_output(wave, LED)
         assert float(np.mean(optical)) == pytest.approx(0.7 * LED.o_high, rel=0.01)
 
-    def test_mirrored_pwm_needs_grounded_range(self):
-        symbols = make_symbols(2)
-        led = v.LedModel(0.1, 1.0, 1.0)
-        spec = v.DimmingSpec(0.7, 0.4)
-        with pytest.raises(CurrentRangeError):
-            v.assemble_waveform(symbols, spec, led)
-        # biasing has no off state, so mirroring works on any range
-        v.assemble_waveform(symbols, v.DimmingSpec(0.7), led)
-
-    def test_mirrored_pwm_at_duty_one_still_needs_grounded_range(self):
+    @pytest.mark.parametrize("gamma", [0.4, v.effective_brightness(0.7)[0]],
+                             ids=["pwm", "duty-one"])
+    def test_mirrored_pwm_needs_grounded_range(self, gamma):
         """PWM at gamma = lambda_eff equals biasing, but keeps PWM's off-state rule."""
         symbols = make_symbols(2)
         led = v.LedModel(0.1, 1.0, 1.0)
-        spec = v.DimmingSpec(0.7, v.effective_brightness(0.7)[0])
         with pytest.raises(CurrentRangeError):
-            v.assemble_waveform(symbols, spec, led)
-
-    def test_on_samples_in_range_off_samples_zero(self):
-        symbols = make_symbols(10, seed=9)
-        spec = v.DimmingSpec(0.1, 0.3)
-        wave = v.assemble_waveform(symbols, spec, LED)
-        d = 0.1 / 0.3
-        on_len = 256
-        off_len = round(on_len * (1 - d) / d)
-        assert len(wave) == 10 * (on_len + off_len)
-        for k in range(10):
-            start = k * (on_len + off_len)
-            block = wave[start: start + on_len]
-            gap = wave[start + on_len: start + on_len + off_len]
-            assert np.all(block >= LED.i_low - 1e-9) and np.all(block <= LED.i_high + 1e-9)
-            assert_array_equal(gap, np.zeros(off_len))
+            v.assemble_waveform(symbols, v.DimmingSpec(0.7, gamma), led)
+        # biasing has no off state, so mirroring works on any range
+        v.assemble_waveform(symbols, v.DimmingSpec(0.7), led)
 
 
 class TestWaveformCsv:

@@ -51,6 +51,13 @@ EDGES = [
     {"n_list": "4, 8, 32"},
     *({"constellation": c.value} for c in v.Constellation),
 ]
+# a count of 2**64, beyond every array, on each run that reads the key: validate()
+# rejects it, naming the key, before the output directory is made
+HUGE = 2 ** 64
+COUNT_EDGES = [(sub, {key: value}) for key, value, subs in [
+    ("symbol_count", HUGE, [sub for sub in SUBCOMMANDS if sub != "selftest"]),
+    ("n_subcarriers", HUGE, SUBCOMMANDS), ("oversample_factor", HUGE, SUBCOMMANDS),
+    ("n_list", f"64, {HUGE}", ["variance-sweep"])] for sub in subs]
 
 
 def _draw_keys(rng: random.Random) -> dict:
@@ -90,6 +97,7 @@ def _draw_cases(seed: int = 20240601) -> tuple[list[str], list[tuple[str, dict, 
     rng = random.Random(seed)
     pairs = [(sub, edge) for edge in GRID_EDGES for sub in SUBCOMMANDS]
     pairs += [(sub, edge) for edge in EDGES for sub in rng.sample(SUBCOMMANDS, 3)]
+    pairs += COUNT_EDGES
     return ([f"{sub}-{_edge_id(edge)}" for sub, edge in pairs],
             [(sub, {**_draw_keys(rng), **edge}, rng.random() < 0.5) for sub, edge in pairs])
 
@@ -111,7 +119,7 @@ def _csvs(directory) -> dict:
 
 def test_cases_cover_every_edge_and_subcommand():
     assert {sub for sub, _, _ in CASES} == set(SUBCOMMANDS)
-    for edge in GRID_EDGES + EDGES:
+    for edge in GRID_EDGES + EDGES + [edge for _, edge in COUNT_EDGES]:
         assert any(edge.items() <= keys.items() for _, keys, _ in CASES), edge
     assert any(flag and keys["dnr_db_start"] < 0 for _, keys, flag in CASES)
 
@@ -134,6 +142,10 @@ def test_accepted_input_gives_a_result_or_a_typed_error(tmp_path, monkeypatch, c
     code, err = _run(argv + ["--config", path, "--out", first], tmp_path / "cache", monkeypatch,
                      capsys)
     assert code in EXIT_CODES, err
+    huge = [key for key, value in keys.items() if str(HUGE) in str(value)]
+    if huge:
+        assert code == 2 and f"vlcsim: config error: {huge[0]}: " in err, err
+        assert not first.exists()
     if code != 0:  # a self-test failure, or one line naming the typed error
         assert code == 3 or err.splitlines()[-1].startswith("vlcsim: "), err
         # every key is in its domain, so a config error on a grid key is a budget

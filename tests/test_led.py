@@ -54,25 +54,16 @@ class TestLedModel:
 
 
 class TestComputeAlpha:
-    def test_symmetric_case_tie_goes_positive(self):
-        alpha_pos, alpha_neg = candidates(1.0, -1.0, 0.5, v.LedModel())
-        assert alpha_pos == pytest.approx(0.5)
-        assert alpha_neg == pytest.approx(-0.5)
-        assert v.compute_alpha(1.0, -1.0, 0.5, v.LedModel()) == alpha_pos > 0
-
-    def test_positive_branch_wins(self):
-        led = v.LedModel(0.0, 10.0, 1.0)
-        alpha_pos, alpha_neg = candidates(4.0, -2.0, 2.0, led)
-        assert alpha_pos == pytest.approx(1.0)
-        assert alpha_neg == pytest.approx(-0.5)
-        assert v.compute_alpha(4.0, -2.0, 2.0, led) == alpha_pos
-
-    def test_sign_flip_chosen_when_negative_is_larger(self):
-        led = v.LedModel(0.0, 10.0, 1.0)
-        alpha_pos, alpha_neg = candidates(2.0, -4.0, 2.0, led)
-        assert alpha_pos == pytest.approx(0.5)
-        assert alpha_neg == pytest.approx(-1.0)
-        assert v.compute_alpha(2.0, -4.0, 2.0, led) == alpha_neg
+    @pytest.mark.parametrize("max_x, min_x, bias, led, pos, neg, sign", [
+        (1.0, -1.0, 0.5, v.LedModel(), 0.5, -0.5, 1),  # a tie goes positive
+        (4.0, -2.0, 2.0, v.LedModel(0.0, 10.0, 1.0), 1.0, -0.5, 1),
+        (2.0, -4.0, 2.0, v.LedModel(0.0, 10.0, 1.0), 0.5, -1.0, -1),  # the sign flips
+        (3.0, -2.0, 0.2, v.LedModel(), 0.1, -0.2 / 3.0, 1)])
+    def test_larger_candidate_wins(self, max_x, min_x, bias, led, pos, neg, sign):
+        """Of the tightest positive and negative factors, the larger magnitude wins."""
+        alpha_pos, alpha_neg = candidates(max_x, min_x, bias, led)
+        assert (alpha_pos, alpha_neg) == (pytest.approx(pos), pytest.approx(neg))
+        assert v.compute_alpha(max_x, min_x, bias, led) == (alpha_pos if sign > 0 else alpha_neg)
 
     def test_matches_grid_scan_oracle(self):
         led = v.LedModel(0.0, 10.0, 1.0)
@@ -98,12 +89,6 @@ class TestComputeAlpha:
             assert np.all(ys >= led.i_low - slack) and np.all(ys <= led.i_high + slack)
             # one extreme lands on a boundary
             assert min(abs(ys - led.i_low).min(), abs(ys - led.i_high).min()) < slack
-
-    def test_sign_magnitudes(self):
-        alpha_pos, alpha_neg = candidates(3.0, -2.0, 0.2, v.LedModel())
-        alpha = v.compute_alpha(3.0, -2.0, 0.2, v.LedModel())
-        assert alpha_pos > 0 > alpha_neg
-        assert abs(alpha) == max(abs(alpha_pos), abs(alpha_neg))
 
     @pytest.mark.parametrize("hi, lo", [(-0.1, -1.0), (1.0, 0.2), (np.inf, -1.0),
                                         (1.0, -np.inf), (np.nan, -1.0), (1.0, np.nan)])
@@ -173,12 +158,11 @@ EDGE_ZETAS = [*(np.arange(1, 1000) * 0.001), 1e-300, 0.5, 1.0 - 1e-16]
 
 
 class TestVarianceClosedForm:
-    def test_symmetric_papr(self):
-        assert v.variance_closed_form(0.5, 4.0, 4.0, v.LedModel()) == 0.0625
-
-    def test_asymmetric_papr(self):
-        got = v.variance_closed_form(0.2, 9.0, 4.0, v.LedModel())
-        assert got == pytest.approx(0.01, rel=1e-12)
+    @pytest.mark.parametrize("zeta, upapr, lpapr, variance, rel", [
+        (0.5, 4.0, 4.0, 0.0625, 0.0), (0.2, 9.0, 4.0, 0.01, 1e-12)])
+    def test_hand_evaluated_values(self, zeta, upapr, lpapr, variance, rel):
+        assert v.variance_closed_form(zeta, upapr, lpapr, v.LedModel()) == \
+               pytest.approx(variance, rel=rel, abs=0.0)
 
     def test_cross_checks_against_maximal_scaling(self):
         """Synthetic symbol max=3, min=-2, var=1 reproduces the 0.2-bias value."""
@@ -198,19 +182,14 @@ class TestVarianceClosedForm:
         with pytest.raises(ValueError):
             v.variance_closed_form(1.0, 4.0, 4.0, v.LedModel())
 
-    def test_mirror_symmetry_is_exact(self):
-        rng = np.random.default_rng(14)
-        for zeta in rng.uniform(0.01, 0.99, size=200):
-            a = v.variance_closed_form(zeta, 7.3, 2.9, v.LedModel())
-            b = v.variance_closed_form(1.0 - zeta, 7.3, 2.9, v.LedModel())
-            assert a == b
-
-    def test_papr_swap_symmetry_is_exact(self):
-        rng = np.random.default_rng(15)
-        for zeta in rng.uniform(0.01, 0.99, size=200):
-            a = v.variance_closed_form(zeta, 7.3, 2.9, v.LedModel())
-            b = v.variance_closed_form(zeta, 2.9, 7.3, v.LedModel())
-            assert a == b
+    @pytest.mark.parametrize("seed, other", [
+        (14, lambda zeta: (1.0 - zeta, 7.3, 2.9)), (15, lambda zeta: (zeta, 2.9, 7.3))],
+        ids=["mirror", "swap"])
+    def test_symmetry_is_exact(self, seed, other):
+        """zeta <-> 1 - zeta and U <-> L leave the variance's bits unchanged."""
+        for zeta in np.random.default_rng(seed).uniform(0.01, 0.99, size=200):
+            assert v.variance_closed_form(zeta, 7.3, 2.9, v.LedModel()) == \
+                   v.variance_closed_form(*other(zeta), v.LedModel())
 
     @pytest.mark.parametrize("population", ["pop64", "pop64_qam16", "gaussian4"])
     def test_two_term_kernel_equals_the_four_term_form_bit_for_bit(self, request, population):
@@ -277,30 +256,13 @@ class TestClosedFormMatchesScaling:
                 y_over = alpha * (1 + 1e-6) * x + bias
                 assert np.any(y_over < led.i_low - slack) or np.any(y_over > led.i_high + slack)
 
-    def test_population_variance_drops_with_subcarriers(self, pop64, pop1024):
-        mid64 = float(np.mean(v.variance_factor(0.5, pop64.upapr, pop64.lpapr)))
-        mid1024 = float(np.mean(v.variance_factor(0.5, pop1024.upapr, pop1024.lpapr)))
-        assert mid64 > mid1024
-
-
 class TestOpticalOutput:
-    def test_endpoints(self):
-        led = v.LedModel(0.2, 1.0, 5.0)
-        assert v.optical_output(led.i_high, led) == pytest.approx(5.0)
-        assert v.optical_output(led.i_low, led) == 0.0
-
-    def test_off_state_emits_nothing(self):
-        assert v.optical_output(0.0, v.LedModel(0.2, 1.0, 5.0)) == 0.0
-
-    def test_linear_in_brightness(self):
-        led = v.LedModel()
-        i_avg = led.i_low + 0.25 * led.dynamic_range
-        assert v.optical_output(i_avg, led) == pytest.approx(0.25 * led.o_high)
-
-    def test_vectorized(self):
-        led = v.LedModel()
-        out = v.optical_output(np.array([0.0, 0.5, 1.0]), led)
-        np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("current, led, light", [
+        (1.0, v.LedModel(0.2, 1.0, 5.0), 5.0), (0.2, v.LedModel(0.2, 1.0, 5.0), 0.0),
+        (0.0, v.LedModel(0.2, 1.0, 5.0), 0.0),  # the off state emits nothing
+        (0.25, v.LedModel(), 0.25), (np.array([0.0, 0.5, 1.0]), v.LedModel(), [0.0, 0.5, 1.0])])
+    def test_linear_between_the_ends(self, current, led, light):
+        np.testing.assert_allclose(v.optical_output(current, led), light)
 
     def test_rejects_unreachable_currents(self):
         led = v.LedModel(0.2, 1.0, 1.0)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.stats import binom, ks_2samp
+from scipy.stats import binom
 
 import vlcsim as v
 from vlcsim.errors import DegenerateSymbolError, HermitianSymmetryError
@@ -33,17 +33,6 @@ class TestFreqSymbol:
                 assert bins.dtype == np.complex128 and bins.shape == (n,)
                 assert bins[0] == 0 and bins[n // 2] == 0
                 assert_array_equal(bins[n // 2 + 1:], np.conj(bins[n // 2 - 1:0:-1]))
-
-    def test_rejects_odd_or_tiny_n(self):
-        with pytest.raises(ValueError):
-            v.generate_freq_symbol(5, v.Constellation.QPSK, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            v.generate_freq_symbol(2, v.Constellation.QPSK, np.random.default_rng(0))
-
-    def test_generation_is_deterministic(self):
-        a = v.generate_freq_symbol(8, v.Constellation.QPSK, v.symbol_rng(3, 0))
-        b = v.generate_freq_symbol(8, v.Constellation.QPSK, v.symbol_rng(3, 0))
-        assert_array_equal(a, b)
 
     def test_gaussian_bins_have_unit_average_power(self):
         """Per-bin mean power over 10000 draws stays within 5% of 1."""
@@ -89,16 +78,6 @@ class TestToTimeDomain:
         with pytest.raises(DegenerateSymbolError):
             v.papr_of(x)
 
-    def test_rejects_invalid_oversample(self):
-        with pytest.raises(ValueError):
-            v.to_time_domain(SMALLEST, 0)
-
-    def test_rejects_mutated_bins(self):
-        bins = v.generate_freq_symbol(16, v.Constellation.QPSK, v.symbol_rng(1, 1))
-        bins[3] = 5.0  # break the mirror
-        with pytest.raises(HermitianSymmetryError):
-            v.to_time_domain(bins, 4)
-
     def test_peak_estimate_converges_with_oversampling(self):
         """Peaks at F=4 sit close to the F=16 reference over 100 symbols."""
         diffs = []
@@ -143,6 +122,13 @@ def _per_symbol_formula(bins, factor):
     return samples, float(np.mean(samples ** 2))
 
 
+def mutated(index, value):
+    """Seeded N = 16 QPSK bins with one bin overwritten."""
+    bins = v.generate_freq_symbol(16, v.Constellation.QPSK, v.symbol_rng(1, 1))
+    bins[index] = value
+    return bins
+
+
 class TestOneSynthesisKernel:
     # sizes whose QPSK and 16-QAM symbols below hold samples that are exactly 0.0
     WITH_ZEROS = [(4, 2), (6, 2)]
@@ -166,22 +152,17 @@ class TestOneSynthesisKernel:
             assert zeros > 0  # so the comparison covers the sign of a zero
 
     @pytest.mark.parametrize("factor", [1, 4])
-    @pytest.mark.parametrize("index", [0, 8])
-    def test_to_time_domain_rejects_a_mutated_dc_or_nyquist_bin(self, factor, index):
-        bins = v.generate_freq_symbol(16, v.Constellation.QPSK, v.symbol_rng(1, 1))
-        bins[index] = 1.0
-        with pytest.raises(HermitianSymmetryError, match="DC and Nyquist"):
-            v.to_time_domain(bins, factor)
-
-    @pytest.mark.parametrize("factor", [1, 4])
     @pytest.mark.parametrize("bins, message", [
         ([1, 1 + 1j, 0, 1 - 1j], "DC and Nyquist"), ([0, 1 + 1j, 1, 1 - 1j], "DC and Nyquist"),
         ([0, 1 + 1j, 0, 1 + 1j], "not Hermitian symmetric"),
         # an infinite bin equals its own conjugate mirror, and its NaN residual compares False
         ([0, np.inf, 0, np.inf], "bins must be finite"),
         ([0, complex(np.inf, 1), 0, complex(np.inf, -1)], "bins must be finite"),
-        ([0, np.nan, 0, np.nan], "bins must be finite")],
-        ids=["dc", "nyquist", "mirror", "inf", "inf-real-part", "nan"])
+        ([0, np.nan, 0, np.nan], "bins must be finite"),
+        (mutated(0, 1.0), "DC and Nyquist"), (mutated(8, 1.0), "DC and Nyquist"),
+        (mutated(3, 5.0), "not Hermitian symmetric")],
+        ids=["dc", "nyquist", "mirror", "inf", "inf-real-part", "nan", "dc-n16", "nyquist-n16",
+             "mirror-n16"])
     def test_to_time_domain_rejects_bins_the_kernel_cannot_synthesize(self, factor, bins,
                                                                       message):
         with warnings.catch_warnings():
@@ -207,23 +188,19 @@ class TestOneSynthesisKernel:
 
 
 class TestPaprOf:
-    def test_two_level_signal(self):
-        assert v.papr_of(np.array([1.0, -1.0, -1.0, 1.0])) == (1.0, 1.0)
+    @pytest.mark.parametrize("samples, pair", [
+        ([1.0, -1.0, -1.0, 1.0], (1.0, 1.0)), ([3.0, -1.0, -1.0, -1.0], (3.0, 1.0 / 3.0))])
+    def test_hand_evaluated_pairs(self, samples, pair):
+        """[3, -1, -1, -1] has mean square 3: UPAPR 9/3 and LPAPR 1/3."""
+        assert v.papr_of(np.array(samples)) == pair
 
-    def test_asymmetric_signal(self):
-        """samples [3,-1,-1,-1]: var 3, UPAPR 3, LPAPR 1/3."""
-        upapr, lpapr = v.papr_of([3.0, -1.0, -1.0, -1.0])
-        assert upapr == pytest.approx(3.0, rel=1e-12)
-        assert lpapr == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-    def test_degenerate_symbol_rejected(self):
-        with pytest.raises(DegenerateSymbolError):
-            v.papr_of(np.zeros(8))
-
-    @pytest.mark.parametrize("samples", [[np.nan, 1.0, -1.0], [np.inf, -1.0], [1.0, -np.inf]])
-    def test_non_finite_samples_rejected(self, samples):
-        """A NaN sample gave NaN PAPRs and an infinite one NaN and 0.0, with a warning."""
-        with pytest.raises(ValueError, match="^samples must be finite$"):
+    @pytest.mark.parametrize("samples, error, message", [
+        (np.zeros(8), DegenerateSymbolError, "all-zero symbol has no PAPR"),
+        # a NaN sample gave NaN PAPRs and an infinite one NaN and 0.0, with a warning
+        *((samples, ValueError, "samples must be finite")
+          for samples in ([np.nan, 1.0, -1.0], [np.inf, -1.0], [1.0, -np.inf]))])
+    def test_rejects_a_symbol_without_a_papr(self, samples, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
             v.papr_of(samples)
 
     def test_mean_upapr_grows_with_subcarriers(self, pop64, pop1024):
@@ -250,29 +227,18 @@ class TestExchangeability:
 
 
 class TestSamplePaprPopulation:
-    def test_single_sample_equals_composition(self):
-        pop = v.sample_papr_population(64, v.Constellation.QPSK, 1, seed=31)
-        bins = v.generate_freq_symbol(64, v.Constellation.QPSK, v.symbol_rng(31, 0))
-        assert v.papr_of(v.to_time_domain(bins, 4)) == (pop.upapr[0], pop.lpapr[0])
-
-    def test_population_is_bit_reproducible(self):
-        a = v.sample_papr_population(64, v.Constellation.QAM16, 50, seed=8)
-        b = v.sample_papr_population(64, v.Constellation.QAM16, 50, seed=8)
-        assert_array_equal(a.upapr, b.upapr)
-        assert_array_equal(a.lpapr, b.lpapr)
-
-    def test_rejects_empty_request(self):
-        with pytest.raises(ValueError):
-            v.sample_papr_population(64, v.Constellation.QPSK, 0, seed=1)
-
-    def test_indexing_and_iteration(self):
-        pop = v.sample_papr_population(16, v.Constellation.QPSK, 5, seed=2)
-        assert len(pop) == 5
-
-    def test_upapr_distribution_ignores_constellation(self, pop64, pop64_qam16):
-        """QPSK and 16-QAM populations agree in distribution (KS <= 0.05)."""
-        stat = ks_2samp(pop64.upapr, pop64_qam16.upapr).statistic
-        assert stat <= 0.05
+    @pytest.mark.parametrize("constellation", list(v.Constellation))
+    def test_a_name_draws_as_its_member(self, constellation):
+        """A plain string is converted before any draw: the population carries the member."""
+        by_name = v.sample_papr_population(16, constellation.value, 600, seed=1)
+        member = v.sample_papr_population(16, constellation, 600, seed=1)
+        assert by_name.constellation is constellation
+        assert by_name.upapr.tobytes() == member.upapr.tobytes()
+        assert by_name.lpapr.tobytes() == member.lpapr.tobytes()
+        assert_array_equal(v.generate_freq_symbol(16, constellation.value, v.symbol_rng(1, 0)),
+                           v.generate_freq_symbol(16, constellation, v.symbol_rng(1, 0)))
+        with pytest.raises(ValueError, match="'bpsk' is not a valid Constellation"):
+            v.sample_papr_population(16, "bpsk", 3, seed=1)
 
 
 def _reference_population(n, constellation, count, seed, factor):
@@ -282,17 +248,26 @@ def _reference_population(n, constellation, count, seed, factor):
     return tuple(np.array(pairs).T)
 
 
+# (edge, N, F, constellation, seed): counts edge - 1, edge and edge + 1 around one symbol,
+# a sampler block and a seed chunk, the chunks' under a seed of three 32-bit words
+EDGES = [("one", 64, 4, v.Constellation.QPSK, 31),
+         *(("block", n, factor, constellation, 31)
+           for n, factor in [(4, 1), (6, 3), (64, 4), (1024, 1)]
+           for constellation in v.Constellation),
+         *(("chunk", n, factor, constellation, 2 ** 40 + 7) for n, factor in [(6, 3), (64, 4)]
+           for constellation in v.Constellation)]
+
+
 class TestBatchedSampler:
-    @pytest.mark.parametrize("n,factor", [(4, 1), (6, 3), (64, 4), (1024, 1)])
-    @pytest.mark.parametrize("constellation", list(v.Constellation))
-    def test_matches_per_symbol_reference_around_block_edges(self, n, factor, constellation):
-        """Counts block-1, block and block+1 equal the per-symbol path bit for bit."""
-        block = max(1, v.ofdm._BLOCK_BYTES // (16 * n * factor))
-        ref_u, ref_l = _reference_population(n, constellation, block + 1, 31, factor)
-        for count in (block - 1, block, block + 1):
-            if count < 1:
-                continue
-            pop = v.sample_papr_population(n, constellation, count, seed=31,
+    @pytest.mark.parametrize("edge, n, factor, constellation, seed", EDGES)
+    def test_matches_per_symbol_reference_around_edges(self, edge, n, factor, constellation,
+                                                       seed):
+        """The pair at index i is papr_of(to_time_domain(generate_freq_symbol(...)))."""
+        size = {"one": 1, "block": max(1, v.ofdm._BLOCK_BYTES // (16 * n * factor)),
+                "chunk": v.ofdm._SEED_CHUNK}[edge]
+        ref_u, ref_l = _reference_population(n, constellation, size + 1, seed, factor)
+        for count in sorted({max(size - 1, 1), size, size + 1}):
+            pop = v.sample_papr_population(n, constellation, count, seed=seed,
                                            oversample_factor=factor)
             assert_array_equal(pop.upapr, ref_u[:count])
             assert_array_equal(pop.lpapr, ref_l[:count])
@@ -311,16 +286,6 @@ class TestBatchedSampler:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         pop = v.sample_papr_population(64, v.Constellation.QPSK, 20, seed=13)
         assert len(pop) == 20
-
-    @pytest.mark.parametrize("kwargs", [dict(n_subcarriers=5), dict(n_subcarriers=2),
-                                        dict(oversample_factor=0)])
-    def test_rejects_bad_geometry(self, kwargs):
-        args = dict(n_subcarriers=64, constellation=v.Constellation.QPSK, count=3, seed=1,
-                    oversample_factor=4)
-        args.update(kwargs)
-        with pytest.raises(ValueError):
-            v.sample_papr_population(**args)
-
 
 class TestSampledRows:
     """The sampler's samples= rows are the one-row synthesis of symbol_rng's draws."""
@@ -393,18 +358,6 @@ class TestBatchedSeeding:
                        lambda: v.sample_papr_population(16, v.Constellation.QPSK, 3, seed)):
             with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
                 sample()
-
-    @pytest.mark.parametrize("n,factor", [(6, 3), (64, 4)])
-    @pytest.mark.parametrize("constellation", list(v.Constellation))
-    def test_matches_per_symbol_reference_around_chunk_edges(self, n, factor, constellation):
-        """Counts chunk-1, chunk and chunk+1 equal the per-symbol path bit for bit."""
-        chunk = v.ofdm._SEED_CHUNK
-        ref_u, ref_l = _reference_population(n, constellation, chunk + 1, 2 ** 40 + 7, factor)
-        for count in (chunk - 1, chunk, chunk + 1):
-            pop = v.sample_papr_population(n, constellation, count, seed=2 ** 40 + 7,
-                                           oversample_factor=factor)
-            assert_array_equal(pop.upapr, ref_u[:count])
-            assert_array_equal(pop.lpapr, ref_l[:count])
 
     def test_sampler_builds_no_per_symbol_seed_sequence(self, monkeypatch):
         """symbol_rng seeds only the canary's reference, at each chunk's first index."""
@@ -521,41 +474,37 @@ class TestRawWordDraws:
         assert checked == [0, v.ofdm._SEED_CHUNK]
 
 
-class TestSizeChecks:
-    """Every entry point rejects a bad N or F with the same type and message."""
+N_MESSAGE = "n_subcarriers must be even and >= 4, got {}"
+F_MESSAGE = "oversample_factor must be >= 1, got {}"
+QPSK = v.Constellation.QPSK
+# every entry point rejects a bad N or F with the same type and message, the sampler the
+# factor first; the per-symbol functions take one symbol, rows are the sampler's
+SIZE_ERRORS = {
+    **{f"freq-n{n}": (lambda n=n: v.generate_freq_symbol(n, QPSK, v.symbol_rng(1, 0)),
+                      N_MESSAGE.format(n)) for n in (2, 5, -4)},
+    **{f"sampler-n{n}": (lambda n=n: v.sample_papr_population(n, QPSK, 3, seed=1),
+                         N_MESSAGE.format(n)) for n in (2, 5, -4)},
+    **{f"time-n{n}": (lambda n=n: v.to_time_domain(np.zeros(n, dtype=complex), 1),
+                      N_MESSAGE.format(n)) for n in (2, 5)},
+    **{f"time-f{f}": (lambda f=f: v.to_time_domain(SMALLEST, f), F_MESSAGE.format(f))
+       for f in (0, -1)},
+    **{f"sampler-f{f}": (lambda f=f: v.sample_papr_population(64, QPSK, 3, seed=1,
+                                                              oversample_factor=f),
+                         F_MESSAGE.format(f)) for f in (0, -1)},
+    "sampler-f-before-n": (lambda: v.sample_papr_population(5, QPSK, 3, 1, oversample_factor=0),
+                           F_MESSAGE.format(0)),
+    "sampler-count": (lambda: v.sample_papr_population(64, QPSK, 0, seed=1),
+                      "count must be >= 1, got 0"),
+    "time-rows": (lambda: v.to_time_domain(np.zeros((2, 4), dtype=complex), 1),
+                  "bins must be one-dimensional, got shape (2, 4)"),
+    "papr-rows": (lambda: v.papr_of(np.ones((2, 4))),
+                  "samples must be one-dimensional, got shape (2, 4)"),
+}
 
-    N_MESSAGE = "n_subcarriers must be even and >= 4, got {}"
-    F_MESSAGE = "oversample_factor must be >= 1, got {}"
 
-    @pytest.mark.parametrize("n", [2, 5, -4])
-    def test_subcarrier_count(self, n):
-        rng = v.symbol_rng(1, 0)
-        calls = [lambda: v.generate_freq_symbol(n, v.Constellation.QPSK, rng),
-                 lambda: v.sample_papr_population(n, v.Constellation.QPSK, 3, seed=1)]
-        if n >= 0:  # to_time_domain counts the bins it is given
-            calls.append(lambda: v.to_time_domain(np.zeros(n, dtype=complex), 1))
-        for call in calls:
-            with pytest.raises(ValueError) as err:
-                call()
-            assert str(err.value) == self.N_MESSAGE.format(n)
-
-    @pytest.mark.parametrize("factor", [0, -1])
-    def test_oversample_factor(self, factor):
-        for call in (lambda: v.to_time_domain(SMALLEST, factor),
-                     lambda: v.sample_papr_population(64, v.Constellation.QPSK, 3, seed=1,
-                                                      oversample_factor=factor)):
-            with pytest.raises(ValueError) as err:
-                call()
-            assert str(err.value) == self.F_MESSAGE.format(factor)
-
-    def test_sampler_checks_the_factor_before_the_count_of_subcarriers(self):
-        with pytest.raises(ValueError, match="oversample_factor"):
-            v.sample_papr_population(5, v.Constellation.QPSK, 3, seed=1, oversample_factor=0)
-
-    @pytest.mark.parametrize("call", [lambda: v.to_time_domain(np.zeros((2, 4), dtype=complex), 1),
-                                      lambda: v.papr_of(np.ones((2, 4)))],
-                             ids=["to_time_domain", "papr_of"])
-    def test_one_symbol_at_a_time(self, call):
-        """The per-symbol functions take one symbol; rows are the sampler's."""
-        with pytest.raises(ValueError, match="must be one-dimensional, got shape \\(2, 4\\)"):
-            call()
+@pytest.mark.parametrize("name", SIZE_ERRORS)
+def test_bad_size_is_rejected(name):
+    call, message = SIZE_ERRORS[name]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

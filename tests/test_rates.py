@@ -39,17 +39,14 @@ class TestRatePerCell:
         assert [row.dnr_db for row in rows] == [-np.inf, -np.inf]
         assert [row.avg_snr_db for row in rows] == [-np.inf, -np.inf]
 
-    def test_single_sample_biasing(self):
-        """U=L=2.5, DNR=10 at half brightness: f = 0.25/2.5, SNR 1, rate 1/2."""
-        row = biasing_row(v.sweep_rates([0.5], [10.0], [0.5], single_sample_pop(2.5, 2.5)))
-        assert row.rate == pytest.approx(0.5, rel=1e-12)
-        assert row.avg_snr_db == pytest.approx(0.0, abs=1e-9)
-
-    def test_single_sample_pwm_pays_duty_cycle(self):
-        """Same SNR at gamma=0.5 but only 0.25/0.5 of the time on air."""
-        rows = v.sweep_rates([0.25], [10.0], [0.5], single_sample_pop(2.5, 2.5))
-        assert rows[1].rate == pytest.approx(0.25, rel=1e-12)
-        assert rows[1].avg_snr_db == pytest.approx(0.0, abs=1e-9)
+    @pytest.mark.parametrize("lam, row, rate", [(0.5, 0, 0.5), (0.25, 1, 0.25)],
+                             ids=["biasing", "pwm"])
+    def test_single_sample(self, lam, row, rate):
+        """U=L=2.5, DNR=10: f = 0.25/2.5 at ratio 0.5, SNR 1, rate 1/2 times the duty,
+        0.25/0.5 of the time on air for PWM."""
+        rows = v.sweep_rates([lam], [10.0], [0.5], single_sample_pop(2.5, 2.5))
+        assert rows[row].rate == pytest.approx(rate, rel=1e-12)
+        assert rows[row].avg_snr_db == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("run", [lambda pop: v.sweep_rates([0.3], [0.0], [0.4], pop),
                                      lambda pop: v.sweep_rates([0.3], [0.0], v.AUTO, pop),
@@ -212,39 +209,14 @@ class TestVarianceProfile:
         peak = int(np.argmax(per_zeta[lower]))
         assert (prof.zeta_dagger, bits(prof.peak_mean)) == (zetas[peak], bits(means[peak]))
 
-    def test_peak_sits_in_lower_half_and_beats_midpoint(self, pop64):
-        prof = v.variance_profile(pop64, 0.01)
-        assert prof.zeta_dagger <= 0.5
-        midpoint = prof.grid[prof.grid[:, 0] == 0.5][0, 1]
-        assert prof.peak_mean >= midpoint
-        assert prof.peak_mean == prof.grid[:, 1].max()
-
-    def test_more_subcarriers_flatten_the_profile(self, pop64, pop1024):
-        at64 = v.variance_profile(pop64, 0.1)
-        at1024 = v.variance_profile(pop1024, 0.1)
-        mid64 = at64.grid[at64.grid[:, 0] == 0.5][0, 1]
-        mid1024 = at1024.grid[at1024.grid[:, 0] == 0.5][0, 1]
-        assert mid64 > mid1024
-
     def test_rejects_bad_step(self, pop64):
         with pytest.raises(ValueError):
             v.variance_profile(pop64, 0.0)
 
-    def test_zeta_grid_contains_computed_mirrors(self):
-        """Each lower-half point's floating-point mirror 1-z is a grid point."""
-        grid = v.zeta_grid(0.01)
-        assert len(grid) == 99
-        assert grid[0] == pytest.approx(0.01)
-        for z in grid[grid < 0.5]:
-            assert np.any(grid == 1.0 - z)
-
-
 class TestSweepRates:
-    def test_single_cell_matches_the_formula(self, pop64):
-        rows = v.sweep_rates([0.2], [20.0], [0.4], pop64)
-        assert len(rows) == 2
-        assert bits(rows[0].rate) == bits(paper_rate(1.0, 100.0, 0.2, pop64))
-        assert bits(rows[1].rate) == bits(paper_rate(0.2 / 0.4, 100.0, 0.4, pop64))
+    def test_infeasible_ratio_is_rejected(self, pop64):
+        with pytest.raises(v.DutyCycleError):
+            v.sweep_rates([0.3], [10.0], [0.2], pop64)
 
     def test_row_order_and_count(self, pop64):
         rows = v.sweep_rates([0.1, 0.2], [0.0, 10.0], [0.3, 0.4], pop64)
@@ -352,72 +324,8 @@ def count_factor_calls(monkeypatch):
     return ratios
 
 
-class TestSweepRatesGrid:
-    LAMBDAS = [0.1, 0.3, 0.7]
-    DNRS_DB = [0.0, 7.5, 20.0, 45.0]
-    GAMMAS = [0.35, 0.4, 0.45]
-
-    def test_one_factor_per_distinct_ratio(self, pop64, monkeypatch):
-        """The biasing ratios 0.1, 0.3 and 0.7's 0.30000000000000004 and the three PWM
-        ratios are six distinct ratios; each needs one factor, for its log2 and SNR rows."""
-        ratios = count_factor_calls(monkeypatch)
-        rows = v.sweep_rates(self.LAMBDAS, self.DNRS_DB, self.GAMMAS, pop64)
-        lam, dnr, gam = len(self.LAMBDAS), len(self.DNRS_DB), len(self.GAMMAS)
-        assert len(rows) == lam * dnr * (1 + gam)
-        assert sorted(ratios()) == [0.1, 0.3, 0.30000000000000004, 0.35, 0.4, 0.45]
-
-    @pytest.mark.parametrize("gammas", [GAMMAS, v.AUTO])
-    def test_rows_equal_per_row_estimates_bit_for_bit(self, pop64, gammas):
-        rows = v.sweep_rates(self.LAMBDAS, self.DNRS_DB, gammas, pop64, gamma_step=0.05)
-        expected = []
-        for lam in self.LAMBDAS:
-            for dnr_db in self.DNRS_DB:
-                expected.append(paper_row(lam, None, dnr_db, pop64))
-                ratios = gammas if gammas != v.AUTO else [
-                    search(lam, dnr_db, pop64, 0.05).gamma_star]
-                expected.extend(paper_row(lam, gamma, dnr_db, pop64) for gamma in ratios)
-        assert [repr(dataclasses.astuple(row)) for row in rows] == \
-               [repr(dataclasses.astuple(row)) for row in expected]
-
-    def test_infeasible_ratio_is_rejected(self, pop64):
-        with pytest.raises(v.DutyCycleError):
-            v.sweep_rates([0.3], [10.0], [0.2], pop64)
-
-
 def bits(x):
     return np.float64(x).tobytes()
-
-
-class TestBiasingIsPwmAtDutyOne:
-    """Biasing adjustment is PWM at forward ratio lambda_eff, duty cycle exactly 1."""
-
-    @pytest.mark.parametrize("lam", [0.05, 0.2, 0.35, 0.5, 0.65, 0.95])
-    @pytest.mark.parametrize("dnr_db", [-np.inf, 0.0, 23.5, 60.0])
-    def test_rows_bit_for_bit(self, pop64, lam, dnr_db):
-        biasing, pwm = v.sweep_rates([lam], [dnr_db], [v.effective_brightness(lam)[0]], pop64)
-        assert bits(biasing.rate) == bits(pwm.rate)
-        assert bits(biasing.avg_snr_db) == bits(pwm.avg_snr_db)
-        assert (biasing.scheme, biasing.gamma) == (v.Scheme.BIASING_ADJUSTMENT, None)
-        assert pwm.scheme is v.Scheme.PWM
-
-    def test_auto_sweep_counts_variance_factor_rows(self, pop64, monkeypatch):
-        """One factor per distinct grid ratio of the sweep; the reported ratios, the
-        biasing rows' lambda_eff and the optima, are grid ratios and need none of their own."""
-        ratios = count_factor_calls(monkeypatch)
-        lambdas, dnrs_db, step = [0.1, 0.3, 0.7, 0.5], [0.0, 7.5, 20.0], 0.05
-        rows = v.sweep_rates(lambdas, dnrs_db, v.AUTO, pop64, gamma_step=step)
-        assert len(rows) == 2 * len(lambdas) * len(dnrs_db)
-        grids = [set(map(float, v.gamma_grid(v.effective_brightness(lam)[0], step)))
-                 for lam in lambdas]
-        # 0.7's grid starts at 0.30000000000000004, a point of 0.1's grid, and
-        # 0.5's grid is the 0.5 the other three share: 20 grid points, 12 ratios
-        assert [len(grid) for grid in grids] == [9, 5, 5, 1]
-        assert sorted(ratios()) == sorted(set().union(*grids)) == [
-            0.1, 0.15000000000000002, 0.2, 0.25, 0.3, 0.30000000000000004, 0.35,
-            0.35000000000000003, 0.4, 0.45, 0.45000000000000007, 0.5]
-        # biasing at 0.1, 0.3, 0.30000000000000004 and 0.5; 12 optima, 4 distinct
-        reported = {row.gamma for row in rows if row.scheme is v.Scheme.PWM}
-        assert sorted(reported) == [0.4, 0.45, 0.45000000000000007, 0.5]
 
 
 def paper_rate(duty, dnr, gamma, pop):
@@ -455,9 +363,40 @@ def grid_bits(cells):
              result.grid.tobytes()) for lam, db, result in cells]
 
 
+def paper_rows(lambdas, dnrs_db, gammas, pop, step):
+    """sweep_rates' rows from the paper's formulas, cell by cell; under AUTO each cell's
+    PWM ratio is its search's optimum."""
+    return [paper_row(lam, gamma, dnr_db, pop) for lam in lambdas for dnr_db in dnrs_db
+            for gamma in [None, *(gammas if gammas != v.AUTO else
+                                  [search(lam, dnr_db, pop, step).gamma_star])]]
+
+
+def rows_text(rows):
+    return [repr(dataclasses.astuple(row)) for row in rows]
+
+
+# (lambdas, DNRs in dB, ratios, gamma_step): shared grid points, 0.7 mirrored to 0.3 + ulp,
+# a zero budget, and biasing as PWM at ratio lambda_eff, duty exactly 1
+ROW_TABLES = [
+    ([0.05, 0.2, 0.35, 0.7], [0.0, 10.0, 26.0], v.AUTO, 0.01),
+    ([0.05, 0.2, 0.7], [0.0, 10.0, 26.0], [0.3, 0.4, 0.5], 0.005),
+    *(([lam], [-np.inf, 0.0, 23.5, 60.0], [gamma], 0.005)
+      for lam, gamma in [(0.05, 0.05), (0.2, 0.31), (0.7, 0.45), (0.95, 0.5)]),
+    *(([0.1, 0.3, 0.7], [0.0, 7.5, 20.0, 45.0], gammas, 0.05) for gammas in [[0.35, 0.4, 0.45],
+                                                                             v.AUTO]),
+    ([0.2], [20.0], [0.4], 0.005),
+    *(([lam], [dnr_db], [v.effective_brightness(lam)[0]], 0.005)
+      for lam in [0.05, 0.2, 0.35, 0.5, 0.65, 0.95] for dnr_db in [-np.inf, 0.0, 23.5, 60.0]),
+]
+
+BLOCK_CASES = [(symbols, dnr_count, gammas) for symbols in [1, 7, 10000]
+               for gammas, counts in [(None, [1, 3, 4, 5, 8, 31]), ([0.3, 0.4], [1, 4, 5, 8]),
+                                      (v.AUTO, [1, 4, 5, 8])] for dnr_count in counts]
+
+
 class TestLog2RowTable:
-    """Each distinct ratio's log2 row is evaluated once per sweep, in DNR blocks,
-    with the bits of the paper's formula evaluated cell by cell."""
+    """Each distinct ratio's log2 and SNR rows are evaluated once per sweep, in DNR blocks,
+    with the bits of the paper's formulas evaluated cell by cell."""
 
     LAMBDAS = [0.05, 0.2, 0.35, 0.7]  # shared grid points, and 0.7 mirrored to 0.3 + ulp
 
@@ -469,31 +408,46 @@ class TestLog2RowTable:
                         for gamma in map(float, result.grid[:, 0])]
             assert result.grid[:, 1].tobytes() == np.array(expected).tobytes(), (lam, dnr_db)
 
-    @pytest.mark.parametrize("symbols", [1, 7, 10000])
-    @pytest.mark.parametrize("dnr_count", [1, 3, 4, 5, 8, 31])
-    def test_block_edges_match_the_formula(self, pop64, monkeypatch, symbols, dnr_count):
-        """4 DNRs per block at every population size: the last block is short or full."""
-        monkeypatch.setattr(v.rates, "_LOG2_BLOCK_BYTES", 4 * 8 * symbols)
-        pop = first_symbols(pop64, symbols)
-        cells = v.sweep_gamma_search([0.2, 0.7], 2.0 * np.arange(dnr_count), pop, 0.05)
-        self.assert_grids_are_the_formula(cells, pop)
+    @pytest.mark.parametrize("lambdas, dnrs_db, gammas, step", ROW_TABLES)
+    def test_rows_are_the_formula(self, pop64, lambdas, dnrs_db, gammas, step):
+        rows = v.sweep_rates(lambdas, dnrs_db, gammas, pop64, gamma_step=step)
+        assert rows_text(rows) == rows_text(paper_rows(lambdas, dnrs_db, gammas, pop64, step))
 
-    @pytest.mark.parametrize("symbols", [1, 7, 10000])
-    @pytest.mark.parametrize("dnr_count", [1, 4, 5, 8])
-    @pytest.mark.parametrize("gammas", [[0.3, 0.4], v.AUTO])
-    def test_block_edges_keep_the_row_formulas(self, pop64, monkeypatch, symbols, dnr_count,
-                                               gammas):
-        """Each rate row's SNR comes from its ratio's block pass too, beside the log2 mean."""
+    @pytest.mark.parametrize("symbols, dnr_count, gammas", BLOCK_CASES)
+    def test_block_edges_keep_the_formulas(self, pop64, monkeypatch, symbols, dnr_count,
+                                           gammas):
+        """4 DNRs per block at every population size: the last block is short or full. Each
+        rate row's SNR comes from its ratio's block pass too, beside the log2 mean."""
         monkeypatch.setattr(v.rates, "_LOG2_BLOCK_BYTES", 4 * 8 * symbols)
         pop = first_symbols(pop64, symbols)
         dnrs_db = 2.0 * np.arange(dnr_count)
-        rows = v.sweep_rates([0.2, 0.7], dnrs_db, gammas, pop, gamma_step=0.05)
-        expected = [paper_row(lam, gamma, dnr_db, pop)
-                    for lam in [0.2, 0.7] for dnr_db in dnrs_db
-                    for gamma in [None, *(gammas if gammas != v.AUTO else
-                                          [search(lam, dnr_db, pop, 0.05).gamma_star])]]
-        assert [repr(dataclasses.astuple(row)) for row in rows] == \
-               [repr(dataclasses.astuple(row)) for row in expected]
+        if gammas is None:
+            cells = v.sweep_gamma_search([0.2, 0.7], dnrs_db, pop, 0.05)
+            self.assert_grids_are_the_formula(cells, pop)
+        else:
+            rows = v.sweep_rates([0.2, 0.7], dnrs_db, gammas, pop, gamma_step=0.05)
+            assert rows_text(rows) == rows_text(paper_rows([0.2, 0.7], dnrs_db, gammas, pop, 0.05))
+
+    @pytest.mark.parametrize("lambdas, dnrs_db, gammas, step, ratios, optima", [
+        # the biasing ratios 0.1, 0.3 and 0.7's 0.30000000000000004 and the three PWM ratios
+        ([0.1, 0.3, 0.7], [0.0, 7.5, 20.0, 45.0], [0.35, 0.4, 0.45], 0.005,
+         [0.1, 0.3, 0.30000000000000004, 0.35, 0.4, 0.45], [0.35, 0.4, 0.45]),
+        # 0.7's grid starts at 0.30000000000000004, a point of 0.1's grid, and 0.5's grid is
+        # the 0.5 the other three share: 20 grid points, 12 ratios. The reported ratios, the
+        # biasing rows' lambda_eff and 12 optima, 4 distinct, are grid ratios
+        ([0.1, 0.3, 0.7, 0.5], [0.0, 7.5, 20.0], v.AUTO, 0.05,
+         [0.1, 0.15000000000000002, 0.2, 0.25, 0.3, 0.30000000000000004, 0.35,
+          0.35000000000000003, 0.4, 0.45, 0.45000000000000007, 0.5],
+         [0.4, 0.45, 0.45000000000000007, 0.5])], ids=["explicit", "auto"])
+    def test_one_factor_per_distinct_ratio(self, pop64, monkeypatch, lambdas, dnrs_db, gammas,
+                                           step, ratios, optima):
+        """Each distinct ratio needs one factor, for its log2 and SNR rows."""
+        called = count_factor_calls(monkeypatch)
+        rows = v.sweep_rates(lambdas, dnrs_db, gammas, pop64, gamma_step=step)
+        pwm_rows = 1 if gammas == v.AUTO else len(gammas)
+        assert len(rows) == len(lambdas) * len(dnrs_db) * (1 + pwm_rows)
+        assert sorted(called()) == ratios
+        assert sorted({row.gamma for row in rows if row.scheme is v.Scheme.PWM}) == optima
 
     def test_default_blocks_match_the_formula(self, pop64):
         cells = v.sweep_gamma_search(self.LAMBDAS, 2.0 * np.arange(31), pop64, 0.01)
@@ -509,43 +463,7 @@ class TestLog2RowTable:
             rows = v.sweep_rates(self.LAMBDAS, dnrs_db, gammas, pop64)
             alone = [row for lam in self.LAMBDAS
                      for row in v.sweep_rates([lam], dnrs_db, gammas, pop64)]
-            assert [repr(dataclasses.astuple(row)) for row in rows] == \
-                   [repr(dataclasses.astuple(row)) for row in alone]
-
-    def test_auto_rows_are_the_formula(self, pop64):
-        dnrs_db = [0.0, 10.0, 26.0]
-        rows = v.sweep_rates(self.LAMBDAS, dnrs_db, v.AUTO, pop64, gamma_step=0.01)
-        for biasing, pwm in zip(rows[::2], rows[1::2]):
-            lam_eff = v.effective_brightness(biasing.brightness)[0]
-            dnr = float(10.0 ** (biasing.dnr_db / 10.0))
-            assert bits(biasing.rate) == bits(paper_rate(1.0, dnr, lam_eff, pop64))
-            assert bits(biasing.avg_snr_db) == bits(paper_snr_db(dnr, lam_eff, pop64))
-            duty = v.dimming.duty_cycle(lam_eff, pwm.gamma)
-            assert bits(pwm.rate) == bits(paper_rate(duty, dnr, pwm.gamma, pop64))
-            assert bits(pwm.avg_snr_db) == bits(paper_snr_db(dnr, pwm.gamma, pop64))
-
-    def test_explicit_rows_are_the_formula(self, pop64):
-        dnrs_db = [0.0, 10.0, 26.0]
-        gammas = [0.3, 0.4, 0.5]
-        rows = v.sweep_rates([0.05, 0.2, 0.7], dnrs_db, gammas, pop64)
-        assert len(rows) == 3 * len(dnrs_db) * (1 + len(gammas))
-        for row in rows:
-            lam_eff = v.effective_brightness(row.brightness)[0]
-            gamma = lam_eff if row.gamma is None else row.gamma
-            dnr = float(10.0 ** (row.dnr_db / 10.0))
-            duty = v.dimming.duty_cycle(lam_eff, gamma)
-            assert bits(row.rate) == bits(paper_rate(duty, dnr, gamma, pop64))
-            assert bits(row.avg_snr_db) == bits(paper_snr_db(dnr, gamma, pop64))
-
-    def test_single_ratio_rows_are_the_formula(self, pop64):
-        dnrs_db, dnrs = [-np.inf, 0.0, 23.5, 60.0], [0.0, 1.0, 10.0 ** 2.35, 1e6]
-        assert [v.rates.dnr_linear(dnr_db) for dnr_db in dnrs_db] == dnrs
-        for lam, gamma in [(0.05, 0.05), (0.2, 0.31), (0.7, 0.45), (0.95, 0.5)]:
-            rows = v.sweep_rates([lam], dnrs_db, [gamma], pop64)[1::2]
-            duty = v.dimming.duty_cycle(v.effective_brightness(lam)[0], gamma)
-            for row, dnr in zip(rows, dnrs):
-                assert bits(row.rate) == bits(paper_rate(duty, dnr, gamma, pop64))
-                assert bits(row.avg_snr_db) == bits(paper_snr_db(dnr, gamma, pop64))
+            assert rows_text(rows) == rows_text(alone)
 
     def test_two_populations_in_one_process(self, pop64, pop256):
         """No row outlives its sweep: each population reads only its own rows."""
