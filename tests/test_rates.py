@@ -39,6 +39,11 @@ class TestRatePerCell:
         assert [row.dnr_db for row in rows] == [-np.inf, -np.inf]
         assert [row.avg_snr_db for row in rows] == [-np.inf, -np.inf]
 
+    @pytest.mark.parametrize("dnr_db, dnr", [(-np.inf, 0.0), (0.0, 1.0), (23.5, 10.0 ** 2.35),
+                                             (60.0, 1e6)])
+    def test_dnr_is_linear(self, dnr_db, dnr):
+        assert v.rates.dnr_linear(dnr_db) == dnr
+
     @pytest.mark.parametrize("lam, row, rate", [(0.5, 0, 0.5), (0.25, 1, 0.25)],
                              ids=["biasing", "pwm"])
     def test_single_sample(self, lam, row, rate):
@@ -345,7 +350,7 @@ def paper_row(lam, gamma, dnr_db, pop):
     gamma None is biasing adjustment."""
     lam_eff = v.effective_brightness(lam)[0]
     ratio = lam_eff if gamma is None else gamma
-    dnr = v.rates.dnr_linear(dnr_db)
+    dnr = 10.0 ** (float(dnr_db) / 10.0)
     with np.errstate(divide="ignore"):
         shown_db = float(10.0 * np.log10(dnr))
     return v.RateEstimate(
