@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import write_blocks
 from .ofdm import Constellation, PaprPopulation, sample_papr_population
 
 _MAGIC = b"VLCPAPR1"
@@ -142,4 +142,4 @@ def load_or_build(cache_dir, n_subcarriers: int, constellation: Constellation,
 
 def write_population_csv(path, pop: PaprPopulation):
     """Export a population as index,upapr,lpapr rows."""
-    write_csv(path, ["index", "upapr", "lpapr"], [range(len(pop)), pop.upapr, pop.lpapr])
+    write_blocks(path, ["index", "upapr", "lpapr"], [[range(len(pop)), pop.upapr, pop.lpapr]])

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dimming import effective_brightness, off_interval
 from .errors import ConfigError
-from .led import LedModel
+from .led import RANGE_MIN, LedModel
 from .ofdm import Constellation
 from .rates import AUTO, dnr_linear, grid, grid_points, zeta_grid_points
 
@@ -113,8 +113,9 @@ class ExperimentConfig:
             raise ConfigError("seed", f"must be in [0, 2**64), got {self.seed}")
         if not self.i_low >= 0:  # 0 A is the LED's off state, so it cannot lie inside the range
             raise ConfigError("i_low", f"must be >= 0, got {self.i_low}")
-        if not self.i_high > self.i_low:
-            raise ConfigError("i_high", f"must exceed i_low, got [{self.i_low}, {self.i_high}]")
+        if not self.i_high - self.i_low >= RANGE_MIN:
+            raise ConfigError("i_high", f"must exceed i_low by at least {RANGE_MIN!r}, "
+                                        f"got [{self.i_low}, {self.i_high}]")
         if not self.o_high > 0:
             raise ConfigError("o_high", f"must be positive, got {self.o_high}")
         if not self.lambdas:

@@ -3,9 +3,9 @@
 Fields are joined by ',' without quoting and rows end in '\\n'. Floats,
 NumPy's included, are written as repr(float(x)), the shortest text that
 reads back as the same double; None is an empty field; anything else goes
-through str(). Tables are given as columns (write_csv), as consecutive
-blocks of columns (write_blocks) or as rows (write_rows); either way the
-text is built piecewise and streamed to the file.
+through str(). Tables are given as consecutive blocks of columns
+(write_blocks) or as rows (write_rows); either way the text is built
+piecewise and streamed to the file.
 
 Column tables are formatted _CHUNK_ROWS rows at a time, whole columns at
 once. The shortest digits of a float column's finite nonzero doubles come
@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-# rows formatted and written per write call by write_csv and write_blocks. A
+# rows formatted and written per write call by write_blocks. A
 # three-column chunk's text takes about 50 bytes a row and each scratch array
 # 8. Against 2048 rows, 4096 ran waveform-demo (1000 N = 64 symbols) about 5%
 # faster and raised its peak RSS from 39.07 to 39.69 MB (median of 12 runs
@@ -396,11 +396,9 @@ class _Formatter:
         return key
 
 
-def _chunks(columns, formatter=None):
+def _chunks(columns, formatter: _Formatter):
     """The table's rows as text, _CHUNK_ROWS rows per piece."""
     rows = min(map(len, columns), default=0)
-    if formatter is None:
-        formatter = _Formatter()
     for start in range(0, rows, _CHUNK_ROWS):
         yield formatter.chunk(columns, start, min(start + _CHUNK_ROWS, rows))
 
@@ -416,23 +414,16 @@ def _write(path, header, texts):
             raise
 
 
-def write_csv(path, header, columns):
-    """Write the header, then row i from the i-th value of every column.
-
-    A column is an index range of int64 values or a sequence of floats (a
-    NumPy array, say); the shortest column sets the row count, and a table
-    without rows may pass no columns. Rows are formatted and written
-    _CHUNK_ROWS at a time.
-    """
-    write_blocks(path, header, [columns])
-
-
 def write_blocks(path, header, blocks):
     """Write the header, then the rows of each block of columns in turn.
 
-    Each block is a list of columns as write_csv takes them; blocks is read
-    once, after the file is opened, so a table can be produced block by
-    block while it is written and never held whole.
+    Within a block, row i holds the i-th value of every column. A column is
+    an index range of int64 values or a sequence of floats (a NumPy array,
+    say); the shortest column sets the block's row count, and a block
+    without rows may pass no columns. Rows are formatted and written
+    _CHUNK_ROWS at a time. blocks is read once, after the file is opened,
+    so a table can be produced block by block while it is written and never
+    held whole.
     """
     formatter = _Formatter()
     _write(path, header, (text for columns in blocks for text in _chunks(columns, formatter)))

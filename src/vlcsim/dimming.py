@@ -74,16 +74,21 @@ def off_interval(n_samples: int, brightness: float, forward_ratio=None) -> float
     return round(n_samples * (1.0 - d) / d, 0)
 
 
-def check_waveform(spec: DimmingSpec, led: LedModel):
-    """Raise CurrentRangeError unless led can drive spec's waveform.
+def check_waveform(spec: DimmingSpec, led: LedModel) -> float:
+    """Raise unless led can drive spec's waveform; returns the symbols' bias.
 
     A mirrored PWM off state sits at i_high + i_low, above the range, so it
-    needs i_low == 0. Every other spec can be driven on any LED.
+    needs i_low == 0 (else CurrentRangeError). The bias i_low + gamma * range
+    must round into the open range (else InvalidBiasError).
     """
-    if spec.scheme is Scheme.PWM and effective_brightness(spec.brightness)[1] and led.i_low != 0.0:
+    lam_eff, mirrored = effective_brightness(spec.brightness)
+    if spec.scheme is Scheme.PWM and mirrored and led.i_low != 0.0:
         raise CurrentRangeError(
             "mirrored PWM requires i_low == 0; the off interval cannot be mirrored "
             f"into [{led.i_low}, {led.i_high}]")
+    bias = led.i_low + (spec.forward_ratio or lam_eff) * led.dynamic_range
+    led.check_bias(bias)
+    return bias
 
 
 def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
@@ -98,9 +103,8 @@ def assemble_waveform(symbols, spec: DimmingSpec, led: LedModel) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.float64)
     if symbols.ndim != 2 or symbols.size == 0:
         raise ValueError(f"need a non-empty 2-D array of symbol rows, got shape {symbols.shape}")
-    check_waveform(spec, led)
-    lam_eff, mirrored = effective_brightness(spec.brightness)
-    bias = led.i_low + (spec.forward_ratio or lam_eff) * led.dynamic_range
+    bias = check_waveform(spec, led)
+    mirrored = effective_brightness(spec.brightness)[1]
     alpha = compute_alpha(symbols.max(axis=1), symbols.min(axis=1), bias, led)
     # one row per frame; the zeros after each symbol are the PWM off intervals
     n = symbols.shape[1]

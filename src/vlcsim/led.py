@@ -5,7 +5,7 @@ emits o_high at full drive. A zero-mean OFDM symbol is scaled by the
 largest-magnitude factor that keeps it inside the dynamic range for a given
 bias, which fixes the transmitted variance in closed form. The range and
 the output are finite, and so must be the extremes compute_alpha takes and
-the PAPRs variance_closed_form takes; the variance_factor kernel checks none.
+the PAPRs variance_closed_form takes, also positive; variance_factor checks none.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurrentRangeError, DegenerateSymbolError, InvalidBiasError
+
+# the narrowest dynamic range, the smallest normal double: below it the rounding of the
+# scaled waveform, a few subnormal steps, is wider than the rails' 1e-9 * range snap
+RANGE_MIN = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -28,14 +32,20 @@ class LedModel:
     def __post_init__(self):
         if not self.i_low >= 0:  # 0 A is the off state, which must not lie inside the range
             raise ValueError(f"i_low must be >= 0, got {self.i_low}")
-        if not self.i_low < self.i_high < np.inf:
-            raise ValueError(f"need finite i_high > i_low, got [{self.i_low}, {self.i_high}]")
+        if not (self.i_high < np.inf and self.i_high - self.i_low >= RANGE_MIN):
+            raise ValueError(f"need finite i_high >= i_low + RANGE_MIN, "
+                             f"got [{self.i_low}, {self.i_high}]")
         if not 0 < self.o_high < np.inf:
             raise ValueError(f"o_high must be positive and finite, got {self.o_high}")
 
     @property
     def dynamic_range(self) -> float:
         return self.i_high - self.i_low
+
+    def check_bias(self, bias: float):
+        """Raise InvalidBiasError unless bias lies inside the open range (i_low, i_high)."""
+        if not self.i_low < bias < self.i_high:
+            raise InvalidBiasError(f"bias {bias} outside open range ({self.i_low}, {self.i_high})")
 
 
 def compute_alpha(max_x, min_x, bias: float, led: LedModel):
@@ -52,9 +62,7 @@ def compute_alpha(max_x, min_x, bias: float, led: LedModel):
         raise DegenerateSymbolError(f"need finite max_x > 0 > min_x, got "
                                     f"max_x={max_x.flat[bad[0]]}, min_x={min_x.flat[bad[0]]}"
                                     + (f" in row {bad[0]}" if max_x.ndim else ""))
-    if not led.i_low < bias < led.i_high:
-        raise InvalidBiasError(
-            f"bias {bias} outside open range ({led.i_low}, {led.i_high})")
+    led.check_bias(bias)
     headroom = led.i_high - bias
     footroom = led.i_low - bias
     alpha_pos = np.minimum(headroom / max_x, footroom / min_x)
@@ -79,12 +87,12 @@ def variance_factor(zeta, upapr, lpapr):
 
 def variance_closed_form(zeta, upapr, lpapr, led: LedModel):
     """D^2 times variance_factor: the variance of the maximally scaled symbol at biasing ratio
-    zeta in (0, 1), over zeta and finite per-symbol upapr, lpapr (scalars give a scalar)."""
+    zeta in (0, 1), over zeta and positive finite per-symbol PAPRs (scalars give a scalar)."""
     zeta = np.asarray(zeta, dtype=np.float64)
     if not np.all((zeta > 0.0) & (zeta < 1.0)):
         raise ValueError(f"biasing ratio must be in (0, 1), got {zeta}")
-    if not (np.isfinite(upapr).all() and np.isfinite(lpapr).all()):
-        raise ValueError("PAPRs must be finite")
+    if not all(np.all((p > 0.0) & (p < np.inf)) for p in map(np.asarray, (upapr, lpapr))):
+        raise ValueError("PAPRs must be positive and finite")
     d = led.dynamic_range
     return (d * d * variance_factor(zeta, upapr, lpapr))[()]
 

@@ -3,12 +3,13 @@
 Symbols are built in the frequency domain with null DC/Nyquist bins and
 Hermitian symmetry, transformed to a real oversampled time-domain signal,
 and reduced to per-symbol (UPAPR, LPAPR) pairs. One synthesis kernel does
-the Hermitian check, the inverse FFT and the residual check for a block of
-symbols: to_time_domain runs it on a one-row block, and the population
-sampler on fixed-size blocks, whose time-domain rows it can also write into
-a caller's array. The per-symbol path passes plain arrays: the N complex
-bins of generate_freq_symbol, the N*F real samples of to_time_domain and
-the (UPAPR, LPAPR) pair of papr_of; the last two reject non-finite input.
+the Hermitian check, the inverse FFT and the scaling for a block of symbols:
+to_time_domain runs it on a one-row block, and the population sampler on
+fixed-size blocks, whose time-domain rows it can also write into a caller's
+array; the sampler then takes each row's mean square. The per-symbol path
+passes plain arrays: the N complex bins of generate_freq_symbol, the N*F
+real samples of to_time_domain and the (UPAPR, LPAPR) pair of papr_of; the
+last two reject non-finite input.
 Symbols are seeded per index, so results never depend on block size; the
 sampler seeds them in chunks with one vectorized SeedSequence pass each and
 draws a block's QPSK and 16-QAM points, from the one table of constellation
@@ -29,9 +30,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSymbolError, HermitianSymmetryError
-
-# max tolerated |imag| after the inverse transform, relative to the signal RMS
-_IMAG_RESIDUAL_TOL = 1e-9
 
 # byte budget of one sampler block: rows = max(1, _BLOCK_BYTES // (16 * N * F))
 # complex128 rows; small so the reused block buffers stay cache-resident
@@ -71,26 +69,15 @@ def _check_hermitian(rows: np.ndarray, half: int):
         raise HermitianSymmetryError("bins are not Hermitian symmetric")
 
 
-def _synthesize(blk: np.ndarray, n_subcarriers: int, x: np.ndarray) -> np.ndarray:
+def _synthesize(blk: np.ndarray, n_subcarriers: int, x: np.ndarray):
     """Turn rows of N*F zero-padded bins (0..N/2 first, N/2+1..N-1 last) into time-domain
     symbols: Hermitian check, inverse DFT in place, real parts scaled by N*F/sqrt(N).
 
-    Writes the samples into x as contiguous rows and returns each row's mean
-    square; the squares go into blk's memory, which the samples leave dead.
+    Writes the samples into x as contiguous rows; blk's memory is then dead.
     """
     _check_hermitian(blk, n_subcarriers // 2)
     np.fft.ifft(blk, axis=1, out=blk)
-    scale = blk.shape[1] / np.sqrt(n_subcarriers)
-    # scaling by a positive double is monotone: max|imag| * scale is the scaled maximum
-    max_imag = np.abs(blk.imag, out=x).max(axis=1) * scale
-    np.multiply(blk.real, scale, out=x)
-    # x's shape over blk's first x.size doubles: contiguous, so one flat pass squares it
-    sq = blk.view(np.float64).reshape(-1)[:x.size].reshape(x.shape)
-    var = np.square(x, out=sq).mean(axis=1)
-    if np.any(max_imag > np.sqrt(var) * _IMAG_RESIDUAL_TOL):
-        raise HermitianSymmetryError(
-            f"imaginary residual {max_imag.max():.3e} exceeds {_IMAG_RESIDUAL_TOL:.0e} x RMS")
-    return var
+    np.multiply(blk.real, blk.shape[1] / np.sqrt(n_subcarriers), out=x)
 
 
 class Constellation(str, Enum):
@@ -275,9 +262,9 @@ def to_time_domain(bins, oversample_factor: int = 4) -> np.ndarray:
 
     Evaluates x(t) = (1/sqrt(N)) sum_k X_k exp(j 2 pi k t / T) at the N*F
     points t = n T / (N F), bins above N/2 acting as negative frequencies:
-    the one-row case of the sampler's kernel, whose Hermitian and residual
-    checks are the checks on the bins. Non-finite bins are rejected first:
-    an infinite bin equals its own conjugate mirror.
+    the one-row case of the sampler's kernel, whose Hermitian check is the
+    check on the bins. Non-finite bins are rejected first: an infinite bin
+    equals its own conjugate mirror.
     """
     bins = _one_row(bins, np.complex128, "bins")
     n = bins.shape[1]
@@ -293,19 +280,22 @@ def to_time_domain(bins, oversample_factor: int = 4) -> np.ndarray:
     return samples
 
 
-def _papr_rows(x: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's max(x)^2 / var and min(x)^2 / var, var its mean square."""
+def _papr_rows(x: np.ndarray, sq: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's max(x)^2 / var and min(x)^2 / var, var its mean square; squares go to sq."""
+    var = np.square(x, out=sq).mean(axis=1)
     if not var.all():
         raise DegenerateSymbolError("all-zero symbol has no PAPR")
     return np.square(x.max(axis=1)) / var, np.square(x.min(axis=1)) / var
 
 
 def papr_of(samples) -> tuple[float, float]:
-    """(UPAPR, LPAPR) of one symbol's finite real samples: the sampler's reduction on one row."""
+    """(UPAPR, LPAPR) of one symbol's finite real samples: the sampler's reduction on one row,
+    after an exact power-of-two scaling into [0.5, 1), so no square overflows or underflows."""
     x = _one_row(samples, np.float64, "samples")
     if not np.isfinite(x).all():
         raise ValueError("samples must be finite")
-    upapr, lpapr = _papr_rows(x, np.square(x).mean(axis=1))
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    upapr, lpapr = _papr_rows(x)
     return float(upapr[0]), float(lpapr[0])
 
 
@@ -355,8 +345,10 @@ def sample_papr_population(n_subcarriers: int, constellation: Constellation, cou
         if start % _SEED_CHUNK == 0:
             _check_reference(constellation, seed, start, blk[0, 1:half])
         _mirror(blk, half)
-        var = _synthesize(blk, n_subcarriers, x)
-        upapr[start:stop], lpapr[start:stop] = _papr_rows(x, var)
+        _synthesize(blk, n_subcarriers, x)
+        # x's shape over blk's first x.size doubles, dead since the synthesis: one flat pass
+        sq = blk.view(np.float64).reshape(-1)[:x.size].reshape(x.shape)
+        upapr[start:stop], lpapr[start:stop] = _papr_rows(x, sq)
     return PaprPopulation(upapr=upapr, lpapr=lpapr, n_subcarriers=n_subcarriers,
                           constellation=constellation, seed=seed,
                           oversample_factor=oversample_factor)

@@ -86,6 +86,15 @@ REJECTED = [
     ("led-below-zero", ["waveform-demo", "--n", 4, "--oversample", 2, "--symbols", 50],
      "i_low = -1.0\ni_high = 1.0\nlambdas = 0.5\ngammas = 0.5\n", False,
      "vlcsim: config error: i_low: must be >= 0, got -1.0"),
+    # a subnormal range: the waveform's rounding dust fell outside the rails after the
+    # biasing CSV was written, and the PWM CSV then failed with exit 2
+    ("led-subnormal-range", ["waveform-demo", "--n", 8, "--oversample", 1, "--symbols", 10],
+     "i_high = 1e-320\nlambdas = 0.2\ngammas = 0.3\n", False,
+     "vlcsim: config error: i_high: must exceed i_low by at least 2.2250738585072014e-308"),
+    # the PWM bias rounds onto i_high; it failed after the biasing CSV was written
+    ("pwm-bias-on-the-rail", ["waveform-demo", "--n", 16, "--symbols", 5, "--lambda", "0.2",
+                              "--gamma", "0.96"], "i_low = 1.0\ni_high = 1.0000000000000009\n",
+     True, "vlcsim: error: bias 1.0000000000000009 outside open range"),
     # '#' starts a comment and a line break ends a key = value line: neither is cut
     *((f"comment-or-break-{key}-{i}", [*RATE, *flags], None, False,
        f"vlcsim: config error: {key}: cannot contain '#' or a line break, got ")

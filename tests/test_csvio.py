@@ -19,7 +19,7 @@ def reference_csv(path, header, columns):
 
 
 def assert_same_bytes(tmp_path, header, columns):
-    csvio.write_csv(tmp_path / "chunked.csv", header, columns)
+    csvio.write_blocks(tmp_path / "chunked.csv", header, [columns])
     reference_csv(tmp_path / "reference.csv", header, columns)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -127,7 +127,7 @@ def test_rows_writer_uses_the_same_format(tmp_path):
 
 def test_text_comes_in_chunks_of_chunk_rows():
     rows = 2 * CHUNK + 1
-    chunks = list(csvio._chunks([range(rows), np.arange(rows) / 7.0]))
+    chunks = list(csvio._chunks([range(rows), np.arange(rows) / 7.0], csvio._Formatter()))
     assert len(chunks) == 3
     assert [chunk.count("\n") for chunk in chunks] == [CHUNK, CHUNK, 1]
 
@@ -156,7 +156,7 @@ def test_a_table_that_fails_part_way_leaves_no_file(tmp_path):
 
 def column_text(values):
     """The column formatter's text of one float column: one line per value."""
-    return "".join(csvio._chunks([values]))
+    return "".join(csvio._chunks([values], csvio._Formatter()))
 
 
 def assert_repr(values):

@@ -32,6 +32,13 @@ class TestLedModel:
         with pytest.raises(ValueError):
             v.LedModel(i_low=1.0, i_high=1.0)
 
+    @pytest.mark.parametrize("i_high", [5e-324, 1e-320, np.nextafter(v.led.RANGE_MIN, 0)])
+    def test_rejects_a_subnormal_range(self, i_high):
+        """Scaled into a subnormal range, a waveform's rounding fell outside the rails."""
+        with pytest.raises(ValueError, match="i_high >= i_low \\+ RANGE_MIN"):
+            v.LedModel(i_low=0.0, i_high=i_high)
+        assert v.LedModel(i_low=0.0, i_high=v.led.RANGE_MIN).dynamic_range == v.led.RANGE_MIN
+
     @pytest.mark.parametrize("i_low", [-1.0, -1e-300])
     def test_rejects_a_range_below_zero(self, i_low):
         """0 A is the off state, so a range reaching below it would hold the off state."""
@@ -170,10 +177,12 @@ class TestVarianceClosedForm:
         assert alpha * alpha * 1.0 == pytest.approx(0.01, rel=1e-12)
 
     @pytest.mark.parametrize("upapr, lpapr", [(np.nan, 2.0), (np.inf, 2.0), (2.0, -np.inf),
-                                              (np.array([2.0, np.nan]), 3.0)])
+                                              (np.array([2.0, np.nan]), 3.0), (-1.0, 1.0),
+                                              (0.0, 0.0), (0.0, 1.0), (np.array([2.0, 0.0]), 3.0)])
     def test_rejects_non_finite_papr(self, upapr, lpapr):
-        """A NaN PAPR gave a NaN variance and an infinite one 0.0."""
-        with pytest.raises(ValueError, match="^PAPRs must be finite$"):
+        """A NaN PAPR gave a NaN variance and an infinite one 0.0; a negative one a negative
+        variance, and a zero one inf or a wrong value, with a divide-by-zero warning."""
+        with pytest.raises(ValueError, match="^PAPRs must be positive and finite$"):
             v.variance_closed_form(0.3, upapr, lpapr, v.LedModel())
 
     def test_rejects_ratio_outside_open_interval(self):

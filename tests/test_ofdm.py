@@ -170,13 +170,17 @@ class TestOneSynthesisKernel:
             with pytest.raises(HermitianSymmetryError, match=message):
                 v.to_time_domain(bins, factor)
 
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_kernel_rejects_an_imaginary_residual_of_either_sign(self, monkeypatch, sign):
-        """A constant imaginary part of either sign, past the Hermitian check, is caught."""
-        monkeypatch.setattr(v.ofdm, "_check_hermitian", lambda rows, half: None)
-        blk = np.array([[sign * 1e-3j, 1, 0, 1]])
-        with pytest.raises(HermitianSymmetryError, match="imaginary residual 5.000e-04 "):
-            v.ofdm._synthesize(blk, 4, np.empty((1, 4)))
+    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("k", [-990, 990])
+    def test_to_time_domain_commutes_with_a_power_of_two(self, k, factor):
+        """Scaled bins give the scaled samples bit for bit: at 2**-990 the old imaginary-residual
+        check rejected them, and at 2**990 a mean square overflowed with a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for constellation in v.Constellation:
+                bins = v.generate_freq_symbol(16, constellation, v.symbol_rng(1, 1))
+                x = v.to_time_domain(bins * 2.0 ** k, factor)
+                assert x.tobytes() == (v.to_time_domain(bins, factor) * 2.0 ** k).tobytes()
 
     def test_sampler_message_for_a_broken_block_names_the_mirror(self, monkeypatch):
         """A NaN data bin fails the kernel's Hermitian check: the sampler checks no finiteness."""
@@ -202,6 +206,17 @@ class TestPaprOf:
     def test_rejects_a_symbol_without_a_papr(self, samples, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             v.papr_of(samples)
+
+    @pytest.mark.parametrize("k", [-600, -520, 520, 600])
+    @pytest.mark.parametrize("constellation", list(v.Constellation))
+    def test_pair_does_not_depend_on_scale(self, constellation, k):
+        """Samples scaled by 2**k give the same pair bit for bit: squared unscaled, they
+        overflowed to NaN PAPRs, underflowed to an all-zero symbol or lost their last bits."""
+        for i in range(4):
+            x = v.to_time_domain(v.generate_freq_symbol(16, constellation, v.symbol_rng(1, i)), 4)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert v.papr_of(np.ldexp(x, k)) == v.papr_of(x)
 
     def test_mean_upapr_grows_with_subcarriers(self, pop64, pop1024):
         assert pop64.upapr.mean() < pop1024.upapr.mean()
