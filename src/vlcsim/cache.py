@@ -39,8 +39,6 @@ def save_population(path, pop: PaprPopulation):
     complete one.
     """
     const = pop.constellation.value.encode("ascii")
-    if len(const) > 16:
-        raise ValueError(f"constellation id too long for header: {pop.constellation}")
     header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, pop.n_subcarriers,
                           pop.oversample_factor, const, pop.seed, len(pop), _NUMPY_VERSION)
     records = np.column_stack([pop.upapr, pop.lpapr]).astype("<f8")
@@ -96,7 +94,7 @@ def load_population(path) -> PaprPopulation:
 
 def population_cache_path(cache_dir, n_subcarriers: int, constellation: Constellation,
                           count: int, seed: int, oversample_factor: int) -> Path:
-    name = (f"papr_n{n_subcarriers}_{constellation.value}_f{oversample_factor}"
+    name = (f"papr_n{n_subcarriers}_{Constellation(constellation).value}_f{oversample_factor}"
             f"_seed{seed}_c{count}.bin")
     return Path(cache_dir) / name
 
@@ -115,8 +113,9 @@ def load_or_build(cache_dir, n_subcarriers: int, constellation: Constellation,
     under another NumPy version, holds a record the sampler cannot write, or
     whose header disagrees with the request is discarded and rebuilt;
     notice, if given, is called with one line saying why. The freshly built
-    population is written back.
+    population is written back. constellation may be a member or its name.
     """
+    constellation = Constellation(constellation)
     path = population_cache_path(cache_dir, n_subcarriers, constellation, count,
                                  seed, oversample_factor)
     if path.exists():

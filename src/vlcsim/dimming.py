@@ -70,7 +70,7 @@ def off_interval(n_samples: int, brightness: float, forward_ratio=None) -> float
     """round(n_samples * (1-d)/d) PWM off samples after a symbol, d the duty cycle (1 without
     a forward ratio: no gap); a float, so an uncountable gap reads as inf."""
     lam_eff = effective_brightness(brightness)[0]
-    d = duty_cycle(lam_eff, forward_ratio or lam_eff)
+    d = duty_cycle(lam_eff, lam_eff if forward_ratio is None else forward_ratio)
     return round(n_samples * (1.0 - d) / d, 0)
 
 
@@ -86,7 +86,8 @@ def check_waveform(spec: DimmingSpec, led: LedModel) -> float:
         raise CurrentRangeError(
             "mirrored PWM requires i_low == 0; the off interval cannot be mirrored "
             f"into [{led.i_low}, {led.i_high}]")
-    bias = led.i_low + (spec.forward_ratio or lam_eff) * led.dynamic_range
+    gamma = lam_eff if spec.forward_ratio is None else spec.forward_ratio
+    bias = led.i_low + gamma * led.dynamic_range
     led.check_bias(bias)
     return bias
 

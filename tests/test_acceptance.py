@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import golden
 import vlcsim as v
 from vlcsim.cli import main as cli_main
 
@@ -170,11 +171,7 @@ def test_criterion_9_cli_manifest_determinism(tmp_path, monkeypatch):
     """Re-running any subcommand from its manifest reproduces the CSVs byte for byte."""
     monkeypatch.setenv(v.CACHE_DIR_ENV, str(tmp_path / "cache"))
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(
-        "n_subcarriers = 16\nn_list = 16, 32\nsymbol_count = 80\n"
-        "oversample_factor = 2\nseed = 11\nlambdas = 0.2\ngammas = 0.3\n"
-        "dnr_db_start = 0\ndnr_db_stop = 20\ndnr_db_step = 10\n"
-        "zeta_step = 0.05\ngamma_step = 0.05\n")
+    cfg_path.write_text(golden.CSV_CONFIG)
     outputs = {
         "papr-sample": ["papr_population.csv"],
         "variance-sweep": ["variance_profile.csv", "variance_peaks.csv"],

@@ -68,6 +68,24 @@ class TestLoadOrBuild:
         assert cached
         assert_array_equal(pop.upapr, again.upapr)
 
+    @pytest.mark.parametrize("member", v.Constellation, ids=lambda c: c.value)
+    def test_a_name_builds_its_member_then_hits(self, tmp_path, member):
+        pop, cached = v.load_or_build(tmp_path, 16, member.value, 3, 1)
+        ref = v.sample_papr_population(16, member, 3, 1)
+        assert not cached and pop.constellation is member
+        assert (pop.upapr.tobytes(), pop.lpapr.tobytes()) == (ref.upapr.tobytes(),
+                                                              ref.lpapr.tobytes())
+        assert (v.population_cache_path(tmp_path, 16, member.value, 3, 1, 4)
+                == v.population_cache_path(tmp_path, 16, member, 3, 1, 4))
+        assert v.load_or_build(tmp_path, 16, member.value, 3, 1)[1]
+
+    def test_an_unknown_name_is_rejected_before_anything_is_cached(self, tmp_path):
+        with pytest.raises(ValueError, match="'bpsk' is not a valid Constellation"):
+            v.population_cache_path(tmp_path, 16, "bpsk", 3, 1, 4)
+        with pytest.raises(ValueError, match="'bpsk' is not a valid Constellation"):
+            v.load_or_build(tmp_path, 16, "bpsk", 3, 1)
+        assert not any(tmp_path.iterdir())
+
     def test_seed_beyond_u64_is_rejected_before_anything_is_cached(self, tmp_path):
         """The header's seed field is a uint64, so such a seed never reaches it."""
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
@@ -166,3 +184,8 @@ def test_header_records_the_numpy_version(tmp_path, small_pop):
     raw = path.read_bytes()
     assert struct.unpack_from("<I", raw, 8)[0] == 2
     assert raw[52:84].rstrip(b"\x00").decode("ascii") == np.__version__
+
+
+def test_every_constellation_fits_the_header_field():
+    """struct would cut a longer name to its 16-byte field without an error."""
+    assert max(len(c.value.encode("ascii")) for c in v.Constellation) <= 16

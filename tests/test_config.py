@@ -109,10 +109,13 @@ class TestValidation:
         ("gamma_step = inf", "gamma_step"),
         ("lambdas = 0.2, nan", "lambdas"),
         ("gammas = inf", "gammas"),
+        # the parser reads no string but auto, so only the API passes another
+        pytest.param(v.ExperimentConfig(gammas="foo"), "gammas", id="gammas=foo"),
+        pytest.param(v.ExperimentConfig(gammas="AUTO"), "gammas", id="gammas=AUTO"),
     ])
     def test_each_violation_names_its_key(self, text, key):
         with pytest.raises(ConfigError) as err:
-            v.parse_config(text).validate()
+            (v.parse_config(text) if isinstance(text, str) else text).validate()
         assert err.value.key == key
 
     def test_defaults_are_valid(self):

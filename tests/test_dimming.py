@@ -87,10 +87,14 @@ class TestDimmingSpec:
         with pytest.raises(DutyCycleError):
             v.DimmingSpec(brightness=0.45, forward_ratio=0.4)
 
-    @pytest.mark.parametrize("brightness, gamma", [(0.0, None), (1.2, None), (0.2, 1.0)])
+    @pytest.mark.parametrize("brightness, gamma", [(0.0, None), (1.2, None), (0.2, 1.0),
+                                                   (0.25, 0.0), (0.25, -0.0)])
     def test_rejects_brightness_or_ratio_outside_the_unit_interval(self, brightness, gamma):
+        """The frame rule too: a zero ratio is no ratio to pulse at, not biasing's no gap."""
         with pytest.raises(ValueError):
             v.DimmingSpec(brightness, gamma)
+        with pytest.raises(ValueError):
+            v.dimming.off_interval(64, brightness, gamma)
 
 
 class TestAssembleWaveform:
